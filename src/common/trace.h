@@ -15,7 +15,7 @@
 // context does NOT survive a bare Simulation::After (a timer is not a causal
 // hop); code that defers work across a timer and wants the causality edge
 // captures the context explicitly (propagation dispatch, retries, read
-// spins, session deferrals).
+// spins, freshness waits).
 
 #ifndef MVSTORE_COMMON_TRACE_H_
 #define MVSTORE_COMMON_TRACE_H_

@@ -43,10 +43,16 @@
 //    construction for a costlier scan.
 //
 //  * kReadYourWrites — the Section V session guarantee. Within a session
-//    (BeginSession), a view Get blocks until the session's own earlier
-//    updates are reflected. BeginSession() remains the sugar for this
-//    level: a session-carrying ViewGet at kEventual is upgraded to
-//    kReadYourWrites automatically.
+//    (BeginSession), a view Get blocks until every one of the session's own
+//    earlier updates that can reach the read partition is reflected: the
+//    same prove -> repair -> park ladder as kBoundedStaleness, filtered to
+//    the session's intents, with no deadline and no SI/base fallback (the
+//    client's request timeout still answers a read parked at a crashed
+//    coordinator). The view is then read at a majority quorum, like a
+//    bounded read. BeginSession() remains the sugar for this level: a
+//    session-carrying ViewGet at kEventual is upgraded to kReadYourWrites
+//    automatically; a caller that wants no guarantee reads at kEventual
+//    without a session.
 //
 // `freshness` is a Timestamp in the client-timestamp domain
 // (kClientTimestampEpoch + simulated time); staleness of a result at time T
@@ -263,8 +269,8 @@ class Client {
   Timestamp NextTimestamp();
 
   /// Starts a session (Section V). Subsequent Puts and view Gets carry the
-  /// session until EndSession; with `session_guarantees` enabled, view Gets
-  /// then block until the session's own updates have propagated.
+  /// session until EndSession; view Gets then read your writes: they block
+  /// until the session's own updates to the read partition have propagated.
   void BeginSession();
   void EndSession() { session_ = 0; }
   SessionId session() const { return session_; }

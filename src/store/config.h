@@ -202,10 +202,6 @@ struct ClusterConfig {
   /// (see DESIGN.md §12).
   int view_shard_count = 1;
 
-  /// Enforce Definition 4 (session guarantee) for view reads issued within a
-  /// session.
-  bool session_guarantees = true;
-
   // --- freshness contract (ISSUE 7): bounded-staleness reads ---
 
   /// Bound applied to a kBoundedStaleness read whose ReadOptions left

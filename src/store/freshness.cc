@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.h"
 #include "store/codec.h"
 #include "store/metrics.h"
 
@@ -17,19 +16,17 @@ FreshnessTracker::FreshnessTracker(Metrics* metrics) : metrics_(metrics) {}
 
 std::uint64_t FreshnessTracker::RegisterIntent(const std::string& view,
                                                const Key& base_key,
-                                               Timestamp ts, SessionId session,
-                                               ServerId origin) {
+                                               Timestamp ts,
+                                               SessionId session) {
   const std::uint64_t id = ++next_intent_;
   Intent intent;
   intent.view = view;
   intent.base_key = base_key;
   intent.ts = ts;
   intent.session = session;
-  intent.origin = origin;
   intents_.emplace(id, std::move(intent));
   by_view_[view].insert(id);
   if (metrics_ != nullptr) metrics_->freshness_intents_registered++;
-  SessionStarted(origin, session, view);
   return id;
 }
 
@@ -39,12 +36,6 @@ void FreshnessTracker::ResolvePartitions(std::uint64_t intent,
   auto it = intents_.find(intent);
   if (it == intents_.end()) return;
   it->second.partitions = std::move(partitions);
-}
-
-void FreshnessTracker::SettleSession(Intent& intent) {
-  if (intent.session_settled) return;
-  intent.session_settled = true;
-  SessionFinished(intent.origin, intent.session, intent.view);
 }
 
 void FreshnessTracker::EraseIntent(
@@ -61,7 +52,6 @@ void FreshnessTracker::Discard(std::uint64_t intent) {
   if (intent == 0) return;
   auto it = intents_.find(intent);
   if (it == intents_.end()) return;
-  SettleSession(it->second);
   const std::string view = it->second.view;
   EraseIntent(it);
   FireImprovement(view);
@@ -77,7 +67,6 @@ void FreshnessTracker::MarkApplied(std::uint64_t intent) {
         std::make_pair(record.view, partition), record.ts);
     if (!inserted) hw->second = std::max(hw->second, record.ts);
   }
-  SettleSession(record);
   const std::string view = record.view;
   EraseIntent(it);
   FireImprovement(view);
@@ -89,7 +78,7 @@ void FreshnessTracker::MarkWounded(std::uint64_t intent) {
   if (it == intents_.end() || it->second.wounded) return;
   it->second.wounded = true;
   if (metrics_ != nullptr) metrics_->freshness_intents_wounded++;
-  SettleSession(it->second);
+  FireImprovement(it->second.view);
 }
 
 std::size_t FreshnessTracker::FamilyAudited(const std::string& view,
@@ -105,7 +94,6 @@ std::size_t FreshnessTracker::FamilyAudited(const std::string& view,
     if (it->second.wounded && metrics_ != nullptr) {
       metrics_->freshness_wounds_cleared++;
     }
-    SettleSession(it->second);
     EraseIntent(it);
   }
   if (!matched.empty()) FireImprovement(view);
@@ -148,12 +136,15 @@ Timestamp FreshnessTracker::FreshAsOfShard(const std::string& view,
 }
 
 FreshnessTracker::BlockerSummary FreshnessTracker::BlockersBefore(
-    const std::string& view, const Key& partition, Timestamp need) const {
+    const std::string& view, const Key& partition, Timestamp need,
+    std::optional<SessionId> session) const {
   BlockerSummary summary;
+  if (session == SessionId{0}) return summary;  // no session, no own writes
   auto view_it = by_view_.find(view);
   if (view_it == by_view_.end()) return summary;
   for (std::uint64_t id : view_it->second) {
     const Intent& intent = intents_.at(id);
+    if (session && intent.session != *session) continue;
     if (!Covers(intent, partition)) continue;
     if (intent.ts > need) continue;  // within the allowed staleness window
     if (intent.wounded) {
@@ -200,67 +191,6 @@ SimTime FreshnessTracker::LagEstimate(const std::string& view) const {
   auto it = lag_.find(view);
   if (it == lag_.end() || !it->second.primed) return -1;
   return static_cast<SimTime>(it->second.value);
-}
-
-// ---------------------------------------------------------------------------
-// Session layer (Section V).
-// ---------------------------------------------------------------------------
-
-void FreshnessTracker::SessionStarted(ServerId origin, SessionId session,
-                                      const std::string& view) {
-  if (session == 0) return;
-  session_pending_[{origin, session, view}]++;
-}
-
-void FreshnessTracker::SessionFinished(ServerId origin, SessionId session,
-                                       const std::string& view) {
-  if (session == 0) return;
-  const SessionKey key{origin, session, view};
-  auto it = session_pending_.find(key);
-  // A finish with no matching start is possible under the crash model: the
-  // coordinator crashed (resetting its session bookkeeping) and a completion
-  // notice for a pre-crash propagation arrived afterwards.
-  if (it == session_pending_.end()) return;
-  if (--it->second > 0) return;
-  session_pending_.erase(it);
-  auto waiting = session_waiting_.find(key);
-  if (waiting == session_waiting_.end()) return;
-  std::vector<std::function<void()>> resumes = std::move(waiting->second);
-  session_waiting_.erase(waiting);
-  for (auto& resume : resumes) resume();
-}
-
-bool FreshnessTracker::SessionMustDefer(ServerId origin, SessionId session,
-                                        const std::string& view) const {
-  if (session == 0) return false;
-  return session_pending_.count({origin, session, view}) != 0;
-}
-
-void FreshnessTracker::SessionDefer(ServerId origin, SessionId session,
-                                    const std::string& view,
-                                    std::function<void()> resume) {
-  MVSTORE_CHECK(SessionMustDefer(origin, session, view));
-  ++session_deferred_[origin];
-  session_waiting_[{origin, session, view}].push_back(std::move(resume));
-}
-
-void FreshnessTracker::ResetSessions(ServerId origin) {
-  auto drop = [origin](auto& map) {
-    for (auto it = map.begin(); it != map.end();) {
-      if (std::get<0>(it->first) == origin) {
-        it = map.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  };
-  drop(session_pending_);
-  drop(session_waiting_);
-}
-
-std::uint64_t FreshnessTracker::deferred_total(ServerId origin) const {
-  auto it = session_deferred_.find(origin);
-  return it == session_deferred_.end() ? 0 : it->second;
 }
 
 }  // namespace mvstore::store

@@ -6,25 +6,26 @@
 // becomes a promise. Every base Put that affects a view registers an
 // *intent* — "a write at timestamp T is on its way into view V" — before
 // the Put is even acknowledged, and the intent settles when the propagation
-// applies (MarkApplied), turns out to be a no-op (Discard), or dies with a
-// crash / retry-budget exhaustion (MarkWounded). A bounded-staleness read
-// at bound B then has an exact question to ask: is there an unsettled
-// intent older than now - B that could reach my partition? If not, the
-// view is provably fresh enough; if so, the coordinator waits, repairs, or
-// routes around the view (view/maintenance_engine.cc's policy ladder).
+// applies (MarkApplied), turns out to be a no-op (Discard), or is cleared
+// by a family audit after it died with a crash or retry-budget exhaustion
+// (MarkWounded, then FamilyAudited). A view read then has an exact question
+// to ask: is there an unsettled intent that can reach my partition and that
+// my read must reflect? A bounded-staleness read at bound B must reflect
+// every writer's intents older than now - B; a read-your-writes read
+// (Section V, Definition 4) must reflect every intent of its own session,
+// whatever its age. If no such blocker exists, the view is provably fresh
+// enough; if one does, the coordinator waits, repairs, or (bounded reads
+// only) routes around the view — one policy ladder for both levels
+// (view/maintenance_engine.cc).
 //
 // The tracker is engine-central, modeling the per-partition tracker shards
 // a real cluster would colocate with the view partition replicas: intent
 // registration rides the Put's coordinator work, settlement rides the
 // propagation's own quorum traffic (plus one network hop in dedicated-
-// propagator mode, exactly like the session completion notice it
-// generalizes), and the advisory lag estimates ride piggyback on the
-// propagation completion's replica traffic (FreshnessCache).
-//
-// Section V's per-coordinator session bookkeeping is subsumed: a session's
-// "my own writes" set is the set of intents registered under (origin,
-// session), so view::SessionManager is now a facade over the session layer
-// here (one origin's slice of it).
+// propagator mode), and the advisory lag estimates ride piggyback on the
+// propagation completion's replica traffic (FreshnessCache). Session ids are
+// cluster-unique (Cluster::NewSession), so a session's "my own writes" set
+// is simply the intents registered under its id.
 
 #ifndef MVSTORE_STORE_FRESHNESS_H_
 #define MVSTORE_STORE_FRESHNESS_H_
@@ -32,9 +33,9 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/types.h"
@@ -55,8 +56,9 @@ enum class ReadConsistency {
   /// for in-flight propagations, repairs wounded families, or routes to the
   /// SI/base-table path when the view cannot satisfy the bound in time.
   kBoundedStaleness,
-  /// Definition 4: block until the session's own pending propagations for
-  /// the view have completed. BeginSession() is sugar for this.
+  /// Definition 4: block until every pending propagation of the session's
+  /// own earlier writes that can reach the read partition has applied.
+  /// BeginSession() is sugar for this.
   kReadYourWrites,
 };
 
@@ -71,8 +73,8 @@ enum class ServedBy {
 /// file comment for what each piece models.
 class FreshnessTracker {
  public:
-  /// `metrics` may be null (standalone SessionManager construction in unit
-  /// tests); instrument updates are then skipped.
+  /// `metrics` may be null (standalone construction in unit tests);
+  /// instrument updates are then skipped.
   explicit FreshnessTracker(Metrics* metrics = nullptr);
 
   FreshnessTracker(const FreshnessTracker&) = delete;
@@ -84,13 +86,13 @@ class FreshnessTracker {
 
   /// Registers a pending propagation of a write at `ts` to `view`,
   /// synchronously at Put issue — BEFORE the Put is acknowledged, so a
-  /// bounded read issued right after the ack can never miss it. Until
+  /// read issued right after the ack can never miss it. Until
   /// ResolvePartitions names the view-key partitions the write can land
   /// in, the intent conservatively blocks EVERY partition of the view.
-  /// Also opens the (origin, session) bookkeeping (Section V).
+  /// `session` (0 = none) is the writer's session: the read-your-writes
+  /// blocker filter matches on it.
   std::uint64_t RegisterIntent(const std::string& view, const Key& base_key,
-                               Timestamp ts, SessionId session,
-                               ServerId origin);
+                               Timestamp ts, SessionId session);
 
   /// Narrows `intent` to the named view-key partitions (the written view
   /// key plus every collected pre-image guess). An empty set leaves the
@@ -109,9 +111,9 @@ class FreshnessTracker {
 
   /// The propagation died (coordinator crash, orphaning, retry budget):
   /// the write may or may not be in the view, so the intent KEEPS blocking
-  /// bounded reads — only a family audit (owned-range scrub or a targeted
-  /// repair) can prove the family converged and clear the wound.
-  /// Idempotent; settles the session bookkeeping on first call.
+  /// reads — only a family audit (owned-range scrub or a targeted repair)
+  /// can prove the family converged and clear the wound. Wakes parked reads
+  /// (their ladder can now repair instead of wait). Idempotent.
   void MarkWounded(std::uint64_t intent);
 
   /// A scrub/repair audited the (view, base_key) family against
@@ -145,18 +147,22 @@ class FreshnessTracker {
   };
   /// The unsettled intents with ts <= `need` that can reach (view,
   /// partition) — exactly the writes a read requiring freshness `need`
-  /// cannot yet prove are reflected.
-  BlockerSummary BlockersBefore(const std::string& view, const Key& partition,
-                                Timestamp need) const;
+  /// cannot yet prove are reflected. With `session` set, only intents
+  /// registered under that session count (read-your-writes); session 0
+  /// owns no intents.
+  BlockerSummary BlockersBefore(
+      const std::string& view, const Key& partition, Timestamp need,
+      std::optional<SessionId> session = std::nullopt) const;
 
   /// Per-(view, partition) high-water timestamp of applied propagations
   /// (kNullTimestamp when none applied yet). Exposed for gossip.
   Timestamp AppliedHighWater(const std::string& view,
                              const Key& partition) const;
 
-  /// One-shot callback fired the next time `view`'s freshness can have
-  /// improved (an intent applied, discarded, or audited away). Parked
-  /// bounded reads use this instead of polling.
+  /// One-shot callback fired the next time `view`'s blockers change for the
+  /// better: an intent applied, discarded, audited away, or wounded (which
+  /// turns waiting into repairing). Parked reads use this instead of
+  /// polling.
   void NotifyOnImprovement(const std::string& view,
                            std::function<void()> callback);
 
@@ -169,40 +175,16 @@ class FreshnessTracker {
   /// Unsettled intents (introspection for tests).
   std::size_t pending_intents() const { return intents_.size(); }
 
-  // -------------------------------------------------------------------
-  // Session layer (Section V, Definition 4) — per-origin slices, fronted
-  // by view::SessionManager.
-  // -------------------------------------------------------------------
-
-  void SessionStarted(ServerId origin, SessionId session,
-                      const std::string& view);
-  void SessionFinished(ServerId origin, SessionId session,
-                       const std::string& view);
-  bool SessionMustDefer(ServerId origin, SessionId session,
-                        const std::string& view) const;
-  /// Callers check SessionMustDefer first.
-  void SessionDefer(ServerId origin, SessionId session,
-                    const std::string& view, std::function<void()> resume);
-  /// Drops `origin`'s session bookkeeping and parked resumes (its
-  /// coordinator crashed; deferred Gets are answered by the client's own
-  /// request timeout).
-  void ResetSessions(ServerId origin);
-  std::uint64_t deferred_total(ServerId origin) const;
-
  private:
   struct Intent {
     std::string view;
     Key base_key;
     Timestamp ts = kNullTimestamp;
     SessionId session = 0;
-    ServerId origin = 0;
     /// Partitions (view keys) the write can land in; empty = unresolved,
     /// blocking every partition of the view.
     std::set<Key> partitions;
     bool wounded = false;
-    /// The (origin, session) bookkeeping settles exactly once even though
-    /// a wounded intent can later be applied or audited.
-    bool session_settled = false;
   };
 
   /// Whether `intent` can affect `partition`.
@@ -211,11 +193,8 @@ class FreshnessTracker {
            intent.partitions.count(partition) != 0;
   }
 
-  void SettleSession(Intent& intent);
   void EraseIntent(std::map<std::uint64_t, Intent>::iterator it);
   void FireImprovement(const std::string& view);
-
-  using SessionKey = std::tuple<ServerId, SessionId, std::string>;
 
   Metrics* metrics_;
   std::uint64_t next_intent_ = 0;
@@ -230,10 +209,6 @@ class FreshnessTracker {
     bool primed = false;
   };
   std::map<std::string, LagEwma> lag_;
-
-  std::map<SessionKey, int> session_pending_;
-  std::map<SessionKey, std::vector<std::function<void()>>> session_waiting_;
-  std::map<ServerId, std::uint64_t> session_deferred_;
 };
 
 /// A server's advisory cache of per-view freshness facts, merged from the

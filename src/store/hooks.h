@@ -92,14 +92,14 @@ class ViewMaintenanceHook {
   virtual void OnBasePutCommitted(Server* coordinator, const Key& base_key,
                                   const storage::Row& written,
                                   std::vector<CollectedViewKeys> views,
-                                  SessionId session,
                                   std::uint64_t put_group) = 0;
 
   /// Serves a client Get on a view (Algorithm 4) under `spec`'s consistency
-  /// contract: kReadYourWrites defers on the session's own pending
-  /// propagations (Definition 4), kBoundedStaleness proves the staleness
-  /// bound against the freshness tracker (waiting, repairing, or routing to
-  /// the SI/base path as needed), kEventual serves the quorum's state as is.
+  /// contract: kReadYourWrites proves that the session's own pending
+  /// propagations to the partition have applied (Definition 4; waiting or
+  /// repairing as needed), kBoundedStaleness proves the staleness bound the
+  /// same way and may also route to the SI/base path, and kEventual serves
+  /// the quorum's state as is.
   virtual void HandleViewGet(
       Server* coordinator, const ViewDef& view, const Key& view_key,
       ViewReadSpec spec,
@@ -107,8 +107,8 @@ class ViewMaintenanceHook {
 
   /// Called synchronously from Server::Crash, BEFORE in-flight coordinator
   /// ops are aborted: the engine must treat the server's share of its
-  /// volatile state (propagation tasks, session bookkeeping, propagator
-  /// queues) as lost.
+  /// volatile state (propagation tasks, unattached freshness intents,
+  /// propagator queues) as lost.
   virtual void OnServerCrash(Server* server) {}
 
   /// Called from Server::Restart after commit-log replay: the engine may

@@ -57,8 +57,8 @@ void QuorumOp<Response>::SendTo(std::size_t slot) {
     return;
   }
   if (spec_.service_at) {
-    coord_->CallPeerDynamic<Response>(spec_.targets[slot], spec_.service_at,
-                                      spec_.request, std::move(on_reply));
+    coord_->CallPeer<Response>(spec_.targets[slot], spec_.service_at,
+                               spec_.request, std::move(on_reply));
     return;
   }
   coord_->CallPeer<Response>(spec_.targets[slot], spec_.service,

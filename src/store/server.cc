@@ -931,7 +931,7 @@ void Server::HandleClientPut(const std::string& table, const Key& key,
     }
   }
 
-  auto on_collected = [this, affected, key, cells, session,
+  auto on_collected = [this, affected, key, cells,
                        put_group](std::vector<storage::Row> pre_images) {
     const bool full_collection =
         static_cast<int>(pre_images.size()) == config_->replication_factor;
@@ -969,7 +969,7 @@ void Server::HandleClientPut(const std::string& table, const Key& key,
       collected.push_back(std::move(entry));
     }
     view_hook_->OnBasePutCommitted(this, key, cells, std::move(collected),
-                                   session, put_group);
+                                   put_group);
   };
 
   if (config_->combined_get_then_put) {
@@ -1284,7 +1284,7 @@ void Server::Crash() {
   metrics_->server_crashes++;
 
   // 1. The view engine loses this server's share of its volatile state
-  //    (propagation tasks, session bookkeeping, propagator queues) FIRST, so
+  //    (propagation tasks, unattached intents, propagator queues) FIRST, so
   //    the abort callbacks below cannot resurrect work on a dead process.
   if (view_hook_ != nullptr) view_hook_->OnServerCrash(this);
 

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/interner.h"
@@ -95,11 +96,12 @@ class Server {
   // ---------------------------------------------------------------------
 
   /// Crash-stops this server: the view hook is told first (it orphans the
-  /// server's propagation tasks and session state), every in-flight
-  /// coordinator operation is aborted with an error callback, stored hints
-  /// are dropped, the endpoint disappears from the network (in-flight
-  /// messages to/from this incarnation are lost), and all volatile storage
-  /// (memtables) is discarded. Durable commit logs and flushed runs survive.
+  /// server's propagation tasks and wounds their freshness intents), every
+  /// in-flight coordinator operation is aborted with an error callback,
+  /// stored hints are dropped, the endpoint disappears from the network
+  /// (in-flight messages to/from this incarnation are lost), and all
+  /// volatile storage (memtables) is discarded. Durable commit logs and
+  /// flushed runs survive.
   void Crash();
 
   /// Restarts a crashed server: replays the per-table commit logs into fresh
@@ -324,31 +326,23 @@ class Server {
                                                 const ColumnName& column,
                                                 const Value& value);
 
-  /// Sends `handler` to run on peer `to` under its service queue (service
-  /// time `remote_service`, plus the fixed per-message receive overhead);
-  /// the returned value travels back and `on_reply` runs here. Either leg
-  /// may be dropped by the network. `payloads` is the logical request count
-  /// the message carries (> 1 for a batched replica-write flush). Both
-  /// closures are move-only, so a request may own its payload vector
-  /// outright (no shared_ptr indirection); callers that must re-send — the
-  /// quorum retry path — keep a copyable std::function and pay one copy per
-  /// send.
-  template <typename Response>
-  void CallPeer(ServerId to, SimTime remote_service,
+  /// Sends `handler` to run on peer `to` under its service queue; the
+  /// returned value travels back and `on_reply` runs here. Either leg may be
+  /// dropped by the network. `remote_service` is the handler's demand, on
+  /// top of the fixed per-message receive overhead: a SimTime constant, or a
+  /// `SimTime(Server&)` callable resolved ON THE PEER when the message is
+  /// delivered, so the demand can depend on replica-local state the sender
+  /// cannot know (is the row cached there?). `payloads` is the logical
+  /// request count the message carries (> 1 for a batched replica-write
+  /// flush). Both closures are move-only, so a request may own its payload
+  /// vector outright (no shared_ptr indirection); callers that must re-send
+  /// — the quorum retry path — keep a copyable std::function and pay one
+  /// copy per send.
+  template <typename Response, typename Demand>
+  void CallPeer(ServerId to, Demand remote_service,
                 UniqueFn<Response(Server&)> handler,
                 UniqueFn<void(Response)> on_reply,
                 std::uint64_t payloads = 1);
-
-  /// CallPeer variant whose service demand is resolved ON THE PEER when the
-  /// message is delivered: `remote_service(*peer)` runs just before the
-  /// handler is queued, so the demand can depend on replica-local state the
-  /// sender cannot know (is the row cached there?).
-  template <typename Response>
-  void CallPeerDynamic(ServerId to,
-                       UniqueFn<SimTime(Server&)> remote_service,
-                       UniqueFn<Response(Server&)> handler,
-                       UniqueFn<void(Response)> on_reply,
-                       std::uint64_t payloads = 1);
 
   /// Service demand of a local point read of (table, key): the cached rate
   /// when this server's row cache holds the key, the full rate otherwise.
@@ -650,46 +644,11 @@ class Server {
 // Implementation details only below here.
 // ---------------------------------------------------------------------------
 
-template <typename Response>
-void Server::CallPeer(ServerId to, SimTime remote_service,
+template <typename Response, typename Demand>
+void Server::CallPeer(ServerId to, Demand remote_service,
                       UniqueFn<Response(Server&)> handler,
                       UniqueFn<void(Response)> on_reply,
                       std::uint64_t payloads) {
-  Server* self = this;
-  Server* peer = (*peers_)[to];
-  // Receiving a message costs a fixed deserialization/dispatch overhead on
-  // top of the handler's own demand — charged per MESSAGE, which is what a
-  // batched flush amortizes across its payloads.
-  const SimTime service = config_->perf.message_process + remote_service;
-  network_->Send(
-      id_, to,
-      [peer, self, service, handler = std::move(handler),
-       on_reply = std::move(on_reply)]() mutable {
-        // Enqueue (not a bare queue submit) so work delivered to an
-        // incarnation that crashes before servicing it dies with that
-        // incarnation.
-        peer->Enqueue(
-            service,
-            [peer, self, handler = std::move(handler),
-             on_reply = std::move(on_reply)]() mutable {
-              Response response = handler(*peer);
-              peer->network_->Send(
-                  peer->id_, self->id_,
-                  [on_reply = std::move(on_reply),
-                   response = std::move(response)]() mutable {
-                    on_reply(std::move(response));
-                  });
-            });
-      },
-      payloads);
-}
-
-template <typename Response>
-void Server::CallPeerDynamic(ServerId to,
-                             UniqueFn<SimTime(Server&)> remote_service,
-                             UniqueFn<Response(Server&)> handler,
-                             UniqueFn<void(Response)> on_reply,
-                             std::uint64_t payloads) {
   Server* self = this;
   Server* peer = (*peers_)[to];
   network_->Send(
@@ -697,13 +656,22 @@ void Server::CallPeerDynamic(ServerId to,
       [peer, self, remote_service = std::move(remote_service),
        handler = std::move(handler),
        on_reply = std::move(on_reply)]() mutable {
-        // Resolved at delivery, on the receiving replica: the demand can
-        // consult peer-local state (row cache contents) that the sender and
-        // send-time cannot.
-        const SimTime service =
-            peer->config_->perf.message_process + remote_service(*peer);
+        // Receiving a message costs a fixed deserialization/dispatch
+        // overhead on top of the handler's own demand — charged per
+        // MESSAGE, which is what a batched flush amortizes across its
+        // payloads. A callable demand is resolved here, on the receiving
+        // replica, where it can consult peer-local state.
+        SimTime demand;
+        if constexpr (std::is_invocable_r_v<SimTime, Demand&, Server&>) {
+          demand = remote_service(*peer);
+        } else {
+          demand = remote_service;
+        }
+        // Enqueue (not a bare queue submit) so work delivered to an
+        // incarnation that crashes before servicing it dies with that
+        // incarnation.
         peer->Enqueue(
-            service,
+            peer->config_->perf.message_process + demand,
             [peer, self, handler = std::move(handler),
              on_reply = std::move(on_reply)]() mutable {
               Response response = handler(*peer);

@@ -1,10 +1,5 @@
 #include "view/join_view.h"
 
-#include <memory>
-#include <optional>
-
-#include "common/logging.h"
-
 namespace mvstore::view {
 
 Status DeclareJoinView(store::Schema& schema, const JoinViewDef& def) {
@@ -30,55 +25,6 @@ store::QuerySpec JoinQuerySpec(const JoinViewDef& def, const Value& join_key) {
   return store::QuerySpec::Join(def.LeftViewName(), def.RightViewName(),
                                 join_key, def.left_columns,
                                 def.right_columns);
-}
-
-namespace {
-
-/// Maps the Query route's JoinedPair payload to this header's JoinedRecord.
-std::vector<JoinedRecord> ToJoinedRecords(std::vector<store::JoinedPair> in) {
-  std::vector<JoinedRecord> out;
-  out.reserve(in.size());
-  for (store::JoinedPair& pair : in) {
-    out.push_back(JoinedRecord{std::move(pair.left.base_key),
-                               std::move(pair.left.cells),
-                               std::move(pair.right.base_key),
-                               std::move(pair.right.cells)});
-  }
-  return out;
-}
-
-}  // namespace
-
-void JoinGet(
-    store::Client& client, const JoinViewDef& def, const Value& join_key,
-    const store::ReadOptions& options,
-    std::function<void(StatusOr<std::vector<JoinedRecord>>)> callback) {
-  client.Query(JoinQuerySpec(def, join_key), options,
-               [callback = std::move(callback)](store::ReadResult result) {
-                 if (!result.ok()) {
-                   callback(std::move(result.status));
-                   return;
-                 }
-                 callback(ToJoinedRecords(std::move(result.joined)));
-               });
-}
-
-StatusOr<std::vector<JoinedRecord>> JoinGetSync(
-    sim::Simulation& sim, store::Client& client, const JoinViewDef& def,
-    const Value& join_key, const store::ReadOptions& options) {
-  std::optional<StatusOr<std::vector<JoinedRecord>>> slot;
-  client.Query(JoinQuerySpec(def, join_key), options,
-               [&slot](store::ReadResult result) {
-                 if (!result.ok()) {
-                   slot = std::move(result.status);
-                 } else {
-                   slot = ToJoinedRecords(std::move(result.joined));
-                 }
-               });
-  while (!slot.has_value() && sim.Step()) {
-  }
-  MVSTORE_CHECK(slot.has_value()) << "simulation ran dry during JoinGet";
-  return *std::move(slot);
 }
 
 }  // namespace mvstore::view

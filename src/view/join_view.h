@@ -20,11 +20,10 @@
 #ifndef MVSTORE_VIEW_JOIN_VIEW_H_
 #define MVSTORE_VIEW_JOIN_VIEW_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "common/statusor.h"
+#include "common/status.h"
 #include "store/client.h"
 #include "store/schema.h"
 
@@ -43,14 +42,6 @@ struct JoinViewDef {
   std::string RightViewName() const { return name + "_right"; }
 };
 
-/// One joined result: a (left row, right row) pair sharing the join key.
-struct JoinedRecord {
-  Key left_key;            ///< primary key in the left table
-  storage::Row left;       ///< left_columns cells
-  Key right_key;           ///< primary key in the right table
-  storage::Row right;      ///< right_columns cells
-};
-
 /// Declares the join view's two physical views into `schema`. Call before
 /// constructing the Cluster, like any other DDL.
 Status DeclareJoinView(store::Schema& schema, const JoinViewDef& def);
@@ -60,22 +51,6 @@ Status DeclareJoinView(store::Schema& schema, const JoinViewDef& def);
 /// `options.columns` is ignored for joins — each side reads its own
 /// materialized columns.
 store::QuerySpec JoinQuerySpec(const JoinViewDef& def, const Value& join_key);
-
-/// Inner-join lookup by join-key value — deprecated forwarder onto
-/// Client::Query(JoinQuerySpec(...)); kept for the JoinedRecord shape.
-[[deprecated("use Client::Query(JoinQuerySpec(def, key), ...)")]] void JoinGet(
-    store::Client& client, const JoinViewDef& def, const Value& join_key,
-    const store::ReadOptions& options,
-    std::function<void(StatusOr<std::vector<JoinedRecord>>)> callback);
-
-using JoinedRecords = std::vector<JoinedRecord>;
-
-/// Synchronous wrapper (drives the simulation; tests and examples).
-[[deprecated("use Client::QuerySync(JoinQuerySpec(def, key), ...)")]]  //
-StatusOr<JoinedRecords>
-JoinGetSync(sim::Simulation& sim, store::Client& client,
-            const JoinViewDef& def, const Value& join_key,
-            const store::ReadOptions& options = {});
 
 }  // namespace mvstore::view
 

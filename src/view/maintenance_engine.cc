@@ -1,6 +1,7 @@
 #include "view/maintenance_engine.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "common/hash.h"
@@ -26,13 +27,6 @@ MaintenanceEngine::MaintenanceEngine(store::Cluster* cluster)
              cluster->config().lock_lease_ttl),
       row_queues_(static_cast<std::size_t>(cluster->num_servers())) {
   locks_.set_expired_counter(&cluster->metrics().locks_expired);
-  sessions_.reserve(static_cast<std::size_t>(cluster->num_servers()));
-  for (int i = 0; i < cluster->num_servers(); ++i) {
-    // Each coordinator's session facade fronts its slice of the cluster-wide
-    // freshness tracker (ISSUE 7).
-    sessions_.push_back(std::make_unique<SessionManager>(
-        &cluster->freshness(), static_cast<ServerId>(i)));
-  }
   // Background owned-range scrub: one staggered tick chain per server.
   const SimTime scrub_interval = cluster->config().view_scrub_interval;
   if (scrub_interval > 0) {
@@ -95,8 +89,8 @@ std::uint64_t MaintenanceEngine::OnBasePutIssued(
   PutGroup group;
   group.origin = coordinator->id();
   for (const store::ViewDef* view : views) {
-    group.intents[view->name] = cluster_->freshness().RegisterIntent(
-        view->name, key, ts, session, coordinator->id());
+    group.intents[view->name] =
+        cluster_->freshness().RegisterIntent(view->name, key, ts, session);
   }
   put_groups_.emplace(group_id, std::move(group));
   return group_id;
@@ -105,7 +99,7 @@ std::uint64_t MaintenanceEngine::OnBasePutIssued(
 void MaintenanceEngine::OnBasePutCommitted(
     store::Server* coordinator, const Key& base_key,
     const storage::Row& written, std::vector<store::CollectedViewKeys> views,
-    store::SessionId session, std::uint64_t put_group) {
+    std::uint64_t put_group) {
   // Claim the intent group registered at Put issue. A missing group means
   // the origin crashed (or left) in the issue->collection window and the
   // cleanup already wounded its intents: intent_of then yields 0, and every
@@ -181,7 +175,6 @@ void MaintenanceEngine::OnBasePutCommitted(
     task->full_collection = collected.full_collection;
     std::sort(task->guesses.begin(), task->guesses.end(),
               [](const Cell& a, const Cell& b) { return a.ts > b.ts; });
-    task->session = session;
     task->origin = coordinator->id();
     task->put_group = put_group;
     task->created_at = cluster_->simulation().Now();
@@ -197,9 +190,6 @@ void MaintenanceEngine::OnBasePutCommitted(
                                      task->created_at);
     }
 
-    // Session bookkeeping already opened at RegisterIntent (Put issue) —
-    // strictly earlier than the historical PropagationStarted call here, so
-    // Definition 4's guarantee window only widened.
     cluster_->metrics().propagations_started++;
     ++active_;
     RegisterTask(task);
@@ -386,8 +376,8 @@ bool MaintenanceEngine::CanAbsorb(const PropagationTask& winner,
   // atomically), no timed-out attempt in limbo (an infra failure may have
   // landed partial writes derived from the pre-merge payload — those must
   // be redone verbatim, see PropagationTask::infra_failures). The origin
-  // must match so executor placement, crash semantics, and session
-  // bookkeeping stay aligned; and a shared-lock (materialized-only) round
+  // must match so executor placement and crash semantics stay aligned;
+  // and a shared-lock (materialized-only) round
   // must not silently grow a view-key update it requested no exclusive
   // lock for.
   return !winner.orphaned && !winner.in_attempt &&
@@ -555,12 +545,9 @@ void MaintenanceEngine::OrphanTask(
       if (tasks.empty()) parked_.erase(it);
     }
   }
-  // Wound the intent: the write may or may not be in the view, so bounded
-  // reads stay blocked until a family audit proves convergence. Wounding
-  // also settles the origin's session bookkeeping (engine-level cleanup
-  // modeling the origin's failure detector): a session must not wait forever
-  // on a propagation that died with another server. When the origin itself
-  // is the crashed server, OnServerCrash resets its sessions right after.
+  // Wound the intent: the write may or may not be in the view, so reads
+  // that must reflect it stay blocked until a family audit proves
+  // convergence — the ladder's targeted repair, or the owned-range scrub.
   cluster_->freshness().MarkWounded(task->freshness_intent);
   // Tasks absorbed into this one died with it (the flag guard above makes
   // this idempotent against OnServerCrash orphaning them directly).
@@ -597,7 +584,6 @@ void MaintenanceEngine::OnServerCrash(store::Server* server) {
     }
   }
   row_queues_[id].clear();
-  sessions_[id]->Reset();
 }
 
 void MaintenanceEngine::OnServerRestart(store::Server* server) {
@@ -653,7 +639,6 @@ void MaintenanceEngine::OnServerLeave(store::Server* server) {
     }
   }
   row_queues_[id].clear();
-  sessions_[id]->Reset();
   // Recovery of the orphaned families follows the same path as after a
   // crash: every one of them has a (new) primary owner in the ring, whose
   // periodic owned-range scrub re-derives the view rows. Clusters that
@@ -697,12 +682,10 @@ void MaintenanceEngine::OwnedRangeScrubTick(ServerId server) {
 
 void MaintenanceEngine::NotifyOrigin(
     const std::shared_ptr<PropagationTask>& task, bool completed) {
-  // Settling the freshness intent also settles the origin's session
-  // bookkeeping (the tracker's session layer). Intent bookkeeping lives
-  // with the origin's tracker shard; in dedicated-propagator mode the
-  // settlement notice crosses the network, exactly like the historical
-  // session completion notice it generalizes — and, like it, can be lost to
-  // an origin crash, in which case the next family audit clears the intent.
+  // Intent bookkeeping lives with the origin's tracker shard; in dedicated-
+  // propagator mode the settlement notice crosses the network and can be
+  // lost to an origin crash, in which case the next family audit clears the
+  // intent.
   const std::uint64_t intent = task->freshness_intent;
   if (intent == 0) return;
   store::FreshnessTracker* tracker = &cluster_->freshness();
@@ -895,10 +878,6 @@ void MaintenanceEngine::HandleViewGet(
     store::Server* coordinator, const store::ViewDef& view,
     const Key& view_key, store::ViewReadSpec spec,
     std::function<void(StatusOr<store::ViewReadOutcome>)> callback) {
-  // The ViewDef lives in the cluster schema, which is immutable for the
-  // cluster's lifetime; hold it by pointer across the async hops.
-  const store::ViewDef* view_def = &view;
-
   if (view.IsAggregate()) {
     // The client sees only the folded output column; a caller-supplied
     // projection would starve the fold of the per-base-key sub-aggregate
@@ -907,69 +886,51 @@ void MaintenanceEngine::HandleViewGet(
     spec.columns.clear();
   }
 
+  if (spec.consistency == store::ReadConsistency::kEventual) {
+    ServeFromView(coordinator, view, view_key, spec, spec.read_quorum,
+                  std::move(callback));
+    return;
+  }
+  ReadRequirement req;
   if (spec.consistency == store::ReadConsistency::kBoundedStaleness) {
-    const SimTime bound = spec.max_staleness > 0
-                              ? spec.max_staleness
-                              : cluster_->config().max_staleness_default;
-    const SimTime deadline =
+    req.bound = spec.max_staleness > 0
+                    ? spec.max_staleness
+                    : cluster_->config().max_staleness_default;
+    req.deadline =
         cluster_->simulation().Now() + cluster_->config().freshness_wait_max;
-    BoundedViewGet(coordinator, view, view_key, std::move(spec), bound,
-                   deadline, /*attempt=*/0, std::move(callback));
-    return;
+  } else {
+    // Definition 4: the session's own writes, whatever their age, with no
+    // deadline and no way around the view.
+    req.session = spec.session;
   }
-
-  SessionManager& sessions = *sessions_[coordinator->id()];
-  if (cluster_->config().session_guarantees && spec.session != 0 &&
-      spec.consistency == store::ReadConsistency::kReadYourWrites &&
-      sessions.MustDefer(spec.session, view.name)) {
-    cluster_->metrics().view_get_deferrals++;
-    // The deferred continuation fires from the tracker's session layer,
-    // under whatever context THAT runs in — capture this read's context
-    // explicitly and span the blocked interval (Definition 4's wait, Fig 7).
-    Tracer& tracer = cluster_->tracer();
-    const TraceContext ctx = tracer.current();
-    const TraceContext defer =
-        tracer.StartSpan(ctx, "view.session_defer",
-                         static_cast<int>(coordinator->id()),
-                         cluster_->simulation().Now());
-    const store::SessionId session = spec.session;
-    sessions.Defer(session, view.name,
-                   [this, coordinator, view_def, view_key, ctx, defer,
-                    spec = std::move(spec),
-                    callback = std::move(callback)]() mutable {
-                     cluster_->tracer().EndSpan(defer,
-                                                cluster_->simulation().Now());
-                     Tracer::Scope scope(&cluster_->tracer(), ctx);
-                     ServeFromView(coordinator, *view_def, view_key, spec,
-                                   spec.read_quorum, std::move(callback));
-                   });
-    return;
-  }
-  ServeFromView(coordinator, view, view_key, spec, spec.read_quorum,
-                std::move(callback));
+  ProvenViewGet(coordinator, view, view_key, std::move(spec), req,
+                /*attempt=*/0, std::move(callback));
 }
 
 // ---------------------------------------------------------------------------
-// Freshness contract (ISSUE 7): the bounded-staleness policy ladder.
+// Freshness contract: the policy ladder every consistency level
+// but eventual climbs — bounded staleness and read-your-writes alike.
 // ---------------------------------------------------------------------------
 
-void MaintenanceEngine::BoundedViewGet(
+void MaintenanceEngine::ProvenViewGet(
     store::Server* coordinator, const store::ViewDef& view,
-    const Key& view_key, store::ViewReadSpec spec, SimTime bound,
-    SimTime deadline, int attempt,
+    const Key& view_key, store::ViewReadSpec spec, ReadRequirement req,
+    int attempt,
     std::function<void(StatusOr<store::ViewReadOutcome>)> callback) {
   const store::ViewDef* view_def = &view;
   store::FreshnessTracker& tracker = cluster_->freshness();
   const Timestamp now_ts =
       store::kClientTimestampEpoch + cluster_->simulation().Now();
-  const Timestamp need = std::max<Timestamp>(0, now_ts - bound);
+  const Timestamp need =
+      req.bound ? std::max<Timestamp>(0, now_ts - *req.bound)
+                : std::numeric_limits<Timestamp>::max();
 
   const store::FreshnessTracker::BlockerSummary blockers =
-      tracker.BlockersBefore(view.name, view_key, need);
+      tracker.BlockersBefore(view.name, view_key, need, req.session);
 
   if (blockers.live == 0 && blockers.wounded == 0) {
-    // The bound is proven: no unsettled intent older than (now - bound) can
-    // reach this partition. Serve from the view — at a quorum that
+    // The requirement is proven: no unsettled intent the read must reflect
+    // can reach this partition. Serve from the view — at a quorum that
     // intersects propagation's majority write quorum, so the scan cannot
     // read a single replica that missed an applied (settled) propagation.
     ServeFromView(coordinator, view, view_key, spec,
@@ -978,7 +939,9 @@ void MaintenanceEngine::BoundedViewGet(
     return;
   }
 
-  if (attempt == 0) cluster_->metrics().freshness_bound_misses++;
+  if (attempt == 0 && req.bound) {
+    cluster_->metrics().freshness_bound_misses++;
+  }
 
   if (blockers.live == 0) {
     // Only wounded families block: their propagations died, so no amount of
@@ -988,8 +951,8 @@ void MaintenanceEngine::BoundedViewGet(
     std::vector<Key> wounded = blockers.wounded_keys;
     coordinator->Enqueue(
         cluster_->config().perf.view_scan_local,
-        [this, coordinator, view_def, view_key, spec = std::move(spec), bound,
-         deadline, attempt, wounded = std::move(wounded),
+        [this, coordinator, view_def, view_key, spec = std::move(spec), req,
+         attempt, wounded = std::move(wounded),
          callback = std::move(callback)]() mutable {
           RepairViewFamilies(*cluster_, *view_def, wounded,
                              [this, view_def](const Key& base_key) {
@@ -1005,48 +968,71 @@ void MaintenanceEngine::BoundedViewGet(
           for (const Key& base_key : wounded) {
             cluster_->freshness().FamilyAudited(view_def->name, base_key);
           }
-          BoundedViewGet(coordinator, *view_def, view_key, std::move(spec),
-                         bound, deadline, attempt + 1, std::move(callback));
+          ProvenViewGet(coordinator, *view_def, view_key, std::move(spec),
+                        req, attempt + 1, std::move(callback));
         });
     return;
   }
 
-  // Live propagations block. Ask the router: will they plausibly settle
-  // within the bound/wait budget? The coordinator's advisory cache answers
-  // without a tracker round trip; fall through to the tracker's own
-  // estimate when the cache is cold.
-  SimTime lag = coordinator->freshness_cache().LagEstimate(view.name);
-  if (lag < 0) lag = tracker.LagEstimate(view.name);
+  // Live propagations block. With a bound, ask the router: will they
+  // plausibly settle within the bound/wait budget? The coordinator's
+  // advisory cache answers without a tracker round trip; fall through to
+  // the tracker's own estimate when the cache is cold.
   const SimTime now = cluster_->simulation().Now();
-  if (now >= deadline ||
-      (cluster_->config().freshness_router && lag >= 0 && lag > bound)) {
-    // Waiting is hopeless (deadline spent) or pointless (typical
-    // propagation lag exceeds the bound): route around the view.
-    FallbackRead(coordinator, view, view_key, spec, std::move(callback));
-    return;
+  if (req.bound) {
+    SimTime lag = coordinator->freshness_cache().LagEstimate(view.name);
+    if (lag < 0) lag = tracker.LagEstimate(view.name);
+    if (now >= req.deadline ||
+        (cluster_->config().freshness_router && lag >= 0 && lag > *req.bound)) {
+      // Waiting is hopeless (deadline spent) or pointless (typical
+      // propagation lag exceeds the bound): route around the view.
+      FallbackRead(coordinator, view, view_key, spec, std::move(callback));
+      return;
+    }
   }
 
-  // Park until the view's freshness improves (an intent applies, discards,
-  // or audits away) or the wait deadline fires — whichever comes first.
-  cluster_->metrics().freshness_bound_waits++;
+  // Park until the blockers change (an intent applies, discards, audits
+  // away, or is wounded) or the wait deadline fires — whichever comes
+  // first. A park dies with its coordinator's incarnation: a crashed
+  // coordinator answers nothing, and the client's request timeout does.
+  if (req.bound) {
+    cluster_->metrics().freshness_bound_waits++;
+  } else if (!req.parked) {
+    cluster_->metrics().view_get_deferrals++;
+  }
+  req.parked = true;
+  // The wake fires from the tracker or a bare timer, under whatever
+  // context THAT runs in — carry this read's context over it explicitly and
+  // span the parked interval (Definition 4's wait, Fig 7).
   Tracer& tracer = cluster_->tracer();
   const TraceContext ctx = tracer.current();
+  const TraceContext park = tracer.StartSpan(
+      ctx, "view.freshness_wait", static_cast<int>(coordinator->id()), now);
   auto fired = std::make_shared<bool>(false);
   auto wake = std::make_shared<std::function<void()>>(
-      [this, coordinator, view_def, view_key, spec = std::move(spec), bound,
-       deadline, attempt, ctx, fired, parked_at = now,
-       callback = std::move(callback)]() mutable {
+      [this, coordinator, incarnation = coordinator->incarnation(), view_def,
+       view_key, spec = std::move(spec), req, attempt, ctx, park, fired,
+       parked_at = now, callback = std::move(callback)]() mutable {
         if (*fired) return;
         *fired = true;
-        cluster_->metrics().freshness_wait.Record(
-            cluster_->simulation().Now() - parked_at);
+        const SimTime woke = cluster_->simulation().Now();
+        cluster_->tracer().EndSpan(park, woke);
+        if (coordinator->crashed() ||
+            coordinator->incarnation() != incarnation) {
+          return;
+        }
+        if (req.bound) {
+          cluster_->metrics().freshness_wait.Record(woke - parked_at);
+        }
         Tracer::Scope scope(&cluster_->tracer(), ctx);
-        BoundedViewGet(coordinator, *view_def, view_key, std::move(spec),
-                       bound, deadline, attempt + 1, std::move(callback));
+        ProvenViewGet(coordinator, *view_def, view_key, std::move(spec), req,
+                      attempt + 1, std::move(callback));
       });
   tracker.NotifyOnImprovement(view.name, [wake] { (*wake)(); });
-  cluster_->simulation().After(std::max<SimTime>(1, deadline - now),
-                               [wake] { (*wake)(); });
+  if (req.deadline != kSimTimeMax) {
+    cluster_->simulation().After(std::max<SimTime>(1, req.deadline - now),
+                                 [wake] { (*wake)(); });
+  }
 }
 
 void MaintenanceEngine::ServeFromView(

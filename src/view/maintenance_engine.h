@@ -1,10 +1,11 @@
 // The view-maintenance engine: Algorithm 1's asynchronous propagation driver,
-// Algorithm 4's view reads, session guarantees, and both Section IV-F
-// concurrency-control designs.
+// Algorithm 4's view reads under every consistency level (Definition 4's
+// session guarantee included), and both Section IV-F concurrency-control
+// designs.
 //
 // One engine serves the whole cluster. It installs itself as every server's
-// ViewMaintenanceHook. Per-coordinator state (session managers, in the
-// dedicated mode per-propagator row queues) is kept per server id.
+// ViewMaintenanceHook. Per-propagator state (the dedicated mode's row
+// queues) is kept per server id.
 
 #ifndef MVSTORE_VIEW_MAINTENANCE_ENGINE_H_
 #define MVSTORE_VIEW_MAINTENANCE_ENGINE_H_
@@ -13,6 +14,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -21,7 +23,6 @@
 #include "store/hooks.h"
 #include "view/lock_service.h"
 #include "view/propagation.h"
-#include "view/session_manager.h"
 
 namespace mvstore::view {
 
@@ -41,7 +42,6 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   void OnBasePutCommitted(store::Server* coordinator, const Key& base_key,
                           const storage::Row& written,
                           std::vector<store::CollectedViewKeys> views,
-                          store::SessionId session,
                           std::uint64_t put_group) override;
   void HandleViewGet(
       store::Server* coordinator, const store::ViewDef& view,
@@ -60,9 +60,6 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   void Quiesce();
 
   LockService& lock_service() { return locks_; }
-  SessionManager& session_manager(ServerId server) {
-    return *sessions_[server];
-  }
 
   /// Retry budget per propagation before it is abandoned (counted in
   /// attempts; generous — Section IV-D argues success is eventually
@@ -115,8 +112,8 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
 
   void TaskCompleted(const std::shared_ptr<PropagationTask>& task);
   void TaskAbandoned(const std::shared_ptr<PropagationTask>& task);
-  /// Settles the task's freshness intent (and with it the origin's session
-  /// bookkeeping): MarkApplied when `completed`, MarkWounded otherwise. In
+  /// Settles the task's freshness intent: MarkApplied when `completed`,
+  /// MarkWounded otherwise. In
   /// dedicated-propagator mode the settlement notice crosses the network to
   /// the tracker shard colocated with the origin.
   void NotifyOrigin(const std::shared_ptr<PropagationTask>& task,
@@ -174,14 +171,34 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
 
   // --- freshness contract (ISSUE 7) ---
 
-  /// The bounded-staleness policy ladder: prove the bound from the tracker,
-  /// else repair wounded families, else park briefly for in-flight
-  /// propagations, else route to the SI/base path (FallbackRead). `deadline`
-  /// caps the total parked time; `bound` is the resolved staleness bound.
-  void BoundedViewGet(
+  /// What a bounded-staleness or read-your-writes view read must prove
+  /// before it may be served from the view: the input of the ladder.
+  struct ReadRequirement {
+    /// Blocker filter: only intents registered under this session block
+    /// (read-your-writes); unset = every writer's intents (bounded).
+    std::optional<store::SessionId> session;
+    /// Router bound: intents older than now - bound block (the `need`
+    /// timestamp, re-derived at every rung), and the router may serve the
+    /// read off the SI/base path when the lag estimate exceeds the bound.
+    /// Unset = every matching intent blocks, whatever its age, and the read
+    /// never routes around the view (Definition 4 blocks).
+    std::optional<SimTime> bound;
+    /// Parked time ends here with a fallback read; kSimTimeMax = no
+    /// deadline (the client's own request timeout still answers).
+    SimTime deadline = kSimTimeMax;
+    /// Whether this read has parked before (read-your-writes reads count
+    /// once in view_get_deferrals).
+    bool parked = false;
+  };
+
+  /// The freshness policy ladder for every consistency level but eventual:
+  /// prove the requirement from the tracker, else repair wounded families,
+  /// else park until the blockers settle, else (bound set) route to the
+  /// SI/base path (FallbackRead).
+  void ProvenViewGet(
       store::Server* coordinator, const store::ViewDef& view,
-      const Key& view_key, store::ViewReadSpec spec, SimTime bound,
-      SimTime deadline, int attempt,
+      const Key& view_key, store::ViewReadSpec spec, ReadRequirement req,
+      int attempt,
       std::function<void(StatusOr<store::ViewReadOutcome>)> callback);
 
   /// DoViewGet wrapped into the outcome vocabulary: freshness claimed from
@@ -212,7 +229,6 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   store::Cluster* cluster_;
   Rng rng_;
   LockService locks_;
-  std::vector<std::unique_ptr<SessionManager>> sessions_;
   std::vector<std::map<std::string, RowQueue>> row_queues_;  // by propagator
   std::map<std::string, std::vector<std::shared_ptr<PropagationTask>>>
       parked_;  // retry parking lot, by resource

@@ -52,8 +52,7 @@ struct PropagationTask {
   /// replicas; null cells mean a replica had never seen a view key.
   std::vector<storage::Cell> guesses;
 
-  store::SessionId session = 0;
-  ServerId origin = 0;       ///< coordinator that owns session bookkeeping
+  ServerId origin = 0;  ///< coordinator that issued the base Put
   SimTime created_at = 0;
   /// Span covering this task's whole propagation lifetime, a child of the
   /// originating Put's trace. Every attempt, lock wait, chain hop, and
@@ -103,7 +102,7 @@ struct PropagationTask {
 
   /// Tasks coalesced into this one (same view + base key + origin): their
   /// updates were LWW-merged into this task's payload, and their lifecycle
-  /// bookkeeping (completion metrics, session notification, trace close)
+  /// bookkeeping (completion metrics, intent settlement, trace close)
   /// settles when this task settles.
   std::vector<std::shared_ptr<PropagationTask>> absorbed;
 

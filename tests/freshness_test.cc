@@ -32,7 +32,7 @@ using test::TestCluster;
 
 TEST(FreshnessTrackerTest, IntentBlocksUntilApplied) {
   store::FreshnessTracker tracker;
-  const std::uint64_t intent = tracker.RegisterIntent("v", "k1", 100, 0, 0);
+  const std::uint64_t intent = tracker.RegisterIntent("v", "k1", 100, 0);
   ASSERT_NE(intent, 0u);
   tracker.ResolvePartitions(intent, {"alice"});
 
@@ -54,7 +54,7 @@ TEST(FreshnessTrackerTest, IntentBlocksUntilApplied) {
 
 TEST(FreshnessTrackerTest, UnresolvedIntentBlocksEveryPartition) {
   store::FreshnessTracker tracker;
-  tracker.RegisterIntent("v", "k1", 100, 0, 0);
+  tracker.RegisterIntent("v", "k1", 100, 0);
   // Until the propagation's collection step names the affected partitions,
   // the intent must pessimistically block all of them.
   EXPECT_EQ(tracker.BlockersBefore("v", "alice", 100).live, 1u);
@@ -63,7 +63,7 @@ TEST(FreshnessTrackerTest, UnresolvedIntentBlocksEveryPartition) {
 
 TEST(FreshnessTrackerTest, WoundedBlocksUntilFamilyAudited) {
   store::FreshnessTracker tracker;
-  const std::uint64_t intent = tracker.RegisterIntent("v", "k1", 100, 0, 0);
+  const std::uint64_t intent = tracker.RegisterIntent("v", "k1", 100, 0);
   tracker.ResolvePartitions(intent, {"alice"});
   tracker.MarkWounded(intent);
 
@@ -80,14 +80,27 @@ TEST(FreshnessTrackerTest, WoundedBlocksUntilFamilyAudited) {
 
 TEST(FreshnessTrackerTest, ImprovementCallbackFiresOnApply) {
   store::FreshnessTracker tracker;
-  const std::uint64_t intent = tracker.RegisterIntent("v", "k1", 100, 0, 0);
+  const std::uint64_t intent = tracker.RegisterIntent("v", "k1", 100, 0);
   int fired = 0;
   tracker.NotifyOnImprovement("v", [&fired] { ++fired; });
-  tracker.RegisterIntent("w", "k2", 100, 0, 0);  // other view: no fire
+  tracker.RegisterIntent("w", "k2", 100, 0);  // other view: no fire
   EXPECT_EQ(fired, 0);
   tracker.MarkApplied(intent);
   EXPECT_EQ(fired, 1);
   tracker.MarkApplied(intent);  // idempotent: one-shot already consumed
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(FreshnessTrackerTest, WoundWakesParkedReads) {
+  // A wound turns waiting into repairing, so parked reads must re-prove.
+  store::FreshnessTracker tracker;
+  const std::uint64_t intent = tracker.RegisterIntent("v", "k1", 100, 0);
+  int fired = 0;
+  tracker.NotifyOnImprovement("v", [&fired] { ++fired; });
+  tracker.MarkWounded(intent);
+  EXPECT_EQ(fired, 1);
+  tracker.NotifyOnImprovement("v", [&fired] { ++fired; });
+  tracker.MarkWounded(intent);  // idempotent: already wounded
   EXPECT_EQ(fired, 1);
 }
 
@@ -245,7 +258,7 @@ TEST(BoundedStalenessTest, WoundedIntentTriggersTargetedRepair) {
   // the targeted repair audits the family, clears the wound, and the read
   // proceeds from the view.
   const std::uint64_t intent =
-      t.cluster.freshness().RegisterIntent("assigned_to_view", "1", 150, 0, 0);
+      t.cluster.freshness().RegisterIntent("assigned_to_view", "1", 150, 0);
   t.cluster.freshness().ResolvePartitions(intent, {"rliu"});
   t.cluster.freshness().MarkWounded(intent);
 

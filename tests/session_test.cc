@@ -1,14 +1,18 @@
 // Session guarantees (Section V, Definition 4): a session's view Get must
-// reflect the session's own preceding base-table Puts, implemented by
-// blocking the Get until the session's pending propagations complete.
+// reflect the session's own preceding base-table Puts. The read climbs the
+// freshness ladder with the session's own intents as its blockers: it parks
+// until those that can reach the read partition apply, and repairs the
+// families of those that died.
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "store/client.h"
+#include "store/codec.h"
+#include "store/freshness.h"
 #include "tests/test_util.h"
-#include "view/session_manager.h"
 
 namespace mvstore {
 namespace {
@@ -26,29 +30,43 @@ store::ClusterConfig SlowPropagationConfig() {
   return config;
 }
 
-TEST(SessionManagerTest, TracksPendingPerSessionAndView) {
-  view::SessionManager manager;
-  EXPECT_FALSE(manager.MustDefer(1, "v"));
-  manager.PropagationStarted(1, "v");
-  manager.PropagationStarted(1, "v");
-  EXPECT_TRUE(manager.MustDefer(1, "v"));
-  EXPECT_FALSE(manager.MustDefer(2, "v"));   // other session unaffected
-  EXPECT_FALSE(manager.MustDefer(1, "w"));   // other view unaffected
-
-  int resumed = 0;
-  manager.Defer(1, "v", [&resumed] { ++resumed; });
-  manager.PropagationFinished(1, "v");
-  EXPECT_EQ(resumed, 0) << "one of two propagations still pending";
-  manager.PropagationFinished(1, "v");
-  EXPECT_EQ(resumed, 1);
-  EXPECT_FALSE(manager.MustDefer(1, "v"));
-  EXPECT_EQ(manager.deferred_total(), 1u);
+// A read-your-writes read's blockers: the unsettled intents of its own
+// session (any age) that can reach the read partition.
+int OwnBlockers(const store::FreshnessTracker& tracker, store::SessionId session,
+                const std::string& view, const Key& partition) {
+  const auto blockers =
+      tracker.BlockersBefore(view, partition,
+                             std::numeric_limits<Timestamp>::max(), session);
+  return blockers.live + blockers.wounded;
 }
 
-TEST(SessionManagerTest, SessionZeroNeverDefers) {
-  view::SessionManager manager;
-  manager.PropagationStarted(0, "v");
-  EXPECT_FALSE(manager.MustDefer(0, "v"));
+TEST(SessionTest, BlockersTrackPendingPerSessionAndView) {
+  store::FreshnessTracker tracker;
+  EXPECT_EQ(OwnBlockers(tracker, 1, "v", "alice"), 0);
+  const std::uint64_t first = tracker.RegisterIntent("v", "k1", 100, 1);
+  const std::uint64_t second = tracker.RegisterIntent("v", "k2", 200, 1);
+  EXPECT_EQ(OwnBlockers(tracker, 1, "v", "alice"), 2);
+  EXPECT_EQ(OwnBlockers(tracker, 2, "v", "alice"), 0);  // other session
+  EXPECT_EQ(OwnBlockers(tracker, 1, "w", "alice"), 0);  // other view
+
+  // A parked read wakes on every settlement and re-proves; it is clear
+  // only once both of its own propagations have applied.
+  int woken = 0;
+  tracker.NotifyOnImprovement("v", [&woken] { ++woken; });
+  tracker.MarkApplied(first);
+  EXPECT_EQ(woken, 1);
+  EXPECT_EQ(OwnBlockers(tracker, 1, "v", "alice"), 1)
+      << "one of two propagations still pending";
+  tracker.MarkApplied(second);
+  EXPECT_EQ(OwnBlockers(tracker, 1, "v", "alice"), 0);
+}
+
+TEST(SessionTest, SessionZeroOwnsNoBlockers) {
+  store::FreshnessTracker tracker;
+  tracker.RegisterIntent("v", "k1", 100, /*session=*/0);
+  EXPECT_EQ(OwnBlockers(tracker, 0, "v", "alice"), 0);
+  // The unfiltered (bounded-staleness) view of the same intent blocks.
+  EXPECT_EQ(tracker.BlockersBefore("v", "alice", 100).live, 1);
 }
 
 TEST(SessionTest, ViewGetSeesOwnPrecedingPut) {
@@ -145,31 +163,12 @@ TEST(SessionTest, OtherSessionsDoNotBlock) {
   EXPECT_LT(t.cluster.Now() - before, Millis(20));
 }
 
-TEST(SessionTest, SessionsDisabledByConfig) {
-  store::ClusterConfig config = SlowPropagationConfig();
-  config.session_guarantees = false;
-  TestCluster t(config);
-  t.cluster.BootstrapLoadRow("ticket", "1",
-                             {{"assigned_to", std::string("rliu")},
-                              {"status", std::string("open")}},
-                             100);
-  auto client = t.cluster.NewClient(0);
-  client->BeginSession();
-  ASSERT_TRUE(
-      client->PutSync("ticket", "1", {{"status", std::string("resolved")}}, store::WriteOptions{})
-          .ok());
-  auto records = client->QuerySync(
-      store::QuerySpec::View("assigned_to_view", "rliu"), {.quorum = 3});
-  ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records.records[0].cells.GetValue("status").value_or(""), "open");
-}
-
 TEST(SessionTest, CrashedCoordinatorAnswersDeferredGetByClientTimeout) {
   // A view Get deferred on the session guarantee is parked at the
-  // coordinator. If the coordinator crashes, SessionManager::Reset() drops
-  // the parked continuation with the rest of the coordinator's volatile
-  // state — the client's own request deadline must answer the call, and the
-  // callback must fire exactly once (no leak, no double answer).
+  // coordinator. If the coordinator crashes, the parked continuation dies
+  // with the coordinator's incarnation — the client's own request deadline
+  // must answer the call, and the callback must fire exactly once (no leak,
+  // no double answer).
   TestCluster t(SlowPropagationConfig());
   t.cluster.BootstrapLoadRow("ticket", "1",
                              {{"assigned_to", std::string("rliu")},
@@ -238,6 +237,90 @@ TEST(SessionTest, MultiplePendingPutsAllVisible) {
       EXPECT_EQ(record.cells.GetValue("status").value_or(""), "s2");
     }
   }
+}
+
+TEST(SessionTest, UnreachablePartitionDoesNotPark) {
+  // The session's pending write can only land in rliu's partition, so a
+  // read of bob's partition has nothing of its own to wait for.
+  TestCluster t(SlowPropagationConfig());
+  t.cluster.BootstrapLoadRow("ticket", "1",
+                             {{"assigned_to", std::string("rliu")},
+                              {"status", std::string("open")}},
+                             100);
+  auto client = t.cluster.NewClient(0);
+  client->BeginSession();
+  ASSERT_TRUE(client
+                  ->PutSync("ticket", "1", {{"status", std::string("resolved")}},
+                            store::WriteOptions{})
+                  .ok());
+  // Let the pre-image collection name the write's partitions; dispatch is
+  // still ~50 ms away.
+  t.cluster.RunFor(Millis(2));
+  ASSERT_EQ(t.views->active_propagations(), 1u);
+
+  const SimTime before = t.cluster.Now();
+  auto records = client->QuerySync(
+      store::QuerySpec::View("assigned_to_view", "bob"),
+      {.consistency = ReadConsistency::kReadYourWrites});
+  ASSERT_TRUE(records.ok()) << records.status;
+  EXPECT_TRUE(records.records.empty());
+  EXPECT_LT(t.cluster.Now() - before, Millis(20));
+  EXPECT_EQ(t.cluster.metrics().view_get_deferrals, 0u);
+
+  // The partition the write can reach still parks.
+  auto own = client->QuerySync(
+      store::QuerySpec::View("assigned_to_view", "rliu"),
+      {.consistency = ReadConsistency::kReadYourWrites});
+  ASSERT_TRUE(own.ok()) << own.status;
+  ASSERT_EQ(own.records.size(), 1u);
+  EXPECT_EQ(own.records[0].cells.GetValue("status").value_or(""), "resolved");
+  EXPECT_EQ(t.cluster.metrics().view_get_deferrals, 1u);
+}
+
+TEST(SessionTest, WoundedOwnWriteIsRepairedBeforeServing) {
+  // The session's propagation exhausts its retry budget (the new view
+  // partition's majority is unreachable) while its coordinator stays up.
+  // The wounded intent still blocks the session's read, which repairs the
+  // family and then serves the row instead of a stale view.
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.rpc_timeout = Millis(20);
+  config.perf.propagation_retry_delay = Micros(200);
+  config.perf.propagation_retry_delay_max = Micros(500);
+  TestCluster t(config);
+  t.cluster.BootstrapLoadRow("ticket", "1",
+                             {{"assigned_to", std::string("alice")},
+                              {"status", std::string("open")}},
+                             100);
+
+  const Key view_row = store::ComposeViewRowKey("bob", "1");
+  const auto replicas =
+      t.cluster.server(0).ReplicasOf("assigned_to_view", view_row);
+  t.cluster.network().SetEndpointDown(replicas[0], true);
+  t.cluster.network().SetEndpointDown(replicas[1], true);
+  ServerId coordinator = 0;
+  while (coordinator == replicas[0] || coordinator == replicas[1]) {
+    ++coordinator;
+  }
+  auto client = t.cluster.NewClient(coordinator);
+  client->BeginSession();
+  ASSERT_TRUE(client
+                  ->PutSync("ticket", "1", {{"assigned_to", std::string("bob")}},
+                            {.quorum = 1})
+                  .ok());
+  t.Quiesce();  // terminates via abandonment
+  ASSERT_GT(t.cluster.metrics().propagations_abandoned, 0u);
+  ASSERT_FALSE(t.cluster.server(coordinator).crashed());
+  t.cluster.network().SetEndpointDown(replicas[0], false);
+  t.cluster.network().SetEndpointDown(replicas[1], false);
+
+  auto records = client->QuerySync(
+      store::QuerySpec::View("assigned_to_view", "bob"),
+      {.consistency = ReadConsistency::kReadYourWrites});
+  ASSERT_TRUE(records.ok()) << records.status;
+  ASSERT_EQ(records.records.size(), 1u);
+  EXPECT_EQ(records.records[0].base_key, "1");
+  EXPECT_EQ(records.records[0].cells.GetValue("status").value_or(""), "open");
+  EXPECT_GT(t.cluster.metrics().freshness_targeted_repairs, 0u);
 }
 
 }  // namespace

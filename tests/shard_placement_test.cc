@@ -71,8 +71,7 @@ TEST(ShardPlacementTest, FreshnessIntentBlocksExactlyTheRoutedShard) {
     const Timestamp ts = 1000;
     const Timestamp now_ts = 2000;
     const std::uint64_t intent =
-        tracker.RegisterIntent("v", base_key, ts, /*session=*/0,
-                               /*origin=*/0);
+        tracker.RegisterIntent("v", base_key, ts, /*session=*/0);
     tracker.ResolvePartitions(intent, {partition});
 
     const int routed = store::ShardOfBaseKey(base_key, shards);
