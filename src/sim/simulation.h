@@ -31,6 +31,11 @@ namespace mvstore::sim {
 
 /// Cancellation handle for a scheduled event. Default-constructed handles are
 /// inert. Cancelling after the event fired is a no-op.
+///
+/// Cancelling only flags the event: its closure, and everything the closure
+/// captured, stays in the queue until the event's fire time. A timer that
+/// must not keep an object alive (an rpc timeout on a finished op) should
+/// capture a weak_ptr, not a shared_ptr.
 class EventHandle {
  public:
   EventHandle() = default;

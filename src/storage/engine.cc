@@ -82,26 +82,24 @@ void MergedScan(std::vector<SourceCursor>& cursors, const Key* prefix,
 
 }  // namespace
 
-Engine::Engine(EngineOptions options) : options_(options) {}
+Engine::Engine(EngineOptions options, LocalClock clock)
+    : options_(options),
+      clock_(clock ? std::move(clock) : [] { return SimTime{0}; }) {}
 
-void Engine::Apply(const Key& key, const ColumnName& col, const Cell& cell) {
+void Engine::Apply(const Key& key, const ColumnName& col, Cell cell) {
   if (row_cache_ != nullptr) row_cache_->Invalidate(cache_tag_, key);
+  if (cell.tombstone) cell.StampLocalDeletion(clock_());
   AppendToLog(key, col, cell);
   memtable_.Apply(key, col, cell);
   MaybeFlushAndCompact();
 }
 
-void Engine::ApplyRow(const Key& key, const Row& row) {
+void Engine::ApplyRow(const Key& key, Row row) {
   if (row_cache_ != nullptr) row_cache_->Invalidate(cache_tag_, key);
-  for (const auto& [col, cell] : row.cells()) {
-    AppendToLog(key, col, cell);
-  }
-  memtable_.ApplyRow(key, row);
-  MaybeFlushAndCompact();
-}
-
-void Engine::ApplyRow(const Key& key, Row&& row) {
-  if (row_cache_ != nullptr) row_cache_->Invalidate(cache_tag_, key);
+  // Whatever stamp the row arrived with belongs to another replica (or to
+  // none): the local deletion time is when THIS engine applied the delete.
+  // The log keeps the stamped cells, so a replay restores them unchanged.
+  row.StampLocalDeletions(clock_());
   for (const auto& [col, cell] : row.cells()) {
     AppendToLog(key, col, cell);
   }
@@ -264,19 +262,20 @@ void Engine::Flush() {
   log_.clear();
 }
 
-GcStats Engine::Compact(Timestamp now, Timestamp purge_floor) {
+GcStats Engine::Compact(SimTime now, Timestamp purge_floor) {
   GcStats stats;
   // Flush first so no structure outside the merge can hold cells older than
-  // a purged tombstone (which would resurrect deleted data).
+  // a purged tombstone (which would resurrect deleted data). It also lets
+  // the merge fold every copy of a re-learned tombstone into one, which
+  // keeps the earliest local deletion time.
   Flush();
   if (runs_.empty()) return stats;
-  const Timestamp grace_cutoff =
+  const SimTime deleted_before =
       now == kNullTimestamp ? kNullTimestamp : now - options_.tombstone_gc_grace;
-  // The purge floor wins when it is lower: a tombstone whose delete is still
-  // owed to some replica (a stored hint) must survive even past grace,
-  // otherwise the lagging replica's stale live cell resurrects the row.
-  const Timestamp purge_before = std::min(grace_cutoff, purge_floor);
-  auto merged = Run::Merge(runs_, purge_before, grace_cutoff, &stats);
+  // The purge floor vetoes a past-grace purge: a tombstone whose delete is
+  // still owed to some replica (a stored hint) must survive, otherwise the
+  // lagging replica's stale live cell resurrects the row.
+  auto merged = Run::Merge(runs_, deleted_before, purge_floor, &stats);
   runs_.clear();
   if (merged->entries() > 0) runs_.push_back(std::move(merged));
   ++compactions_;
@@ -317,7 +316,7 @@ void Engine::MaybeFlushAndCompact() {
     for (std::size_t i = 0; i < runs_.size(); ++i) {
       (in_tier[i] ? tier : rest).push_back(runs_[i]);
     }
-    auto merged = Run::Merge(tier, kNullTimestamp);
+    auto merged = Run::Merge(tier);
     runs_ = std::move(rest);
     // The merged tier is older than any run flushed after it; since `rest`
     // preserves relative order and the tier spans the smallest (oldest-ish)

@@ -4,7 +4,9 @@
 // immutable sorted runs. Reads merge cell-wise across memtable and runs
 // (LWW), so a read is correct regardless of where the newest cell lives.
 // Size-tiered compaction bounds the run count; compaction purges tombstones
-// older than the GC grace period (expired deletions).
+// whose LOCAL deletion time is older than the GC grace period (expired
+// deletions). The engine stamps each tombstone with its replica-local clock
+// as the tombstone is applied (storage/cell.h), whatever path delivered it.
 //
 // Durability model (crash-stop faults): sorted runs are durable, the
 // memtable is volatile. Every Apply/ApplyRow also appends to a per-engine
@@ -38,9 +40,11 @@ struct EngineOptions {
   std::size_t memtable_flush_entries = 8192;
   /// Trigger compaction when more than this many runs exist.
   std::size_t max_runs = 6;
-  /// Tombstones older than this (relative to the compaction call's `now`)
-  /// are purged during compaction. Mirrors Cassandra's gc_grace_seconds.
-  Timestamp tombstone_gc_grace = Seconds(600);
+  /// Tombstones this replica first applied more than this long before the
+  /// compaction call's `now` (local time, not the write timestamp) are
+  /// purged during compaction. Mirrors Cassandra's gc_grace_seconds, which
+  /// Cassandra likewise measures from localDeletionTime.
+  SimTime tombstone_gc_grace = Seconds(600);
   /// Append every applied cell to the commit log (replayed after a crash).
   /// Off = a crash loses the whole memtable, as in a store running with
   /// fsync disabled.
@@ -51,9 +55,15 @@ struct EngineOptions {
   std::size_t commit_log_max_cells = 0;
 };
 
+/// The replica-local clock (simulated microseconds since start).
+using LocalClock = std::function<SimTime()>;
+
 class Engine {
  public:
-  explicit Engine(EngineOptions options = EngineOptions());
+  /// `clock` stamps the local deletion time of every applied tombstone.
+  /// Without one the engine's local time stands still at 0.
+  explicit Engine(EngineOptions options = EngineOptions(),
+                  LocalClock clock = nullptr);
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
@@ -69,12 +79,11 @@ class Engine {
   }
 
   /// Applies one cell write (LWW). May trigger a flush and compaction.
-  void Apply(const Key& key, const ColumnName& col, const Cell& cell);
+  void Apply(const Key& key, const ColumnName& col, Cell cell);
 
-  /// Merges a whole row (replication / anti-entropy path).
-  void ApplyRow(const Key& key, const Row& row);
-  /// Move form: the row's cell buffer lands in the memtable without a copy.
-  void ApplyRow(const Key& key, Row&& row);
+  /// Merges a whole row (replication / anti-entropy path). An rvalue row's
+  /// cell buffer lands in the memtable without a copy.
+  void ApplyRow(const Key& key, Row row);
 
   /// Merged view of a row across memtable and all runs. Returns nullopt when
   /// the key appears nowhere (tombstoned rows ARE returned).
@@ -105,12 +114,14 @@ class Engine {
   /// Seals the memtable into a run (no-op when empty).
   void Flush();
 
-  /// Full compaction of all runs; `now` drives tombstone GC. Tombstones past
-  /// the grace period are still kept when they are >= `purge_floor` — the
-  /// caller passes the oldest pending-hint timestamp so an unacknowledged
-  /// delete can never be purged before every replica has seen it (the
-  /// tombstone-resurrection guard). Returns what was purged and deferred.
-  GcStats Compact(Timestamp now,
+  /// Full compaction of all runs; `now` (local time, the clock's domain)
+  /// drives tombstone GC, and kNullTimestamp purges nothing. Tombstones past
+  /// the grace period are still kept when their WRITE timestamp is >=
+  /// `purge_floor` — the caller passes the oldest pending-hint timestamp so
+  /// an unacknowledged delete can never be purged before every replica has
+  /// seen it (the tombstone-resurrection guard). Returns what was purged and
+  /// deferred.
+  GcStats Compact(SimTime now,
                   Timestamp purge_floor = std::numeric_limits<Timestamp>::max());
 
   std::size_t num_runs() const { return runs_.size(); }
@@ -152,6 +163,7 @@ class Engine {
   void AppendToLog(const Key& key, const ColumnName& col, const Cell& cell);
 
   EngineOptions options_;
+  LocalClock clock_;
   MemTable memtable_;
   std::vector<std::shared_ptr<const Run>> runs_;  // oldest first
   std::uint64_t compactions_ = 0;

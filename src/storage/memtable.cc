@@ -9,13 +9,6 @@ void MemTable::Apply(const Key& key, const ColumnName& col, const Cell& cell) {
   cell_count_ += row.size() - before;
 }
 
-void MemTable::ApplyRow(const Key& key, const Row& row) {
-  Row& dst = rows_[key];
-  const std::size_t before = dst.size();
-  dst.MergeFrom(row);
-  cell_count_ += dst.size() - before;
-}
-
 void MemTable::ApplyRow(const Key& key, Row&& row) {
   Row& dst = rows_[key];
   const std::size_t before = dst.size();

@@ -25,9 +25,8 @@ class MemTable {
   /// Applies one cell write with LWW resolution.
   void Apply(const Key& key, const ColumnName& col, const Cell& cell);
 
-  /// Merges a whole row (used by replication/anti-entropy).
-  void ApplyRow(const Key& key, const Row& row);
-  /// Move form: `row`'s cell buffer is consumed instead of copied.
+  /// Merges a whole row (used by replication/anti-entropy); `row`'s cell
+  /// buffer is consumed instead of copied.
   void ApplyRow(const Key& key, Row&& row);
 
   const Row* Get(const Key& key) const;

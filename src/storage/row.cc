@@ -32,6 +32,7 @@ bool Row::Apply(const ColumnName& col, const Cell& cell) {
     it->second = cell;
     return true;
   }
+  KeepEarlierDeletion(it->second, cell);
   return false;
 }
 
@@ -45,6 +46,7 @@ bool Row::Apply(const ColumnName& col, Cell&& cell) {
     it->second = std::move(cell);
     return true;
   }
+  KeepEarlierDeletion(it->second, cell);
   return false;
 }
 
@@ -69,6 +71,7 @@ void Row::MergeFrom(const Row& other) {
       if (Supersedes(b->second, a->second)) {
         merged.emplace_back(std::move(a->first), b->second);
       } else {
+        KeepEarlierDeletion(a->second, b->second);
         merged.push_back(std::move(*a));
       }
       ++a;
@@ -100,6 +103,7 @@ void Row::MergeFrom(Row&& other) {
       if (Supersedes(b->second, a->second)) {
         merged.emplace_back(std::move(a->first), std::move(b->second));
       } else {
+        KeepEarlierDeletion(a->second, b->second);
         merged.push_back(std::move(*a));
       }
       ++a;
@@ -138,6 +142,12 @@ Timestamp Row::MaxTimestamp() const {
     max_ts = std::max(max_ts, cell.ts);
   }
   return max_ts;
+}
+
+void Row::StampLocalDeletions(SimTime now) {
+  for (auto& [col, cell] : cells_) {
+    if (cell.tombstone) cell.StampLocalDeletion(now);
+  }
 }
 
 bool Row::AllTombstones() const {

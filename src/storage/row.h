@@ -69,6 +69,10 @@ class Row {
   /// Largest cell timestamp in the row (kNullTimestamp if empty).
   Timestamp MaxTimestamp() const;
 
+  /// Stamps `now` as the local deletion time of every tombstone in the row
+  /// (the storage engine does this as it applies the row).
+  void StampLocalDeletions(SimTime now);
+
   /// True if every cell in the row is a tombstone (the row is logically
   /// deleted and eligible for GC once past the grace period).
   bool AllTombstones() const;
@@ -88,9 +92,9 @@ class Row {
 std::ostream& operator<<(std::ostream& os, const Row& row);
 
 /// Order-insensitive 64-bit digest of a row's full cell content (columns,
-/// values, timestamps, tombstones). Two replicas hold identical copies of a
-/// row iff the digests match (modulo hash collisions); anti-entropy compares
-/// these instead of shipping rows.
+/// values, timestamps, tombstones; never the replica-local deletion times).
+/// Two replicas hold identical copies of a row iff the digests match (modulo
+/// hash collisions); anti-entropy compares these instead of shipping rows.
 std::uint64_t RowDigest(const Row& row);
 
 /// A (key, row) pair returned from scans.

@@ -27,8 +27,7 @@ std::shared_ptr<const Run> Run::FromSorted(std::vector<KeyedRow> entries) {
 
 std::shared_ptr<const Run> Run::Merge(
     const std::vector<std::shared_ptr<const Run>>& runs,
-    Timestamp purge_tombstones_before, Timestamp defer_before,
-    GcStats* stats) {
+    SimTime deleted_before, Timestamp purge_floor, GcStats* stats) {
   // Streaming k-way merge over the sorted inputs: each output row is built
   // once, in key order, with no intermediate map and no per-cell heap churn
   // — a key held by a single input is copied wholesale, and multi-input
@@ -48,8 +47,7 @@ std::shared_ptr<const Run> Run::Merge(
       total += entries.size();
     }
   }
-  const bool may_purge = purge_tombstones_before != kNullTimestamp ||
-                         defer_before != kNullTimestamp;
+  const bool may_purge = deleted_before != kNullTimestamp;
   std::vector<KeyedRow> entries;
   entries.reserve(total);
   Row scratch;
@@ -84,14 +82,13 @@ std::shared_ptr<const Run> Run::Merge(
       Row::Cells cells = scratch.ReleaseCells();
       auto kept = cells.begin();
       for (auto it = cells.begin(); it != cells.end(); ++it) {
-        if (it->second.tombstone) {
-          if (it->second.ts < purge_tombstones_before) {
+        const Cell& cell = it->second;
+        if (cell.tombstone && cell.local_deletion_time() < deleted_before) {
+          if (cell.ts < purge_floor) {
             if (stats != nullptr) ++stats->tombstones_purged;
             continue;
           }
-          if (it->second.ts < defer_before && stats != nullptr) {
-            ++stats->tombstones_deferred;
-          }
+          if (stats != nullptr) ++stats->tombstones_deferred;
         }
         if (kept != it) *kept = std::move(*it);
         ++kept;

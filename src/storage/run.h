@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -34,16 +35,17 @@ class Run {
   static std::shared_ptr<const Run> FromSorted(std::vector<KeyedRow> entries);
 
   /// Merges several runs (newest data wins cell-wise; input order is
-  /// irrelevant because the cell merge is commutative). Tombstones with
-  /// timestamp < `purge_tombstones_before` are dropped; rows left empty are
-  /// elided. Tombstones in [`purge_tombstones_before`, `defer_before`) are
-  /// KEPT but counted as deferred in `stats` — the caller lowered the purge
-  /// threshold below the grace cutoff to protect an unacknowledged delete
-  /// (`defer_before` <= `purge_tombstones_before` disables the accounting).
+  /// irrelevant because the cell merge is commutative). A merged tombstone
+  /// whose local deletion time is < `deleted_before` is past grace: it is
+  /// dropped when its write timestamp is < `purge_floor`, and otherwise KEPT
+  /// but counted as deferred in `stats` — the floor protects a delete still
+  /// owed to some replica. Rows left empty are elided. The default
+  /// `deleted_before` (kNullTimestamp) purges nothing.
   static std::shared_ptr<const Run> Merge(
       const std::vector<std::shared_ptr<const Run>>& runs,
-      Timestamp purge_tombstones_before = kNullTimestamp,
-      Timestamp defer_before = kNullTimestamp, GcStats* stats = nullptr);
+      SimTime deleted_before = kNullTimestamp,
+      Timestamp purge_floor = std::numeric_limits<Timestamp>::max(),
+      GcStats* stats = nullptr);
 
   /// Point lookup; checks the run's min/max key fence, then the bloom
   /// filter, so misses are usually resolved without touching the entries.

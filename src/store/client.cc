@@ -85,40 +85,41 @@ std::function<void(ResultT)> Client::ReturnToClient(
   const ServerId coordinator = coordinator_;
   Tracer* tracer = &cluster_->tracer();
 
-  // At most one of {reply, deadline} reaches the caller.
-  auto delivered = std::make_shared<bool>(false);
-  auto shared_callback =
+  // At most one of {reply, deadline} reaches the caller: whichever comes
+  // first moves the callback out, and the other finds it empty. Moving it
+  // out also releases its captures at delivery — the deadline timer still
+  // holds the shared slot, but only until its fire time, and empty.
+  auto pending =
       std::make_shared<std::function<void(ResultT)>>(std::move(callback));
   const SimTime timeout =
       timeout_override > 0 ? timeout_override : request_timeout_;
   if (timeout > 0) {
-    cluster->simulation().After(
-        timeout, [cluster, tracer, op, delivered, shared_callback] {
-          if (*delivered) return;
-          *delivered = true;
-          if (op) {
-            tracer->Annotate(op, "client deadline expired");
-            tracer->EndSpan(op, cluster->simulation().Now());
-          }
-          ResultT result = TimeoutResult<ResultT>();
-          SetResultTrace(result, op.trace);
-          (*shared_callback)(std::move(result));
-        });
+    cluster->simulation().After(timeout, [cluster, tracer, op, pending] {
+      if (!*pending) return;
+      auto deliver = std::exchange(*pending, nullptr);
+      if (op) {
+        tracer->Annotate(op, "client deadline expired");
+        tracer->EndSpan(op, cluster->simulation().Now());
+      }
+      ResultT result = TimeoutResult<ResultT>();
+      SetResultTrace(result, op.trace);
+      deliver(std::move(result));
+    });
   }
-  return [cluster, tracer, coordinator, start, latency, op, delivered,
-          shared_callback](ResultT result) mutable {
+  return [cluster, tracer, coordinator, start, latency, op,
+          pending](ResultT result) mutable {
     cluster->network().Send(
         coordinator, cluster->client_endpoint(),
-        [cluster, tracer, start, latency, op, delivered, shared_callback,
+        [cluster, tracer, start, latency, op, pending,
          result = std::move(result)]() mutable {
-          if (*delivered) return;  // deadline already fired
-          *delivered = true;
+          if (!*pending) return;  // deadline already fired
+          auto deliver = std::exchange(*pending, nullptr);
           if (latency != nullptr) {
             latency->Record(cluster->simulation().Now() - start);
           }
           if (op) tracer->EndSpan(op, cluster->simulation().Now());
           SetResultTrace(result, op.trace);
-          (*shared_callback)(std::move(result));
+          deliver(std::move(result));
         });
   };
 }

@@ -339,7 +339,9 @@ class Client {
 
   /// Wraps a result callback so it is delivered back at the client host
   /// (adds the return network hop), records latency into `latency`, closes
-  /// the operation span `op`, and stamps the trace id into the result.
+  /// the operation span `op`, and stamps the trace id into the result. The
+  /// callback (and whatever it captured) is released as it is delivered,
+  /// not when the request deadline timer fires.
   template <typename ResultT>
   std::function<void(ResultT)> ReturnToClient(
       std::function<void(ResultT)> callback, Histogram* latency,

@@ -165,10 +165,14 @@ struct ClusterConfig {
   /// tombstone GC on every engine, scheduled through the service queue at
   /// `perf.compaction_service` per run); 0 disables (the default — engines
   /// still size-tier inline when the run count exceeds engine.max_runs, but
-  /// never purge tombstones). The GC clock is kClientTimestampEpoch + Now(),
-  /// and the purge threshold is additionally floored at the server's oldest
-  /// pending-hint timestamp so unacknowledged deletes survive until every
-  /// replica has seen them.
+  /// never purge tombstones). Grace (engine.tombstone_gc_grace) runs from
+  /// each tombstone's local deletion time — when this server first applied
+  /// it, on the simulation clock — never from its write timestamp, so a
+  /// backdated delete (the view engine's __init revocation) still gets the
+  /// full grace on every replica. A past-grace tombstone is additionally
+  /// kept while its write timestamp is >= the server's oldest pending-hint
+  /// timestamp, so unacknowledged deletes survive until every replica has
+  /// seen them.
   SimTime compaction_interval = 0;
 
   /// When true, the base-table Put and the pre-update read of the view key

@@ -32,6 +32,10 @@ void QuorumOp<Response>::Launch() {
                                static_cast<int>(coord_->id()),
                                coord_->simulation()->Now());
   }
+  // The in-flight registry owns the op until Finalize/Abort deregisters it,
+  // so the timers below need only a weak reference: a stuck op still times
+  // out, and a finished one is freed at once instead of living (with its
+  // spec closures and response rows) until its last timer's fire time.
   auto self = this->shared_from_this();
   op_id_ = coord_->RegisterInflightOp(
       [self] { self->Abort(); },
@@ -43,7 +47,10 @@ void QuorumOp<Response>::Launch() {
     ArmReplicaRetry(i, /*attempt=*/1);
   }
   timeout_ = coord_->simulation()->AfterCancelable(
-      coord_->config().rpc_timeout, [self] { self->Finalize(); });
+      coord_->config().rpc_timeout,
+      [weak = this->weak_from_this()] {
+        if (auto op = weak.lock()) op->Finalize();
+      });
 }
 
 template <typename Response>
@@ -74,9 +81,10 @@ void QuorumOp<Response>::ArmReplicaRetry(std::size_t slot, int attempt) {
   const SimTime silence =
       config.replica_retry_timeout +
       config.replica_retry_backoff * static_cast<SimTime>(attempt - 1);
-  auto self = this->shared_from_this();
-  coord_->simulation()->After(silence, [self, slot, attempt] {
-    if (self->finalized_ || self->responses_[slot]) return;
+  coord_->simulation()->After(silence, [weak = this->weak_from_this(), slot,
+                                        attempt] {
+    auto self = weak.lock();
+    if (!self || self->finalized_ || self->responses_[slot]) return;
     // The target has been silent past the retry window: re-send (the
     // request is idempotent — LWW applies absorb duplicates and the slot
     // dedupe below absorbs a duplicate reply) and back off the next probe.

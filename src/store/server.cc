@@ -82,7 +82,8 @@ storage::Engine& Server::EngineFor(const std::string& table) {
   if (it == engines_.end()) {
     it = engines_
              .emplace(table,
-                      std::make_unique<storage::Engine>(config_->engine))
+                      std::make_unique<storage::Engine>(
+                          config_->engine, [sim = sim_] { return sim->Now(); }))
              .first;
     if (row_cache_ != nullptr) {
       // All of this server's engines share the one cache, namespaced by
@@ -1126,10 +1127,12 @@ void Server::RunCompactionRound() {
         static_cast<SimTime>(std::max<std::size_t>(1, eng->num_runs()));
     Enqueue(demand, [this, eng, demand] {
       // Both clocks are evaluated at execution time, not scheduling time:
-      // the GC cutoff in the client-timestamp domain, and the purge floor
-      // from whatever hints are STILL pending when the merge actually runs.
-      const Timestamp now = kClientTimestampEpoch + sim_->Now();
-      const storage::GcStats stats = eng->Compact(now, OldestHintTimestamp());
+      // the grace cutoff on the engine's local clock (the one that stamped
+      // each tombstone's local deletion time), and the purge floor — in the
+      // write-timestamp domain — from whatever hints are STILL pending when
+      // the merge actually runs.
+      const storage::GcStats stats =
+          eng->Compact(sim_->Now(), OldestHintTimestamp());
       metrics_->compactions_run++;
       metrics_->tombstones_purged += stats.tombstones_purged;
       metrics_->tombstone_purge_deferred += stats.tombstones_deferred;

@@ -23,6 +23,7 @@
 #include "sim/nemesis.h"
 #include "storage/engine.h"
 #include "store/client.h"
+#include "store/codec.h"
 #include "tests/test_util.h"
 #include "view/scrub.h"
 
@@ -512,8 +513,9 @@ TEST(TombstoneGcTest, PendingHintDefersPurgeAndDeleteSurvivesCrash) {
   t.cluster.RunFor(Millis(100));  // past the rpc timeout: hint stored
   ASSERT_EQ(t.cluster.server(coord).pending_hints(lagging), 1u);
 
-  // Age the tombstone past grace, then compact: the pending hint's
-  // timestamp floors the purge.
+  // The coordinator applied the tombstone locally at ~50 ms; 200 ms later it
+  // is past the 20 ms grace, so only the pending hint's timestamp floors the
+  // purge.
   t.cluster.RunFor(Millis(100));
   t.cluster.server(coord).RunCompactionRound();
   t.cluster.RunFor(Millis(50));
@@ -543,6 +545,76 @@ TEST(TombstoneGcTest, PendingHintDefersPurgeAndDeleteSurvivesCrash) {
     ASSERT_TRUE(c.has_value()) << "replica " << replica;
     EXPECT_TRUE(c->tombstone)
         << "replica " << replica << " resurrected the deleted row";
+  }
+}
+
+// The GC <-> anti-entropy fixed point. Algorithm 2 revokes an old view row's
+// __init with a tombstone stamped at that row's live timestamp — for a
+// bootstrap row, a few microseconds after the epoch. Grace measured from
+// that write timestamp purged the revocation at the first compaction; the
+// replicas then disagreed, anti-entropy shipped the tombstones (or the
+// shadowed live __init) back, and compaction purged them again. With grace
+// measured from the local deletion time, skey moves under compaction and
+// anti-entropy settle: once the cluster is quiescent, anti-entropy rounds
+// push nothing, and no revoked __init is live on any replica.
+TEST(TombstoneGcTest, SkeyMovesUnderCompactionAndAntiEntropyReachAFixedPoint) {
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.compaction_interval = Millis(100);
+  config.anti_entropy_interval = Millis(150);
+  config.engine.memtable_flush_entries = 64;  // runs for compaction to merge
+  test::TestCluster t(config, test::TicketSchema(/*with_index=*/false));
+
+  constexpr int kTickets = 120;
+  std::map<Key, Value> assignee;  // the last acked skey of each ticket
+  for (int i = 0; i < kTickets; ++i) {
+    const Key key = "tk" + std::to_string(i);
+    assignee[key] = "u" + std::to_string(i % 7);
+    t.cluster.BootstrapLoadRow("ticket", key,
+                               {{"assigned_to", assignee[key]},
+                                {"status", std::string("open")}},
+                               /*ts=*/i + 1);
+  }
+
+  // Move every ticket's skey twice: each move revokes the old view row's
+  // __init, the first one with a bootstrap-era timestamp.
+  auto client = t.cluster.NewClient(0);
+  for (int round = 0; round < 2; ++round) {
+    for (int i = 0; i < kTickets; ++i) {
+      const Key key = "tk" + std::to_string(i);
+      const Value moved = "m" + std::to_string(round) + "-" + std::to_string(i);
+      ASSERT_TRUE(
+          client->PutSync("ticket", key, {{"assigned_to", moved}}, {}).ok());
+      assignee[key] = moved;
+    }
+  }
+  t.Quiesce();
+
+  store::Metrics& m = t.cluster.metrics();
+  ASSERT_GT(m.compactions_run.value(), 0u);
+  EXPECT_EQ(m.tombstones_purged.value(), 0u)
+      << "revocations purged within their 600 s grace";
+  const std::uint64_t pushed = m.anti_entropy_rows_pushed.value();
+  const std::uint64_t compactions = m.compactions_run.value();
+  t.cluster.RunFor(Seconds(1));
+  EXPECT_GT(m.compactions_run.value(), compactions);
+  EXPECT_EQ(m.anti_entropy_rows_pushed.value(), pushed)
+      << "anti-entropy still pushing rows after quiescence";
+
+  for (ServerId s = 0; s < static_cast<ServerId>(config.num_servers); ++s) {
+    int live = 0;
+    t.cluster.server(s).EngineFor("assigned_to_view").ForEach(
+        [&](const Key& row_key, const storage::Row& row) {
+          if (!row.GetValue(store::kViewInitColumn)) return;
+          auto split = store::SplitViewRowKey(row_key);
+          ASSERT_TRUE(split.has_value()) << row_key;
+          const auto& [view_key, base_key] = *split;
+          if (store::IsSentinelViewKey(view_key)) return;
+          ++live;
+          EXPECT_EQ(view_key, assignee[base_key])
+              << "server " << s << ": revoked __init of " << base_key
+              << " is live again";
+        });
+    EXPECT_GT(live, 0) << "server " << s << " holds no live view rows";
   }
 }
 

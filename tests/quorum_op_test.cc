@@ -1,8 +1,9 @@
 // The generic coordinator state machine (ISSUE 3): quorum accounting, slot
 // deduplication, reply-once semantics, per-op-kind failure messages, the
 // per-replica silence retry, hint scheduling for unresponsive write targets,
-// crash-abort, and replica-write batching atomicity under a nemesis drop
-// surge.
+// crash-abort, release of finished ops and delivered client callbacks
+// before their timers fire, and replica-write batching atomicity under a
+// nemesis drop surge.
 
 #include "store/quorum_op.h"
 
@@ -291,6 +292,95 @@ TEST(QuorumOpTest, CoordinatorCrashAbortsTheOpWithoutSideEffects) {
   EXPECT_EQ(settled_calls, 1);
   EXPECT_EQ(t.cluster.metrics().hints_stored.value(), 0u)
       << "a crashed coordinator stores no hints";
+}
+
+// --------------------------------------------------------------------------
+// Memory: timers never own a finished operation. Cancelling an event only
+// flags it, so a timer closure holding a strong reference would pin the op
+// (spec closures, response rows) or the caller's callback until its fire
+// time.
+// --------------------------------------------------------------------------
+
+TEST(QuorumOpTest, AnsweredOpIsReleasedBeforeItsRpcTimeoutFires) {
+  test::TestCluster t(test::DefaultTestConfig(), SchemaWithPlainTable());
+  sim::Simulation& sim = t.cluster.simulation();
+  const SimTime rpc_timeout = t.cluster.config().rpc_timeout;
+  ASSERT_GT(rpc_timeout, Millis(10));
+
+  auto payload = std::make_shared<int>(0);
+  std::weak_ptr<int> payload_alive = payload;
+  QuorumOp<bool>::Spec spec;
+  spec.name = "test";
+  spec.targets = {1, 2, 3};
+  spec.quorum = 2;
+  spec.send = [&sim](store::Server&, ServerId target,
+                     std::function<void(bool)> reply) {
+    sim.After(Millis(static_cast<SimTime>(target)),
+              [reply = std::move(reply)] { reply(true); });
+  };
+  spec.on_quorum = [payload](QuorumOp<bool>&) { ++*payload; };
+  spec.on_error = [](QuorumOp<bool>&, const Status&) {};
+  payload.reset();
+  std::weak_ptr<QuorumOp<bool>> op =
+      QuorumOp<bool>::Start(&t.cluster.server(0), std::move(spec));
+
+  // Every slot has answered by 3 ms; the rpc timeout and the per-replica
+  // retry timers are still pending, and must not keep the op alive.
+  t.cluster.RunFor(Millis(10));
+  EXPECT_TRUE(op.expired()) << "a finished op outlived its last reply";
+  EXPECT_TRUE(payload_alive.expired())
+      << "the op's spec closures outlived the op";
+}
+
+TEST(QuorumOpTest, UnansweredOpStillTimesOutWithoutACallerHandle) {
+  test::TestCluster t(test::DefaultTestConfig(), SchemaWithPlainTable());
+  int error_calls = 0;
+  QuorumOp<bool>::Spec spec;
+  spec.name = "test";
+  spec.targets = {1, 2};
+  spec.quorum = 1;
+  spec.send = [](store::Server&, ServerId, std::function<void(bool)>) {
+    // Nobody ever answers: only the rpc timeout can end this op.
+  };
+  spec.on_quorum = [](QuorumOp<bool>&) { FAIL() << "no responses arrived"; };
+  spec.on_error = [&](QuorumOp<bool>&, const Status&) { ++error_calls; };
+  std::weak_ptr<QuorumOp<bool>> op =
+      QuorumOp<bool>::Start(&t.cluster.server(0), std::move(spec));
+
+  // The in-flight registry, not the timers, keeps a stuck op alive.
+  t.cluster.RunFor(t.cluster.config().rpc_timeout / 2);
+  EXPECT_FALSE(op.expired());
+  EXPECT_EQ(error_calls, 0);
+  t.cluster.RunFor(t.cluster.config().rpc_timeout);
+  EXPECT_EQ(error_calls, 1);
+  EXPECT_TRUE(op.expired()) << "a timed-out op outlived its finalization";
+}
+
+TEST(ClientCallbackReleaseTest, DeliveredCallbackReleasesItsCapturesAtDelivery) {
+  test::TestCluster t(test::DefaultTestConfig(), SchemaWithPlainTable());
+  auto client = t.cluster.NewClient(0);
+  client->set_request_timeout(Seconds(2));
+
+  auto capture = std::make_shared<int>(0);
+  std::weak_ptr<int> capture_alive = capture;
+  bool delivered = false;
+  client->Put("kv", "k", {{"a", std::string("v")}}, store::WriteOptions{},
+              [capture, &delivered](store::WriteResult result) {
+                EXPECT_TRUE(result.ok());
+                delivered = true;
+              });
+  capture.reset();
+  ASSERT_FALSE(capture_alive.expired()) << "pending: the client owns it";
+
+  // Delivered within milliseconds; the 2 s deadline timer is still queued
+  // and must not hold the callback (or what it captured) until it fires.
+  t.cluster.RunFor(Millis(50));
+  ASSERT_TRUE(delivered);
+  EXPECT_TRUE(capture_alive.expired())
+      << "the delivered callback lived on until the request deadline";
+
+  // The deadline, when it does fire, delivers nothing a second time.
+  t.cluster.RunFor(Seconds(3));
 }
 
 // --------------------------------------------------------------------------

@@ -93,6 +93,60 @@ TEST(CellTest, MergeAlgebraHoldsWithNullCellsAndTies) {
   }
 }
 
+TEST(CellTest, LocalDeletionTimeIsReplicaPrivate) {
+  // Two replicas learned the same delete at different local times: the
+  // cells, their rows and the rows' digests must still agree, or
+  // anti-entropy would ship the tombstone back and forth forever.
+  Cell early = Cell::Tombstone(7);
+  early.StampLocalDeletion(Millis(3));
+  Cell late = Cell::Tombstone(7);
+  late.StampLocalDeletion(Seconds(9));
+  EXPECT_EQ(early, late);
+  EXPECT_FALSE(Supersedes(early, late));
+  EXPECT_FALSE(Supersedes(late, early));
+  Row a;
+  a.Apply("c", early);
+  Row b;
+  b.Apply("c", late);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(RowDigest(a), RowDigest(b));
+}
+
+TEST(CellTest, LocalDeletionStampRoundsUpToWholeMilliseconds) {
+  Cell c = Cell::Tombstone(1);
+  c.StampLocalDeletion(Millis(5) + 1);
+  EXPECT_EQ(c.local_deletion_time(), Millis(6));  // never reads earlier
+  c.StampLocalDeletion(Millis(5));
+  EXPECT_EQ(c.local_deletion_time(), Millis(5));
+  c.StampLocalDeletion(Seconds(30LL * 24 * 3600));  // past the int32 range
+  EXPECT_GT(c.local_deletion_time(), Seconds(24LL * 24 * 3600));
+}
+
+TEST(RowTest, EqualTombstonesKeepTheEarlierLocalDeletionTime) {
+  Cell early = Cell::Tombstone(7);
+  early.StampLocalDeletion(Millis(3));
+  Cell late = Cell::Tombstone(7);
+  late.StampLocalDeletion(Millis(900));
+
+  Row applied;
+  applied.Apply("c", late);
+  EXPECT_FALSE(applied.Apply("c", early));  // LWW keeps the incumbent...
+  EXPECT_EQ(applied.Get("c")->local_deletion_time(), Millis(3));  // ...earlier
+
+  for (bool move : {false, true}) {
+    Row incumbent;
+    incumbent.Apply("c", late);
+    Row incoming;
+    incoming.Apply("c", early);
+    if (move) {
+      incumbent.MergeFrom(std::move(incoming));
+    } else {
+      incumbent.MergeFrom(incoming);
+    }
+    EXPECT_EQ(incumbent.Get("c")->local_deletion_time(), Millis(3)) << move;
+  }
+}
+
 TEST(RowTest, ApplyKeepsNewest) {
   Row row;
   EXPECT_TRUE(row.Apply("c", Cell::Live("v1", 10)));
@@ -171,17 +225,20 @@ TEST(RunTest, BinarySearchGet) {
 TEST(RunTest, MergePurgesExpiredTombstones) {
   std::vector<KeyedRow> e1;
   Row r1;
-  r1.Apply("c", Cell::Tombstone(50));
+  Cell tombstone = Cell::Tombstone(50);
+  tombstone.StampLocalDeletion(Millis(50));  // applied locally at 50 ms
+  r1.Apply("c", tombstone);
   e1.push_back(KeyedRow{"k", r1});
   auto run1 = Run::FromSorted(std::move(e1));
 
-  // Purge threshold above the tombstone timestamp: the cell disappears and
-  // the empty row is elided.
-  auto merged = Run::Merge({run1}, /*purge_tombstones_before=*/100);
+  // Deleted locally before the cutoff: the cell disappears and the empty
+  // row is elided.
+  auto merged = Run::Merge({run1}, /*deleted_before=*/Millis(100));
   EXPECT_EQ(merged->entries(), 0u);
 
-  // Below the threshold it must be kept (still shadowing older live cells).
-  auto kept = Run::Merge({run1}, /*purge_tombstones_before=*/10);
+  // Deleted after the cutoff it must be kept (still shadowing older live
+  // cells).
+  auto kept = Run::Merge({run1}, /*deleted_before=*/Millis(10));
   EXPECT_EQ(kept->entries(), 1u);
 }
 
@@ -190,17 +247,20 @@ TEST(RunTest, MergeCountsPurgedAndDeferredTombstones) {
   for (const auto& [key, ts] :
        std::vector<std::pair<Key, Timestamp>>{{"a", 10}, {"b", 50}, {"c", 90}}) {
     Row row;
-    row.Apply("col", Cell::Tombstone(ts));
+    Cell tombstone = Cell::Tombstone(ts);
+    tombstone.StampLocalDeletion(Millis(ts));  // applied locally at ts ms
+    row.Apply("col", tombstone);
     entries.push_back(KeyedRow{key, row});
   }
   auto run = Run::FromSorted(std::move(entries));
 
   GcStats stats;
-  // ts 10 is below the purge threshold (dropped); ts 50 sits in the deferral
-  // window [40, 80) — past grace but protected by a pending-hint floor; ts 90
-  // is simply within grace.
-  auto merged = Run::Merge({run}, /*purge_tombstones_before=*/40,
-                           /*defer_before=*/80, &stats);
+  // "a" and "b" were deleted locally before the 80 ms cutoff. "a" (ts 10)
+  // is below the pending-hint floor of 40 and is dropped; "b" (ts 50) is
+  // past grace but protected by the floor, so it is deferred. "c", deleted
+  // locally at 90 ms, is simply within grace.
+  auto merged = Run::Merge({run}, /*deleted_before=*/Millis(80),
+                           /*purge_floor=*/40, &stats);
   EXPECT_EQ(stats.tombstones_purged, 1u);
   EXPECT_EQ(stats.tombstones_deferred, 1u);
   EXPECT_EQ(merged->entries(), 2u);
@@ -333,22 +393,24 @@ TEST(EngineTest, SizeTieredCompactionLeavesLargeRunsAlone) {
 
 TEST(EngineTest, CompactReportsGcStatsAndHonorsPurgeFloor) {
   EngineOptions options;
-  options.tombstone_gc_grace = 100;
-  Engine engine(options);
-  engine.Apply("k", "c", Cell::Tombstone(200));
+  options.tombstone_gc_grace = Millis(100);
+  SimTime now = Millis(200);
+  Engine engine(options, [&now] { return now; });
+  engine.Apply("k", "c", Cell::Tombstone(200));  // applied locally at 200 ms
   engine.Flush();
 
-  // Grace expired (cutoff 400 > 200) but the purge floor — the oldest
+  // Grace expired (cutoff 400 ms > 200 ms) but the purge floor — the oldest
   // pending-hint timestamp — protects the delete: it is counted deferred,
   // not purged.
-  GcStats deferred = engine.Compact(/*now=*/500, /*purge_floor=*/150);
+  now = Millis(500);
+  GcStats deferred = engine.Compact(now, /*purge_floor=*/150);
   EXPECT_EQ(deferred.tombstones_purged, 0u);
   EXPECT_EQ(deferred.tombstones_deferred, 1u);
   ASSERT_TRUE(engine.GetCell("k", "c").has_value());
   EXPECT_TRUE(engine.GetCell("k", "c")->tombstone);
 
   // Floor lifted (hint acknowledged): the tombstone goes.
-  GcStats purged = engine.Compact(/*now=*/500);
+  GcStats purged = engine.Compact(now);
   EXPECT_EQ(purged.tombstones_purged, 1u);
   EXPECT_EQ(purged.tombstones_deferred, 0u);
   EXPECT_FALSE(engine.GetRow("k").has_value());
@@ -356,35 +418,102 @@ TEST(EngineTest, CompactReportsGcStatsAndHonorsPurgeFloor) {
 
 TEST(EngineTest, TombstoneGcHonorsGracePeriod) {
   EngineOptions options;
-  options.tombstone_gc_grace = 100;
-  Engine engine(options);
+  options.tombstone_gc_grace = Millis(100);
+  SimTime now = Millis(10);
+  Engine engine(options, [&now] { return now; });
   engine.Apply("k", "c", Cell::Live("v", 10));
-  engine.Apply("k", "c", Cell::Tombstone(20));
+  now = Millis(20);
+  engine.Apply("k", "c", Cell::Tombstone(20));  // applied locally at 20 ms
   engine.Flush();
+  now = Millis(30);
   engine.Apply("other", "c", Cell::Live("x", 30));
   engine.Flush();
 
   // Within grace: tombstone retained.
-  engine.Compact(/*now=*/50);
+  engine.Compact(/*now=*/Millis(50));
   ASSERT_TRUE(engine.GetCell("k", "c").has_value());
   EXPECT_TRUE(engine.GetCell("k", "c")->tombstone);
 
   // Past grace: tombstone (and the empty row) disappear.
-  engine.Compact(/*now=*/500);
+  engine.Compact(/*now=*/Millis(500));
   EXPECT_FALSE(engine.GetRow("k").has_value());
   EXPECT_TRUE(engine.GetRow("other").has_value());
+}
+
+// The backdated-tombstone bug: the view engine revokes an old row's __init
+// with a tombstone stamped at that row's live timestamp (~1 ms for a
+// bootstrap row). Grace measured from the write timestamp purged it on the
+// first compaction; measured from the local apply time it survives.
+TEST(EngineTest, BackdatedTombstoneAppliedWithinGraceSurvivesCompact) {
+  EngineOptions options;
+  options.tombstone_gc_grace = Seconds(600);
+  SimTime now = Seconds(1);
+  Engine engine(options, [&now] { return now; });
+  engine.Apply("k", "__init", Cell::Live("1", Millis(1)));
+  engine.Flush();
+  now = Seconds(10);
+  // Write timestamp 1 ms, far older than now - grace would ever allow...
+  engine.Apply("k", "__init", Cell::Tombstone(Millis(1)));
+  // ...but applied here at 10 s, so it is within grace at 20 s.
+  now = Seconds(20);
+  GcStats kept = engine.Compact(now);
+  EXPECT_EQ(kept.tombstones_purged, 0u);
+  ASSERT_TRUE(engine.GetCell("k", "__init").has_value());
+  EXPECT_TRUE(engine.GetCell("k", "__init")->tombstone);
+
+  // Grace ends 600 s after the local apply.
+  now = Seconds(611);
+  GcStats purged = engine.Compact(now);
+  EXPECT_EQ(purged.tombstones_purged, 1u);
+  EXPECT_FALSE(engine.GetRow("k").has_value());
+}
+
+// Re-learning a delete (anti-entropy re-ships a tombstone this replica
+// already holds in a run) must not restart its grace period: compaction
+// folds both copies and keeps the earlier local deletion time.
+TEST(EngineTest, RelearnedTombstoneKeepsItsFirstLocalDeletionTime) {
+  EngineOptions options;
+  options.tombstone_gc_grace = Millis(100);
+  SimTime now = Millis(10);
+  Engine engine(options, [&now] { return now; });
+  engine.Apply("k", "c", Cell::Tombstone(5));  // first applied at 10 ms
+  engine.Flush();
+  now = Millis(90);
+  Row resent;
+  resent.Apply("c", Cell::Tombstone(5));
+  engine.ApplyRow("k", resent);  // the same delete, re-learned at 90 ms
+  EXPECT_EQ(engine.Compact(Millis(150)).tombstones_purged, 1u);
+  EXPECT_FALSE(engine.GetRow("k").has_value());
+}
+
+// The commit log keeps the stamped cells: a crash-and-replay restores the
+// original local deletion time rather than losing it.
+TEST(EngineTest, CommitLogReplayKeepsLocalDeletionTime) {
+  EngineOptions options;
+  options.tombstone_gc_grace = Millis(100);
+  SimTime now = Millis(10);
+  Engine engine(options, [&now] { return now; });
+  engine.Apply("k", "c", Cell::Tombstone(5));
+  engine.LoseVolatileState();
+  now = Millis(500);
+  ASSERT_EQ(engine.RecoverFromLog(), 1u);
+  ASSERT_TRUE(engine.GetCell("k", "c").has_value());
+  EXPECT_EQ(engine.GetCell("k", "c")->local_deletion_time(), Millis(10));
 }
 
 TEST(EngineTest, CompactionDoesNotResurrectDeletedData) {
   // The deletion shadows an older live cell sitting in an older run. GC of
   // the tombstone must not bring the old value back.
   EngineOptions options;
-  options.tombstone_gc_grace = 100;
-  Engine engine(options);
+  options.tombstone_gc_grace = Millis(100);
+  SimTime now = Millis(10);
+  Engine engine(options, [&now] { return now; });
   engine.Apply("k", "c", Cell::Live("old", 10));
   engine.Flush();
-  engine.Apply("k", "c", Cell::Tombstone(20));
-  engine.Compact(/*now=*/500);  // grace expired; both cells merge first
+  now = Millis(20);
+  engine.Apply("k", "c", Cell::Tombstone(20));  // applied locally at 20 ms
+  // Grace expired; both cells merge first.
+  engine.Compact(/*now=*/Millis(500));
   EXPECT_FALSE(engine.GetCell("k", "c").has_value());
 }
 
@@ -486,8 +615,9 @@ TEST(RowCacheTest, TablesNamespaceKeys) {
 TEST(EngineTest, RowCacheServesInvalidatesAndClearsOnPurge) {
   RowCache cache(16);
   EngineOptions options;
-  options.tombstone_gc_grace = 100;
-  Engine engine(options);
+  options.tombstone_gc_grace = Millis(100);
+  SimTime now = Millis(10);
+  Engine engine(options, [&now] { return now; });
   engine.set_row_cache(&cache, "t");
 
   engine.Apply("k", "c", Cell::Live("v1", 10));
@@ -509,10 +639,11 @@ TEST(EngineTest, RowCacheServesInvalidatesAndClearsOnPurge) {
 
   // A tombstone-purging compaction clears the cache — a cached copy of the
   // pre-purge row would otherwise resurface purged cells.
-  engine.Apply("k", "c", Cell::Tombstone(30));
+  now = Millis(30);
+  engine.Apply("k", "c", Cell::Tombstone(30));  // applied locally at 30 ms
   engine.GetRow("k");  // re-cache the tombstoned row
   EXPECT_TRUE(cache.Contains("t", "k"));
-  engine.Compact(/*now=*/500);
+  engine.Compact(/*now=*/Millis(500));
   EXPECT_FALSE(cache.Contains("t", "k"));
   EXPECT_FALSE(engine.GetRow("k").has_value());
 
