@@ -125,6 +125,18 @@ void Run() {
               events_per_wall_s, "client ops / wall s", ops_per_wall_s);
   std::printf("  %-34s %12.0f\n", "sim ops / sim s (virtual)",
               result.Throughput());
+  // Replica reads served (point reads and partition scans, the maintenance
+  // engine's own included) per client read, over the whole run: how many
+  // replicas the read routing asks.
+  const store::Metrics& metrics = bc.cluster.metrics();
+  const std::uint64_t client_reads =
+      metrics.client_gets.value() + metrics.client_view_gets.value();
+  const double replica_reads_per_client_read =
+      client_reads > 0 ? static_cast<double>(metrics.replica_reads.value()) /
+                             static_cast<double>(client_reads)
+                       : 0;
+  std::printf("  %-34s %12.2f\n", "replica reads / client read",
+              replica_reads_per_client_read);
 
   BenchReport report("sim_speed");
   report.Add("rows", static_cast<std::int64_t>(scale.rows));
@@ -139,6 +151,10 @@ void Run() {
   report.Add("client_failures", result.failures);  // non-OK completions
   report.Add("view_reads_empty", view_reads_empty);
   report.Add("sim_end_time_us", static_cast<std::int64_t>(bc.cluster.Now()));
+  report.Add("replica_reads_per_client_read", replica_reads_per_client_read);
+  report.Add("reads_one_replica", metrics.reads_one_replica.value());
+  report.Add("reads_fanned_out", metrics.reads_fanned_out.value());
+  report.Add("spares_contacted", metrics.spares_contacted.value());
   // Machine-dependent speed (what the gate ratios against the baseline).
   report.Add("bootstrap_wall_s", wall_load_s);
   report.Add("run_wall_s", wall_run_s);

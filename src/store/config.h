@@ -118,7 +118,10 @@ struct ClusterConfig {
   /// that has not answered within `replica_retry_timeout` is re-sent the
   /// request (idempotent; slot dedupe absorbs duplicate replies), up to
   /// `replica_retry_max` times, each probe backed off by another
-  /// `replica_retry_backoff`. 0 retries (or a 0 timeout) disables.
+  /// `replica_retry_backoff`. 0 retries (or a 0 timeout) disables. A read
+  /// sent to one replica contacts the others once it has been silent for
+  /// min(`replica_retry_timeout`, `rpc_timeout` / 2), whatever the retry
+  /// settings.
   int replica_retry_max = 1;
   SimTime replica_retry_timeout = Millis(100);
   SimTime replica_retry_backoff = Millis(50);

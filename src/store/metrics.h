@@ -41,6 +41,9 @@ struct Metrics {
   Counter& read_repairs;
   Counter& quorum_failures;
   Counter& coordinator_retries;  ///< silent-replica re-sends inside an op
+  Counter& reads_one_replica;    ///< point reads/scans sent to one replica
+  Counter& reads_fanned_out;     ///< point reads/scans sent to several
+  Counter& spares_contacted;     ///< spares that replaced a silent replica
   Counter& replica_write_batches;  ///< batched replica-write flushes shipped
   Counter& anti_entropy_rows_pushed;
   Counter& anti_entropy_digest_exchanges;

@@ -1,11 +1,29 @@
 #include "store/quorum_op.h"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "store/server.h"
 
 namespace mvstore::store {
+
+namespace {
+
+/// How long a read's lone target may stay silent before its spares are
+/// contacted: the retry timeout, but never past half the rpc timeout, so the
+/// spares always have time left to answer.
+SimTime SpareDelay(const ClusterConfig& config) {
+  SimTime delay = config.rpc_timeout / 2;
+  if (config.replica_retry_timeout > 0) {
+    delay = std::min(delay, config.replica_retry_timeout);
+  }
+  return delay;
+}
+
+}  // namespace
 
 template <typename Response>
 QuorumOp<Response>::QuorumOp(Server* coord, Spec spec)
@@ -33,24 +51,25 @@ void QuorumOp<Response>::Launch() {
                                coord_->simulation()->Now());
   }
   // The in-flight registry owns the op until Finalize/Abort deregisters it,
-  // so the timers below need only a weak reference: a stuck op still times
+  // so the op's timer needs only a weak reference: a stuck op still times
   // out, and a finished one is freed at once instead of living (with its
-  // spec closures and response rows) until its last timer's fire time.
+  // spec closures and response rows) until the timer's fire time.
   auto self = this->shared_from_this();
   op_id_ = coord_->RegisterInflightOp(
       [self] { self->Abort(); },
       [self](ServerId departed) { self->Retarget(departed); });
   // Fan out under the op's span so every request hop nests beneath it.
   Tracer::Scope scope(tracer, trace_);
-  for (std::size_t i = 0; i < spec_.targets.size(); ++i) {
-    SendTo(i);
-    ArmReplicaRetry(i, /*attempt=*/1);
+  for (std::size_t i = 0; i < spec_.targets.size(); ++i) SendTo(i);
+  const ClusterConfig& config = coord_->config();
+  const SimTime now = coord_->simulation()->Now();
+  deadline_ = now + config.rpc_timeout;
+  spare_at_ = now + SpareDelay(config);
+  probe_at_ = std::numeric_limits<SimTime>::max();
+  if (config.replica_retry_max > 0 && config.replica_retry_timeout > 0) {
+    probe_at_ = now + config.replica_retry_timeout;
   }
-  timeout_ = coord_->simulation()->AfterCancelable(
-      coord_->config().rpc_timeout,
-      [weak = this->weak_from_this()] {
-        if (auto op = weak.lock()) op->Finalize();
-      });
+  ArmTimer();
 }
 
 template <typename Response>
@@ -63,41 +82,84 @@ void QuorumOp<Response>::SendTo(std::size_t slot) {
     spec_.send(*coord_, spec_.targets[slot], std::move(on_reply));
     return;
   }
+  // The request runs through the op, which the reply closure keeps alive
+  // anyway, instead of shipping a copy of the request closure per send.
+  auto request = [self](Server& s) { return self->spec_.request(s); };
   if (spec_.service_at) {
-    coord_->CallPeer<Response>(spec_.targets[slot], spec_.service_at,
-                               spec_.request, std::move(on_reply));
+    coord_->CallPeer<Response>(
+        spec_.targets[slot],
+        [self](Server& s) { return self->spec_.service_at(s); },
+        std::move(request), std::move(on_reply));
     return;
   }
   coord_->CallPeer<Response>(spec_.targets[slot], spec_.service,
-                             spec_.request, std::move(on_reply));
+                             std::move(request), std::move(on_reply));
 }
 
 template <typename Response>
-void QuorumOp<Response>::ArmReplicaRetry(std::size_t slot, int attempt) {
-  const ClusterConfig& config = coord_->config();
-  if (attempt > config.replica_retry_max || config.replica_retry_timeout <= 0) {
+void QuorumOp<Response>::ArmTimer() {
+  SimTime at = std::min(deadline_, probe_at_);
+  if (!spec_.spares.empty()) at = std::min(at, spare_at_);
+  coord_->simulation()->At(at, [weak = this->weak_from_this()] {
+    auto self = weak.lock();
+    if (self && !self->finalized_) self->OnTimer();
+  });
+}
+
+template <typename Response>
+void QuorumOp<Response>::OnTimer() {
+  const SimTime now = coord_->simulation()->Now();
+  Tracer::Scope scope(coord_->tracer(), trace_);
+  if (probe_at_ <= now) ProbeSilentSlots();
+  if (!finalized_ && !spec_.spares.empty() && spare_at_ <= now) {
+    ContactSpares();
+  }
+  if (finalized_) return;
+  if (deadline_ <= now) {
+    Finalize();
     return;
   }
-  const SimTime silence =
-      config.replica_retry_timeout +
-      config.replica_retry_backoff * static_cast<SimTime>(attempt - 1);
-  coord_->simulation()->After(silence, [weak = this->weak_from_this(), slot,
-                                        attempt] {
-    auto self = weak.lock();
-    if (!self || self->finalized_ || self->responses_[slot]) return;
-    // The target has been silent past the retry window: re-send (the
-    // request is idempotent — LWW applies absorb duplicates and the slot
-    // dedupe below absorbs a duplicate reply) and back off the next probe.
-    self->coord_->metrics()->coordinator_retries++;
-    if (self->trace_) {
-      self->coord_->tracer()->Annotate(
-          self->trace_, "retry #" + std::to_string(attempt) + " -> " +
-                            std::to_string(self->spec_.targets[slot]));
+  ArmTimer();
+}
+
+template <typename Response>
+void QuorumOp<Response>::ProbeSilentSlots() {
+  ++probes_;
+  const ClusterConfig& config = coord_->config();
+  probe_at_ = std::numeric_limits<SimTime>::max();
+  if (probes_ < config.replica_retry_max) {
+    probe_at_ = coord_->simulation()->Now() + config.replica_retry_timeout +
+                config.replica_retry_backoff * static_cast<SimTime>(probes_);
+  }
+  // Iterate by index: a synchronous reply may finalize the op mid-loop.
+  for (std::size_t slot = 0; slot < spec_.targets.size() && !finalized_;
+       ++slot) {
+    if (responses_[slot]) continue;
+    coord_->metrics()->coordinator_retries++;
+    if (trace_) {
+      coord_->tracer()->Annotate(
+          trace_, "retry #" + std::to_string(probes_) + " -> " +
+                      std::to_string(spec_.targets[slot]));
     }
-    Tracer::Scope scope(self->coord_->tracer(), self->trace_);
-    self->SendTo(slot);
-    self->ArmReplicaRetry(slot, attempt + 1);
-  });
+    SendTo(slot);
+  }
+}
+
+template <typename Response>
+void QuorumOp<Response>::ContactSpares() {
+  std::vector<ServerId> spares = std::move(spec_.spares);
+  spec_.spares.clear();
+  for (ServerId spare : spares) {
+    if (finalized_) return;
+    spec_.targets.push_back(spare);
+    responses_.emplace_back();
+    coord_->metrics()->spares_contacted++;
+    if (trace_) {
+      coord_->tracer()->Annotate(trace_,
+                                 "spare -> " + std::to_string(spare));
+    }
+    SendTo(spec_.targets.size() - 1);
+  }
 }
 
 template <typename Response>
@@ -118,7 +180,6 @@ void QuorumOp<Response>::Finalize() {
   if (finalized_) return;
   finalized_ = true;
   coord_->DeregisterInflightOp(op_id_);
-  timeout_.Cancel();
   Tracer::Scope scope(coord_->tracer(), trace_);
   if (!replied_) {
     replied_ = true;
@@ -135,7 +196,6 @@ template <typename Response>
 void QuorumOp<Response>::Abort() {
   if (finalized_) return;
   finalized_ = true;
-  timeout_.Cancel();
   Tracer::Scope scope(coord_->tracer(), trace_);
   if (!replied_) {
     replied_ = true;

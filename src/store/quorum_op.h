@@ -15,17 +15,26 @@
 // closure that runs on each target, a merge/finalize pair expressed through
 // three callbacks, and a distinct quorum-failure message.
 //
+// An op contacts only its `targets`. A read that needs one answer names one
+// target and keeps the key's other replicas as `spares`. If that target is
+// still silent at the spare delay — min(replica_retry_timeout,
+// rpc_timeout / 2), so it always falls inside the rpc timeout — every spare
+// is contacted at once, each in a slot of its own: the read degrades to the
+// full fan-out, so losing the one replica never fails a read that another
+// live replica could answer. The op settles once every contacted slot has
+// answered.
+//
 //   on_quorum(op)            exactly once, when the quorum-th response
 //                            lands: deliver the success reply.
 //   on_error(op, status)     exactly once INSTEAD of on_quorum, when the
 //                            op finalizes (timeout) or aborts (coordinator
 //                            crash) before the quorum was met.
-//   on_settled(op, aborted)  exactly once, after every target answered or
-//                            the timeout/abort ended the op: side effects
-//                            that want the full response set (read repair,
-//                            pre-image collection). On abort the policy
-//                            must not perform repairs — a dead process
-//                            cannot push writes.
+//   on_settled(op, aborted)  exactly once, after every contacted target
+//                            answered or the timeout/abort ended the op:
+//                            side effects that want the full response set
+//                            (read repair, pre-image collection). On abort
+//                            the policy must not perform repairs — a dead
+//                            process cannot push writes.
 
 #ifndef MVSTORE_STORE_QUORUM_OP_H_
 #define MVSTORE_STORE_QUORUM_OP_H_
@@ -55,7 +64,11 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
   struct Spec {
     /// Short label ("read", "write", ...) naming the op's trace span.
     std::string name;
+    /// The replicas contacted at launch, one slot each.
     std::vector<ServerId> targets;
+    /// Replicas held back at launch: if any target is still silent at the
+    /// spare delay, each spare gets a slot of its own and the request.
+    std::vector<ServerId> spares;
     int quorum = 1;
     /// Per-target service demand of executing `request` remotely.
     SimTime service = 0;
@@ -94,6 +107,8 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
 
   // --- policy-facing state accessors ---
 
+  /// The target of each contacted slot: the launch targets, then any
+  /// spares contacted since.
   const std::vector<ServerId>& targets() const { return spec_.targets; }
   /// Responses by target slot; unanswered slots are nullopt.
   const std::vector<std::optional<Response>>& responses() const {
@@ -108,9 +123,20 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
 
   void Launch();
   void SendTo(std::size_t slot);
-  /// Arms the per-replica silence timeout that re-sends to a quiet target
-  /// (bounded by `replica_retry_max`, backed off per attempt).
-  void ArmReplicaRetry(std::size_t slot, int attempt);
+  /// Arms the op's one timer at its next due event: the spare delay while
+  /// spares are held back, the next silence probe (bounded by
+  /// `replica_retry_max`, backed off per probe) while it falls at or before
+  /// the rpc timeout, else the rpc timeout itself.
+  void ArmTimer();
+  /// Runs every event due now, in that order: re-sends to silent slots,
+  /// the spares' fan-out, finalization at the rpc timeout.
+  void OnTimer();
+  /// Re-sends to every still-silent slot (the request is idempotent — LWW
+  /// applies absorb duplicates and the slot dedupe absorbs a duplicate
+  /// reply) and schedules the next probe.
+  void ProbeSilentSlots();
+  /// Gives every held-back spare a slot and sends it the request.
+  void ContactSpares();
   void OnResponse(std::size_t slot, Response response);
   void Finalize();
   /// Crash-stop: the coordinator died mid-operation. Outstanding callbacks
@@ -130,7 +156,10 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
   int num_responses_ = 0;
   bool replied_ = false;
   bool finalized_ = false;
-  sim::EventHandle timeout_;
+  SimTime deadline_ = 0;  ///< launch + rpc_timeout: the op finalizes here
+  SimTime spare_at_ = 0;  ///< launch + the spare delay
+  int probes_ = 0;        ///< silence probes run so far
+  SimTime probe_at_ = 0;  ///< the next probe, or past the deadline if none
   std::uint64_t op_id_ = 0;
   /// The op's own span (child of the ambient context at creation);
   /// finalization re-enters it so read repair, hints, and collection

@@ -44,6 +44,33 @@ std::map<Key, storage::Row> MergeScanResponses(
   return merged;
 }
 
+/// The read routing rule, for point reads and partition scans alike. A read
+/// that one answer settles (`single`) goes to `chosen` alone, by default the
+/// coordinator's own replica when it holds one; the other replicas, in ring
+/// order, are its spares. Every other read asks every replica, as does a
+/// single read on a coordinator holding none: first-of-three bounds a remote
+/// read's tail under network jitter.
+template <typename Spec>
+void RouteRead(ServerId coordinator, Metrics* metrics,
+               const std::vector<ServerId>& replicas, bool single,
+               std::optional<ServerId> chosen, Spec& spec) {
+  if (single && !chosen &&
+      std::find(replicas.begin(), replicas.end(), coordinator) !=
+          replicas.end()) {
+    chosen = coordinator;
+  }
+  if (single && chosen) {
+    spec.targets = {*chosen};
+    for (ServerId r : replicas) {
+      if (r != *chosen) spec.spares.push_back(r);
+    }
+  } else {
+    spec.targets = replicas;
+  }
+  (spec.targets.size() == 1 ? metrics->reads_one_replica
+                            : metrics->reads_fanned_out)++;
+}
+
 }  // namespace
 
 Server::Server(ServerId id, sim::Simulation* sim, sim::Network* network,
@@ -279,6 +306,10 @@ std::vector<storage::KeyedRow> Server::LocalMatchScan(
 // slots; settlement pushes read repair to stale responders (never on abort —
 // a dead process cannot push repairs) and hands every reachable replica's
 // raw response to `collect_all` (Algorithm 1's version collection).
+//
+// An R=1 read that collects nothing asks only this server's own replica when
+// it holds one (the others are spares). A coordinator holding none still
+// asks every replica: first-of-three bounds the tail under network jitter.
 // ---------------------------------------------------------------------------
 
 void Server::CoordinateRead(
@@ -288,7 +319,8 @@ void Server::CoordinateRead(
   using Op = QuorumOp<storage::Row>;
   Op::Spec spec;
   spec.name = "read";
-  spec.targets = ReplicasOf(table, key);
+  RouteRead(id_, metrics_, ReplicasOf(table, key),
+            /*single=*/read_quorum == 1 && !collect_all, std::nullopt, spec);
   spec.quorum = read_quorum;
   spec.service = config_->perf.read_local;
   if (config_->row_cache_entries > 0) {
@@ -312,7 +344,7 @@ void Server::CoordinateRead(
   spec.on_settled = [table, key, collect_all = std::move(collect_all)](
                         Op& op, bool aborted) {
     Server& coord = op.coordinator();
-    if (!aborted) {
+    if (!aborted && op.num_responses() > 1) {
       // Read repair: push the merged image to every replica that answered
       // with something older (rides the replica-write batch when enabled).
       storage::Row merged = MergeRowResponses(op.responses());
@@ -529,16 +561,20 @@ void Server::CoordinateReadThenWrite(
 // the answered slots; settlement performs scan-path read repair — pushing
 // every row a responding replica is missing or holds stale, batched per
 // replica. This is what heals view partitions on access (a view row's
-// replicas may have missed the propagation's third write).
+// replicas may have missed the propagation's third write). An R=1 scan
+// routes like an R=1 point read (RouteRead), to `chosen` when the caller
+// picked the replica.
 // ---------------------------------------------------------------------------
 
 void Server::CoordinateScan(
     const std::string& table, const Key& partition_prefix, int read_quorum,
-    std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback) {
+    std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback,
+    std::optional<ServerId> chosen) {
   using Op = QuorumOp<std::vector<storage::KeyedRow>>;
   Op::Spec spec;
   spec.name = "scan";
-  spec.targets = ReplicasOf(table, partition_prefix);
+  RouteRead(id_, metrics_, ReplicasOf(table, partition_prefix),
+            /*single=*/read_quorum == 1, chosen, spec);
   spec.quorum = read_quorum;
   spec.service = config_->perf.view_scan_local;
   if (config_->perf.view_scan_per_row > 0) {
@@ -561,6 +597,13 @@ void Server::CoordinateScan(
   };
   spec.quorum_error = "scan quorum not reached";
   spec.on_quorum = [callback](Op& op) {
+    if (op.num_responses() == 1) {
+      // A lone replica scan is already sorted by key: nothing to merge.
+      for (const auto& response : op.responses()) {
+        if (response) callback(*response);
+      }
+      return;
+    }
     std::map<Key, storage::Row> merged = MergeScanResponses(op.responses());
     std::vector<storage::KeyedRow> rows;
     rows.reserve(merged.size());
@@ -574,7 +617,8 @@ void Server::CoordinateScan(
     callback(status);
   };
   spec.on_settled = [table, read_quorum](Op& op, bool aborted) {
-    if (aborted || op.num_responses() < read_quorum) return;
+    // A lone answer has nothing to be repaired against.
+    if (aborted || op.num_responses() < std::max(read_quorum, 2)) return;
     Server& coord = op.coordinator();
     const std::map<Key, storage::Row> merged =
         MergeScanResponses(op.responses());
@@ -608,10 +652,14 @@ void Server::CoordinateScan(
 }
 
 // ---------------------------------------------------------------------------
-// Scatter-gather over a sharded view partition (ISSUE 9): one CoordinateScan
-// per sub-shard (each its own QuorumOp with the scan path's retarget and
-// read-repair behaviour), gathered at this coordinator with a streaming
-// k-way merge of the per-shard sorted results.
+// Scatter-gather over a sharded view partition: one CoordinateScan
+// per sub-shard (each its own QuorumOp with the scan path's read-repair
+// behaviour), gathered at this coordinator with a streaming k-way merge of
+// the per-shard sorted results. At R=1 each sub-scan goes to one replica:
+// the one carrying the fewest of this request's sub-scans so far, this
+// server's own replica winning ties, then ring order. A scatter waits for
+// its slowest sub-scan anyway, so k sub-scans spread over the cluster's
+// cores instead of 3k queueing on them.
 // ---------------------------------------------------------------------------
 
 std::vector<storage::KeyedRow> MergeSortedShardScans(
@@ -682,7 +730,18 @@ void Server::CoordinateViewScatterScan(
   gather->ok.assign(shard_prefixes.size(), false);
   gather->pending = shard_prefixes.size();
   gather->callback = std::move(callback);
+  std::vector<int> load(peers_->size(), 0);  // sub-scans sent, by server
   for (std::size_t i = 0; i < shard_prefixes.size(); ++i) {
+    std::optional<ServerId> chosen;
+    if (read_quorum == 1) {
+      for (ServerId r : ReplicasOf(table, shard_prefixes[i])) {
+        if (!chosen || load[r] < load[*chosen] ||
+            (load[r] == load[*chosen] && r == id_)) {
+          chosen = r;
+        }
+      }
+      ++load[*chosen];
+    }
     CoordinateScan(
         table, shard_prefixes[i], read_quorum,
         [gather, i, total, allow_partial,
@@ -710,7 +769,8 @@ void Server::CoordinateViewScatterScan(
           result.total_shards = total;
           if (failed > 0) metrics->view_scatter_partial++;
           gather->callback(std::move(result));
-        });
+        },
+        chosen);
   }
 }
 
@@ -1271,14 +1331,12 @@ void Server::RunAntiEntropyRound() {
 std::uint64_t Server::RegisterInflightOp(
     std::function<void()> abort, std::function<void(ServerId)> retarget) {
   const std::uint64_t op_id = ++next_op_id_;
-  inflight_aborts_.emplace(op_id, std::move(abort));
-  if (retarget) inflight_retargets_.emplace(op_id, std::move(retarget));
+  inflight_.emplace(op_id, InflightOp{std::move(abort), std::move(retarget)});
   return op_id;
 }
 
 void Server::DeregisterInflightOp(std::uint64_t op_id) {
-  inflight_aborts_.erase(op_id);
-  inflight_retargets_.erase(op_id);
+  inflight_.erase(op_id);
 }
 
 void Server::Crash() {
@@ -1296,10 +1354,9 @@ void Server::Crash() {
   //    replies travel through WrapReply -> Enqueue, which is guarded by the
   //    incarnation bump below, so clients learn of the crash only through
   //    their own request timeouts — exactly like a real silent crash.
-  auto aborts = std::move(inflight_aborts_);
-  inflight_aborts_.clear();
-  inflight_retargets_.clear();
-  for (auto& [op_id, abort] : aborts) abort();
+  auto aborts = std::move(inflight_);
+  inflight_.clear();
+  for (auto& [op_id, op] : aborts) op.abort();
   metrics_->inflight_ops_aborted += aborts.size();
 
   // 3. Volatile state dies with the process: memtables (the commit logs and
@@ -1767,10 +1824,9 @@ void Server::FinishLeave(bool forced) {
   // drain already rejected new client coordination) get their error
   // callbacks.
   if (view_hook_ != nullptr) view_hook_->OnServerLeave(this);
-  auto aborts = std::move(inflight_aborts_);
-  inflight_aborts_.clear();
-  inflight_retargets_.clear();
-  for (auto& [op_id, abort] : aborts) abort();
+  auto aborts = std::move(inflight_);
+  inflight_.clear();
+  for (auto& [op_id, op] : aborts) op.abort();
   metrics_->inflight_ops_aborted += aborts.size();
 
   if (!forced) {
@@ -1833,9 +1889,9 @@ void Server::RetargetInflightOps(ServerId departed) {
   // Snapshot first: a retargeted op may complete synchronously and
   // deregister itself, mutating the map under iteration.
   std::vector<std::function<void(ServerId)>> retargets;
-  retargets.reserve(inflight_retargets_.size());
-  for (const auto& [op_id, fn] : inflight_retargets_) {
-    retargets.push_back(fn);
+  retargets.reserve(inflight_.size());
+  for (const auto& [op_id, op] : inflight_) {
+    if (op.retarget) retargets.push_back(op.retarget);
   }
   for (auto& fn : retargets) fn(departed);
 }

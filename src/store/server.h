@@ -229,7 +229,10 @@ class Server {
   /// Fires once with the merge of the first `read_quorum` responses (or
   /// Unavailable on timeout). If `collect_all` is provided it fires once
   /// more, after every replica answered or the timeout expired, with each
-  /// reachable replica's raw response; read repair happens at that point.
+  /// reachable replica's raw response; read repair of the contacted
+  /// replicas happens at that point. An R=1 read without `collect_all` asks
+  /// only this server's own replica when it holds one (the others are
+  /// spares), else every replica.
   void CoordinateRead(
       const std::string& table, const Key& key,
       std::vector<ColumnName> columns, int read_quorum,
@@ -253,13 +256,17 @@ class Server {
       std::function<void(std::vector<storage::Row>)> collect_pre_images);
 
   /// Merged prefix scan over the key's partition (composite-key tables):
-  /// merge of the first `read_quorum` replica scans.
+  /// merge of the first `read_quorum` replica scans. An R=1 scan asks only
+  /// `chosen`, or by default this server's own replica when it holds one
+  /// (the others are spares), else every replica.
   void CoordinateScan(
       const std::string& table, const Key& partition_prefix, int read_quorum,
-      std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback);
+      std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback,
+      std::optional<ServerId> chosen = std::nullopt);
 
   /// Scatter-gather scan over a sharded view partition (ISSUE 9): one
-  /// CoordinateScan QuorumOp per sub-shard prefix, answered with a streaming
+  /// CoordinateScan QuorumOp per sub-shard prefix (at R=1 sent to a single
+  /// replica, spread over the shards' replicas), answered with a streaming
   /// k-way merge of the per-shard sorted results (duplicate keys LWW-merge;
   /// by construction sub-shard key spaces are disjoint). A single prefix
   /// degenerates to CoordinateScan verbatim, so unsharded views pay nothing.
@@ -597,12 +604,16 @@ class Server {
   bool crashed_ = false;
   std::uint64_t incarnation_ = 0;
   std::uint64_t next_op_id_ = 0;
-  /// Abort closures of in-flight coordinator ops, by registration id
-  /// (ordered map: Crash() aborts in deterministic id order).
-  std::map<std::uint64_t, std::function<void()>> inflight_aborts_;
-  /// Retarget closures of the same ops (same ids); invoked when a server
-  /// departs the ring so unanswered slots move to a live replica.
-  std::map<std::uint64_t, std::function<void(ServerId)>> inflight_retargets_;
+  /// An in-flight coordinator op's abort closure, and its retarget closure
+  /// (optional; invoked when a server departs the ring so unanswered slots
+  /// move to a live replica).
+  struct InflightOp {
+    std::function<void()> abort;
+    std::function<void(ServerId)> retarget;
+  };
+  /// In-flight coordinator ops by registration id (ordered map: Crash()
+  /// aborts and departures retarget in deterministic id order).
+  std::map<std::uint64_t, InflightOp> inflight_;
 
   // --- placement cache ---
   /// Cached ring placements, one slot per interned partition key, revalidated

@@ -1,9 +1,11 @@
 // The generic coordinator state machine (ISSUE 3): quorum accounting, slot
 // deduplication, reply-once semantics, per-op-kind failure messages, the
-// per-replica silence retry, hint scheduling for unresponsive write targets,
-// crash-abort, release of finished ops and delivered client callbacks
-// before their timers fire, and replica-write batching atomicity under a
-// nemesis drop surge.
+// per-replica silence retry and its hand-off to a spare replica, hint
+// scheduling for unresponsive write targets, crash-abort, release of
+// finished ops and delivered client callbacks before their timers fire, and
+// replica-write batching atomicity under a nemesis drop surge. Read routing:
+// which replicas an R=1 read, a scatter sub-scan, a majority read, a
+// version-collecting pre-read and a write contact.
 
 #include "store/quorum_op.h"
 
@@ -11,15 +13,19 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/nemesis.h"
 #include "storage/cell.h"
 #include "storage/row.h"
 #include "store/client.h"
+#include "store/codec.h"
 #include "tests/test_util.h"
 
 namespace mvstore {
@@ -209,6 +215,370 @@ TEST(QuorumOpTest, UnresponsiveWriteTargetGetsAHintAndReplayDeliversIt) {
   auto row = t.cluster.server(2).EngineFor("kv").GetRow("hinted-key");
   ASSERT_TRUE(row.has_value()) << "hint replay must deliver the write";
   EXPECT_EQ(row->GetValue("c"), "hinted");
+}
+
+/// Starts an R=1 op on server 0 that asks server 1 and holds servers 2 and
+/// 3 as spares. Server 1 answers after `target_delay` (never when negative),
+/// the spares after 100 us. Records where requests went and when the op
+/// replied and settled.
+struct SpareProbe {
+  std::vector<ServerId> sent_to;
+  std::vector<ServerId> targets_at_quorum;
+  SimTime replied_at = -1;
+  SimTime settled_at = -1;
+};
+
+SpareProbe RunSpareProbe(test::TestCluster& t, SimTime target_delay) {
+  sim::Simulation& sim = t.cluster.simulation();
+  auto probe = std::make_shared<SpareProbe>();
+  QuorumOp<bool>::Spec spec;
+  spec.name = "test";
+  spec.targets = {1};
+  spec.spares = {2, 3};
+  spec.quorum = 1;
+  spec.send = [&sim, probe, target_delay](store::Server&, ServerId target,
+                                          std::function<void(bool)> reply) {
+    probe->sent_to.push_back(target);
+    const SimTime delay = target == 1 ? target_delay : Micros(100);
+    if (delay < 0) return;
+    sim.After(delay, [reply = std::move(reply)] { reply(true); });
+  };
+  spec.on_quorum = [&sim, probe](QuorumOp<bool>& op) {
+    probe->replied_at = sim.Now();
+    probe->targets_at_quorum = op.targets();
+  };
+  spec.on_error = [](QuorumOp<bool>&, const Status&) {
+    FAIL() << "an answer should have arrived";
+  };
+  spec.on_settled = [&sim, probe](QuorumOp<bool>&, bool aborted) {
+    EXPECT_FALSE(aborted);
+    probe->settled_at = sim.Now();
+  };
+  const SimTime start = sim.Now();
+  QuorumOp<bool>::Start(&t.cluster.server(0), spec);
+  t.cluster.RunFor(t.cluster.config().rpc_timeout * 2);
+  probe->replied_at -= start;
+  probe->settled_at -= start;
+  return *probe;
+}
+
+TEST(QuorumOpTest, AnsweringLoneTargetSettlesTheOpWithoutItsSpares) {
+  test::TestCluster t(test::DefaultTestConfig(), SchemaWithPlainTable());
+  const SpareProbe probe = RunSpareProbe(t, /*target_delay=*/Micros(100));
+  EXPECT_EQ(probe.sent_to, std::vector<ServerId>{1});
+  EXPECT_EQ(probe.replied_at, Micros(100));
+  EXPECT_EQ(probe.settled_at, Micros(100))
+      << "the op settles when its one contacted slot answers, not at the "
+         "rpc timeout";
+  EXPECT_EQ(t.cluster.metrics().spares_contacted.value(), 0u);
+}
+
+TEST(QuorumOpTest, SilentLoneTargetFansOutToEverySpareInsideTheRpcTimeout) {
+  // Silence probes disabled and a retry timeout past the rpc timeout: the
+  // spares must still be contacted, at half the rpc timeout.
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.rpc_timeout = Millis(50);
+  config.replica_retry_timeout = Millis(100);
+  config.replica_retry_max = 0;
+  test::TestCluster t(config, SchemaWithPlainTable());
+  const SpareProbe probe = RunSpareProbe(t, /*target_delay=*/-1);
+  EXPECT_EQ(probe.sent_to, (std::vector<ServerId>{1, 2, 3}));
+  EXPECT_EQ(probe.targets_at_quorum, (std::vector<ServerId>{1, 2, 3}))
+      << "each spare gets a slot of its own";
+  EXPECT_EQ(probe.replied_at, Millis(25) + Micros(100));
+  EXPECT_EQ(probe.settled_at, Millis(50))
+      << "the silent target holds the op to its rpc timeout";
+  EXPECT_EQ(t.cluster.metrics().spares_contacted.value(), 2u);
+  EXPECT_EQ(t.cluster.metrics().coordinator_retries.value(), 0u);
+}
+
+TEST(QuorumOpTest, SparesJoinTheFirstSilenceProbe) {
+  // Default probe settings: the spares go out with the first re-send to
+  // the silent target, at replica_retry_timeout.
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.replica_retry_timeout = Millis(5);
+  test::TestCluster t(config, SchemaWithPlainTable());
+  const SpareProbe probe = RunSpareProbe(t, /*target_delay=*/-1);
+  EXPECT_EQ(probe.sent_to, (std::vector<ServerId>{1, 1, 2, 3}));
+  EXPECT_EQ(probe.replied_at, Millis(5) + Micros(100));
+  EXPECT_EQ(t.cluster.metrics().spares_contacted.value(), 2u);
+  EXPECT_EQ(t.cluster.metrics().coordinator_retries.value(), 1u);
+}
+
+// --------------------------------------------------------------------------
+// Read routing: an R=1 read contacts only the replicas it needs.
+// --------------------------------------------------------------------------
+
+/// The servers each quorum op of `trace` sent a replica request to, by op
+/// span name ("quorum.read", "quorum.scan", ...): the network hops that are
+/// direct children of the op's span. Replies travel under the replica's
+/// service span, so they are not counted.
+std::vector<std::pair<std::string, std::vector<ServerId>>> ReplicaRequests(
+    const Tracer& tracer, TraceId trace) {
+  const std::vector<TraceEvent> events = tracer.Collect(trace);
+  std::vector<std::pair<std::string, std::vector<ServerId>>> ops;
+  for (const TraceEvent& op : events) {
+    if (op.name.rfind("quorum.", 0) != 0) continue;
+    std::vector<ServerId> to;
+    for (const TraceEvent& hop : events) {
+      if (hop.parent == op.span && hop.name.rfind("net ", 0) == 0) {
+        to.push_back(static_cast<ServerId>(hop.where));
+      }
+    }
+    ops.emplace_back(op.name, std::move(to));
+  }
+  return ops;
+}
+
+std::vector<ServerId> Sorted(std::vector<ServerId> ids) {
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+struct ReadRoutingFixture {
+  explicit ReadRoutingFixture(store::ClusterConfig config =
+                                  test::DefaultTestConfig(),
+                              int view_shards = 1)
+      : t(config, [view_shards] {
+          store::Schema schema = test::TicketSchema(
+              /*with_index=*/false, /*with_view=*/true, view_shards);
+          MVSTORE_CHECK(schema.CreateTable({.name = "kv"}).ok());
+          return schema;
+        }()) {
+    t.cluster.BootstrapLoadRow("kv", kKey, {{"c", std::string("v")}}, 100);
+  }
+
+  std::vector<ServerId> Replicas() {
+    return t.cluster.ring().ReplicasFor(
+        kKey, t.cluster.config().replication_factor);
+  }
+
+  static constexpr const char* kKey = "k1";
+  test::TestCluster t;
+};
+
+TEST(ReadRoutingTest, OneGetOnAReplicaCoordinatorAsksOnlyItself) {
+  ReadRoutingFixture f;
+  // The second replica in ring order: local-first, not first-in-ring.
+  const ServerId coord = f.Replicas()[1];
+  auto client = f.t.cluster.NewClient(coord);
+
+  auto read = client->GetSync("kv", ReadRoutingFixture::kKey, {.quorum = 1});
+  ASSERT_TRUE(read.ok()) << read.status;
+  EXPECT_EQ(read.row.GetValue("c"), "v");
+  const auto ops = ReplicaRequests(f.t.cluster.tracer(), read.trace);
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(ops[0].first, "quorum.read");
+  EXPECT_EQ(ops[0].second, std::vector<ServerId>{coord});
+  EXPECT_EQ(f.t.cluster.metrics().reads_one_replica.value(), 1u);
+  EXPECT_EQ(f.t.cluster.metrics().reads_fanned_out.value(), 0u);
+  EXPECT_EQ(f.t.cluster.metrics().replica_reads.value(), 1u);
+}
+
+TEST(ReadRoutingTest, OneGetOnANonReplicaCoordinatorAsksEveryReplica) {
+  ReadRoutingFixture f;
+  const ServerId coord =
+      NonReplicaCoordinator(f.t.cluster, ReadRoutingFixture::kKey);
+  auto client = f.t.cluster.NewClient(coord);
+
+  auto read = client->GetSync("kv", ReadRoutingFixture::kKey, {.quorum = 1});
+  ASSERT_TRUE(read.ok()) << read.status;
+  const auto ops = ReplicaRequests(f.t.cluster.tracer(), read.trace);
+  ASSERT_EQ(ops.size(), 1u);
+  EXPECT_EQ(Sorted(ops[0].second), Sorted(f.Replicas()))
+      << "first-of-three still bounds a remote read's tail";
+  EXPECT_EQ(f.t.cluster.metrics().reads_fanned_out.value(), 1u);
+}
+
+TEST(ReadRoutingTest, MajorityReadsPreReadsAndWritesContactEveryReplica) {
+  ReadRoutingFixture f;
+  const ServerId coord = f.Replicas()[0];
+  auto client = f.t.cluster.NewClient(coord);
+  const std::vector<ServerId> all = Sorted(f.Replicas());
+
+  auto majority =
+      client->GetSync("kv", ReadRoutingFixture::kKey, {.quorum = 2});
+  ASSERT_TRUE(majority.ok()) << majority.status;
+  const auto read_ops = ReplicaRequests(f.t.cluster.tracer(), majority.trace);
+  ASSERT_EQ(read_ops.size(), 1u);
+  EXPECT_EQ(Sorted(read_ops[0].second), all);
+
+  // A Put on a view's base table: Algorithm 1's version-collecting pre-read
+  // and the write itself, then the propagation's majority view reads and
+  // writes, all under the Put's trace.
+  auto put = client->PutSync("ticket", ReadRoutingFixture::kKey,
+                             {{"assigned_to", std::string("alice")},
+                              {"status", std::string("open")}},
+                             {.quorum = 1});
+  ASSERT_TRUE(put.ok()) << put.status;
+  f.t.Quiesce();
+  int reads = 0;
+  int writes = 0;
+  for (const auto& [name, to] :
+       ReplicaRequests(f.t.cluster.tracer(), put.trace)) {
+    EXPECT_EQ(to.size(), 3u) << name << " must contact all N replicas";
+    if (name == "quorum.read") ++reads;
+    if (name == "quorum.write") ++writes;
+  }
+  EXPECT_GE(reads, 2) << "pre-read plus the propagation's view reads";
+  EXPECT_GE(writes, 2) << "the base write plus the propagation's view writes";
+  EXPECT_EQ(f.t.cluster.metrics().reads_one_replica.value(), 0u);
+}
+
+/// Loads `rows` tickets assigned to "hot" through the client.
+std::vector<Key> LoadHotTickets(test::TestCluster& t, store::Client& client,
+                                int rows) {
+  std::vector<Key> keys;
+  for (int k = 0; k < rows; ++k) {
+    keys.push_back("t" + std::to_string(k));
+    EXPECT_TRUE(client
+                    .PutSync("ticket", keys.back(),
+                             {{"assigned_to", std::string("hot")},
+                              {"status", std::string("open")}},
+                             WriteOptions{})
+                    .ok());
+  }
+  t.Quiesce();
+  return keys;
+}
+
+TEST(ReadRoutingTest, ShardedEventualViewReadSendsOneSubScanPerShard) {
+  constexpr int kShards = 4;
+  ReadRoutingFixture f(test::DefaultTestConfig(), kShards);
+  auto client = f.t.cluster.NewClient(0);
+  LoadHotTickets(f.t, *client, 16);
+  const auto one_before = f.t.cluster.metrics().reads_one_replica.value();
+
+  auto result = client->QuerySync(QuerySpec::View("assigned_to_view", "hot"),
+                                  {.quorum = 1});
+  ASSERT_TRUE(result.ok()) << result.status;
+  EXPECT_EQ(result.records.size(), 16u);
+
+  std::set<ServerId> holders;  // servers holding some sub-shard
+  for (int shard = 0; shard < kShards; ++shard) {
+    for (ServerId r : f.t.cluster.server(0).ReplicasOf(
+             "assigned_to_view",
+             store::ShardedViewPartitionPrefix("hot", shard, kShards))) {
+      holders.insert(r);
+    }
+  }
+  std::map<ServerId, int> per_server;
+  int scans = 0;
+  for (const auto& [name, to] :
+       ReplicaRequests(f.t.cluster.tracer(), result.trace)) {
+    ASSERT_EQ(name, "quorum.scan");
+    ++scans;
+    ASSERT_EQ(to.size(), 1u) << "an R=1 sub-scan asks one replica";
+    ++per_server[to[0]];
+  }
+  EXPECT_EQ(scans, kShards);
+  EXPECT_EQ(f.t.cluster.metrics().reads_one_replica.value() - one_before,
+            static_cast<std::uint64_t>(kShards));
+  if (holders.size() == static_cast<std::size_t>(kShards)) {
+    for (const auto& [server, n] : per_server) {
+      EXPECT_EQ(n, 1) << "server " << server << " carries " << n
+                      << " sub-scans";
+    }
+  }
+}
+
+/// An R=1 Get coordinated by a replica of the key whose own replica is
+/// stalled: every core is busy for twice the rpc timeout. The first
+/// `crashed_spares` of the other replicas are crashed too. The read must
+/// still answer, through a live spare, inside the rpc timeout.
+void ExpectStalledOwnReplicaIsCovered(store::ClusterConfig config,
+                                      int crashed_spares) {
+  ReadRoutingFixture f(config);
+  const std::vector<ServerId> replicas = f.Replicas();
+  const ServerId coord = replicas[1];
+  int crashed = 0;
+  for (ServerId r : replicas) {
+    if (r != coord && crashed < crashed_spares) {
+      ASSERT_TRUE(f.t.cluster.CrashServer(r));
+      ++crashed;
+    }
+  }
+  store::Server& server = f.t.cluster.server(coord);
+  for (int core = 0; core < config.cores_per_server; ++core) {
+    server.Enqueue(config.rpc_timeout * 2, [] {});
+  }
+  const SimTime start = f.t.cluster.Now();
+  std::optional<StatusOr<storage::Row>> answer;
+  SimTime answered_at = -1;
+  server.CoordinateRead("kv", ReadRoutingFixture::kKey, {}, /*read_quorum=*/1,
+                        [&](StatusOr<storage::Row> row) {
+                          answer = std::move(row);
+                          answered_at = f.t.cluster.Now();
+                        });
+  f.t.cluster.RunFor(config.rpc_timeout * 3);
+
+  ASSERT_TRUE(answer.has_value());
+  ASSERT_TRUE(answer->ok()) << answer->status();
+  EXPECT_EQ((*answer)->GetValue("c"), "v");
+  EXPECT_LT(answered_at - start, config.rpc_timeout);
+  EXPECT_EQ(f.t.cluster.metrics().spares_contacted.value(), 2u);
+}
+
+TEST(ReadRoutingTest, StalledOwnReplicaIsCoveredByASpareWithinTheTimeout) {
+  ExpectStalledOwnReplicaIsCovered(test::DefaultTestConfig(),
+                                   /*crashed_spares=*/0);
+}
+
+TEST(ReadRoutingTest, StalledOwnReplicaAndACrashedSpareLeaveOneToAnswer) {
+  // A short rpc timeout and no silence probes, as the sharding and
+  // membership tests run: the spares still go out at half the timeout.
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.rpc_timeout = Millis(50);
+  config.replica_retry_max = 0;
+  ExpectStalledOwnReplicaIsCovered(config, /*crashed_spares=*/1);
+}
+
+/// For every set of `down` servers other than the coordinator (server 0):
+/// crash them, then an R=1 eventual read of a 4-shard view must come back
+/// complete, with no failed sub-shard, inside the rpc timeout. With 4
+/// servers and N=3, each sub-shard keeps a live replica, and across the
+/// sets every remote replica a sub-scan is sent to is crashed at least once.
+void ExpectCompleteScatterReadWithServersDown(store::ClusterConfig config,
+                                              int down) {
+  constexpr int kShards = 4;
+  const int servers = config.num_servers;
+  std::uint64_t spares = 0;
+  for (int mask = 0; mask < (1 << servers); ++mask) {
+    if ((mask & 1) != 0 || __builtin_popcount(mask) != down) continue;
+    SCOPED_TRACE("crashed server mask " + std::to_string(mask));
+    ReadRoutingFixture f(config, kShards);
+    auto client = f.t.cluster.NewClient(0);
+    const std::vector<Key> keys = LoadHotTickets(f.t, *client, 16);
+    for (ServerId s = 1; s < static_cast<ServerId>(servers); ++s) {
+      if ((mask >> s) & 1) ASSERT_TRUE(f.t.cluster.CrashServer(s));
+    }
+
+    const SimTime start = f.t.cluster.Now();
+    auto result = client->QuerySync(
+        QuerySpec::View("assigned_to_view", "hot"), {.quorum = 1});
+    ASSERT_TRUE(result.ok()) << result.status;
+    EXPECT_LT(f.t.cluster.Now() - start, config.rpc_timeout);
+    std::set<Key> got;
+    for (const store::ViewRecord& r : result.records) got.insert(r.base_key);
+    EXPECT_EQ(got, std::set<Key>(keys.begin(), keys.end()));
+    EXPECT_EQ(f.t.cluster.metrics().view_scatter_partial.value(), 0u)
+        << "failed_shards must be 0: a spare covers every crashed replica";
+    spares += f.t.cluster.metrics().spares_contacted.value();
+  }
+  EXPECT_GT(spares, 0u) << "no sub-scan was ever sent to a crashed replica";
+}
+
+TEST(ReadRoutingTest, CrashedSubScanReplicaIsCoveredByASpareWithoutPartial) {
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.rpc_timeout = Millis(50);
+  ExpectCompleteScatterReadWithServersDown(config, /*down=*/1);
+}
+
+TEST(ReadRoutingTest, ScatterReadWithTwoOfThreeReplicasDownIsComplete) {
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.rpc_timeout = Millis(50);
+  config.replica_retry_max = 0;
+  ExpectCompleteScatterReadWithServersDown(config, /*down=*/2);
 }
 
 // --------------------------------------------------------------------------

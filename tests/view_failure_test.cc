@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "store/client.h"
 #include "store/codec.h"
@@ -23,20 +27,28 @@ store::ClusterConfig LossyConfig() {
   return config;
 }
 
-TEST(ViewFailureTest, PropagationSurvivesMessageLoss) {
-  TestCluster t(LossyConfig());
+struct MessageLossOutcome {
+  int acked = 0;
+  std::uint64_t abandoned = 0;  ///< propagations that ran out of retries
+  view::ScrubReport report;
+};
+
+/// Ten view-key moves of one ticket under 25% message loss, then a healthy
+/// drain and four seconds of anti-entropy, then the Definition 1 audit.
+MessageLossOutcome RunMessageLossScenario(store::ClusterConfig config) {
+  TestCluster t(std::move(config));
   t.cluster.BootstrapLoadRow("ticket", "1",
                              {{"assigned_to", std::string("alice")},
                               {"status", std::string("open")}},
                              100);
   auto client = t.cluster.NewClient();
 
+  MessageLossOutcome out;
   t.cluster.network().set_drop_probability(0.25);
-  int acked = 0;
   for (int i = 0; i < 10; ++i) {
     client->Put("ticket", "1", {{"assigned_to", "u" + std::to_string(i)}},
-                {.quorum = 1}, [&acked](store::WriteResult w) {
-                  if (w.ok()) ++acked;
+                {.quorum = 1}, [&out](store::WriteResult w) {
+                  if (w.ok()) ++out.acked;
                 });
     t.cluster.RunFor(Millis(50));
   }
@@ -47,13 +59,48 @@ TEST(ViewFailureTest, PropagationSurvivesMessageLoss) {
   // anti-entropy reconcile replicas, then audit.
   t.views->Quiesce();
   t.cluster.RunFor(Seconds(4));
-  EXPECT_GT(acked, 0);
+  out.abandoned = t.cluster.metrics().propagations_abandoned.value();
+  out.report = view::CheckView(t.cluster, test::TicketView(t.cluster));
+  return out;
+}
 
-  view::ScrubReport report =
-      view::CheckView(t.cluster, test::TicketView(t.cluster));
+TEST(ViewFailureTest, PropagationSurvivesMessageLoss) {
+  const MessageLossOutcome out = RunMessageLossScenario(LossyConfig());
+  EXPECT_GT(out.acked, 0);
   // Retries plus anti-entropy must have converged the view to Definition 1
-  // of the (merged) base table.
-  EXPECT_TRUE(report.clean()) << report.Summary();
+  // of the (merged) base table. This holds at this cluster seed only; the
+  // sweep below shows the seeds where it does not.
+  EXPECT_TRUE(out.report.clean()) << out.report.Summary();
+}
+
+// A known defect, recorded rather than hidden: the scenario above fails the
+// audit on 36 of cluster seeds 1-200. In 28 of them a propagation was
+// abandoned and LossyConfig runs no scrub to recover it; in the other 8
+// (seeds 1, 80, 134, 142, 157, 168, 172, 174) two view rows of the ticket
+// stay live with no propagation abandoned. Run with
+// --gtest_also_run_disabled_tests to list the failing seeds.
+TEST(ViewFailureTest, DISABLED_PropagationSurvivesMessageLossAcrossSeeds) {
+  std::vector<std::uint64_t> after_abandonment;
+  std::vector<std::uint64_t> without_abandonment;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    store::ClusterConfig config = LossyConfig();
+    config.seed = seed;
+    const MessageLossOutcome out = RunMessageLossScenario(config);
+    if (out.report.clean()) continue;
+    (out.abandoned > 0 ? after_abandonment : without_abandonment)
+        .push_back(seed);
+    ADD_FAILURE() << "seed " << seed << " (" << out.abandoned
+                  << " abandoned): " << out.report.Summary();
+  }
+  auto list = [](const std::vector<std::uint64_t>& seeds) {
+    std::string text;
+    for (std::uint64_t seed : seeds) text += " " + std::to_string(seed);
+    return text;
+  };
+  std::printf("failing seeds after an abandoned propagation (%zu):%s\n",
+              after_abandonment.size(), list(after_abandonment).c_str());
+  std::printf("failing seeds without abandonment (%zu):%s\n",
+              without_abandonment.size(), list(without_abandonment).c_str());
 }
 
 TEST(ViewFailureTest, PropagationRetriesThroughReplicaOutage) {
@@ -149,7 +196,9 @@ TEST(ViewFailureTest, AbandonedPropagationIsRepairable) {
 
 TEST(ViewFailureTest, LossyNetworkPropertySweep) {
   // Randomized end-to-end: drops during a mixed workload, then healthy
-  // drain + anti-entropy; the view must converge for every seed.
+  // drain + anti-entropy; the view converges at each of these three seeds.
+  // It does not at every seed: see
+  // DISABLED_PropagationSurvivesMessageLossAcrossSeeds.
   for (std::uint64_t seed : {11u, 22u, 33u}) {
     store::ClusterConfig config = LossyConfig();
     config.seed = seed;
