@@ -15,13 +15,9 @@
 //   MV_BENCH_MEASURE_SECONDS  measurement window  (default 10; paper 300)
 //   MV_BENCH_READS            fixed-count latency reads (default 2000;
 //                             paper 100k)
-//   MV_BENCH_WRITE_BATCH      write-path batching: 0/1 disables replica-
-//                             write batching AND propagation coalescing;
-//                             N>1 sets write_batch_max=N with coalescing on;
-//                             unset keeps the ClusterConfig defaults
-//   MV_BENCH_ROW_CACHE        replica-local row cache: 0 disables it (the
-//                             exact pre-cache read path, for before/after
-//                             runs); N>0 sets row_cache_entries=N; unset
+//   MV_BENCH_ROW_CACHE        replica-local row cache capacity: 0 caches
+//                             nothing (for cache-off comparison runs);
+//                             N>0 sets row_cache_entries=N; unset
 //                             uses the bench default (65536 — large enough
 //                             to keep every bootstrap-loaded replica hot)
 //   MV_BENCH_VIEW_SHARDS      sub-shards per view key for the MV scenario
@@ -101,20 +97,9 @@ inline store::ClusterConfig PaperConfig(std::uint64_t seed = 42) {
   // (Section IV-F's lock service / dedicated propagators are proposals;
   // bench/ablation_propagation_mode compares all three).
   config.propagation_mode = store::PropagationMode::kUnsynchronized;
-  // Hot-path batching toggle for before/after comparisons (CI runs the
-  // fig6 smoke with this at 0 and at 4 and requires on >= off).
-  const std::int64_t batch = EnvInt("MV_BENCH_WRITE_BATCH", -1);
-  if (batch == 0 || batch == 1) {
-    config.write_batch_max = 1;
-    config.propagation_coalescing = false;
-  } else if (batch > 1) {
-    config.write_batch_max = static_cast<int>(batch);
-    config.write_batch_delay = Micros(500);
-    config.propagation_coalescing = true;
-  }
   // Replica-local row cache (ISSUE 5). On by default for benches — real
-  // deployments read hot rows from memory — with 0 restoring the exact
-  // pre-cache path for before/after comparisons (CI diffs the two).
+  // deployments read hot rows from memory — with 0 caching nothing for
+  // cache-off comparisons (CI diffs the two).
   const std::int64_t cache = EnvInt("MV_BENCH_ROW_CACHE", -1);
   if (cache == 0) {
     config.row_cache_entries = 0;

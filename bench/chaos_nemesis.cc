@@ -105,13 +105,10 @@ void Run() {
 
   std::printf("\nfault counters:\n");
   PrintFaultCounters(bc.cluster.metrics());
-  std::printf("  %-34s %10llu\n  %-34s %10llu\n  %-34s %10llu\n",
+  std::printf("  %-34s %10llu\n  %-34s %10llu\n",
               "propagations coalesced",
               static_cast<unsigned long long>(
                   bc.cluster.metrics().prop_batched),
-              "replica-write batches",
-              static_cast<unsigned long long>(
-                  bc.cluster.metrics().replica_write_batches),
               "coordinator retries",
               static_cast<unsigned long long>(
                   bc.cluster.metrics().coordinator_retries));
@@ -158,8 +155,6 @@ void Run() {
   report.Add("propagations_orphaned",
              static_cast<std::uint64_t>(m.propagations_orphaned));
   report.Add("prop_batched", static_cast<std::uint64_t>(m.prop_batched));
-  report.Add("replica_write_batches",
-             static_cast<std::uint64_t>(m.replica_write_batches));
   report.Add("coordinator_retries",
              static_cast<std::uint64_t>(m.coordinator_retries));
   report.AddRaw("metrics", m.ToJson());

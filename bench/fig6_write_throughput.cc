@@ -47,10 +47,6 @@ void Run() {
   BenchReport report("fig6_write_throughput");
   report.Add("rows", scale.rows);
   report.Add("window_seconds", scale.measure_seconds);
-  const store::ClusterConfig config = PaperConfig();
-  report.Add("write_batch_max", config.write_batch_max);
-  report.Add("propagation_coalescing",
-             config.propagation_coalescing ? 1 : 0);
   for (int clients = 1; clients <= 10; ++clients) {
     const double bt =
         MeasureWriteThroughput(Scenario::kBaseTable, clients, scale);

@@ -27,14 +27,6 @@ int main() {
 
   // 2. Assemble a 4-server cluster (N=3 replication) with view maintenance.
   store::ClusterConfig config;  // defaults: 4 servers, N=3, R=W=1
-  // Hot-path batching knobs (DESIGN.md §6). Replica-write batching is
-  // Nagle-style: same-destination mutations arriving while a batch is in
-  // flight ship as one network message (idle lanes send immediately);
-  // propagation coalescing (on by default) merges pending same-row view
-  // updates into one maintenance round.
-  config.write_batch_max = 4;
-  config.write_batch_delay = Micros(500);
-  config.propagation_coalescing = true;
   store::Cluster cluster(config, std::move(schema));
   view::MaintenanceEngine views(&cluster);  // installs itself as the hook
   cluster.Start();

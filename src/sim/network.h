@@ -52,8 +52,8 @@ class Network {
   /// incarnation while the message was in flight). Self-sends skip the wire
   /// but still go through the event queue (never synchronous), preserving
   /// the asynchrony the view-maintenance algorithms must tolerate.
-  /// `payloads` counts the logical requests the message carries (a batched
-  /// replica-write flush ships several in one envelope); it only feeds the
+  /// `payloads` counts the logical requests the message carries (a scan's
+  /// read-repair push ships several rows in one envelope); it only feeds the
   /// payloads_sent() accounting — the wire cost is still one message.
   void Send(EndpointId from, EndpointId to, UniqueFn<void()> deliver,
             std::uint64_t payloads = 1);

@@ -72,7 +72,7 @@ class Engine {
   /// entries — the cache is shared by every table of one server. GetRow
   /// consults and populates the cache; every apply invalidates the touched
   /// key; tombstone-purging compactions and LoseVolatileState clear it.
-  /// Never attached (the default) = the exact pre-cache code path.
+  /// Every server attaches its cache; a standalone engine runs without one.
   void set_row_cache(RowCache* cache, std::string tag) {
     row_cache_ = cache;
     cache_tag_ = std::move(tag);
@@ -169,7 +169,7 @@ class Engine {
   std::uint64_t compactions_ = 0;
   std::deque<LogRecord> log_;  // cells applied since the last flush
   std::uint64_t log_dropped_ = 0;
-  RowCache* row_cache_ = nullptr;  // not owned; nullptr = caching disabled
+  RowCache* row_cache_ = nullptr;  // not owned; nullptr = standalone engine
   std::string cache_tag_;
   /// Pooled scratch for multi-source keys in merged scans: cleared per key,
   /// reallocated never (mutable: scans are logically const).

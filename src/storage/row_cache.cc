@@ -5,6 +5,7 @@ namespace mvstore::storage {
 RowCache::RowCache(std::size_t capacity) : capacity_(capacity) {}
 
 const Row* RowCache::Get(const std::string& table, const Key& key) {
+  if (capacity_ == 0) return nullptr;
   auto it = index_.find(CacheKey{table, key});
   if (it == index_.end()) {
     ++misses_;

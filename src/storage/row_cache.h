@@ -4,14 +4,15 @@
 // one server. A point read that hits the cache skips the memtable/run merge
 // entirely — in the service model that is the difference between
 // `perf.read_local` and `perf.read_cached_local`. The cache is invalidated
-// on every local apply (client write, hint replay, read-repair push,
-// anti-entropy row install, batched replica-write apply), cleared by
+// on every local apply (client write, replica write, hint replay,
+// read-repair push, anti-entropy row install), cleared by
 // tombstone-purging compactions (a cached row could otherwise resurface
 // purged cells), and cleared on crash — it is volatile state.
 //
 // Determinism: the index is an ordered map and the LRU a plain list, so two
-// same-seed runs touch the cache identically. With capacity 0 the cache is
-// never constructed and every read takes the exact pre-cache path.
+// same-seed runs touch the cache identically. A zero-capacity cache stores
+// nothing and counts no probes, so a server configured without caching
+// reports no hits, misses or cache spans.
 
 #ifndef MVSTORE_STORAGE_ROW_CACHE_H_
 #define MVSTORE_STORAGE_ROW_CACHE_H_
@@ -35,7 +36,7 @@ class RowCache {
   RowCache& operator=(const RowCache&) = delete;
 
   /// The cached merged row, or nullptr on a miss. Bumps the entry to
-  /// most-recently-used and counts a hit or a miss.
+  /// most-recently-used and counts a hit or a miss (neither at capacity 0).
   const Row* Get(const std::string& table, const Key& key);
 
   /// Pure probe: true when (table, key) is cached. No LRU bump, no counter —

@@ -72,8 +72,7 @@ struct PerfModel {
   /// probe — the cost asymmetry the router weighs.
   SimTime base_scan_local = Micros(2400);
   /// Fixed receive overhead charged once per delivered peer message
-  /// (deserialization, dispatch). This is what replica-write batching saves:
-  /// a batch of k mutations costs one message_process instead of k.
+  /// (deserialization, dispatch).
   SimTime message_process = Micros(8);
 
   // --- asynchronous view-maintenance executor (DESIGN.md substitution 2) ---
@@ -126,21 +125,6 @@ struct ClusterConfig {
   SimTime replica_retry_timeout = Millis(100);
   SimTime replica_retry_backoff = Millis(50);
 
-  /// Replica-write batching at the coordinator (Nagle-style, per
-  /// destination): a mutation ships immediately while its lane is idle;
-  /// while a batch is in flight, later same-destination mutations park and
-  /// flush as one network message when the batch acks, at `write_batch_max`
-  /// items, or after `write_batch_delay` at the latest (the lost-ack cap).
-  /// <= 1 disables (every mutation ships as its own message).
-  int write_batch_max = 1;
-  SimTime write_batch_delay = Micros(400);
-
-  /// Coalesce pending propagation tasks that target the same view row
-  /// family (same view + base key, same origin coordinator): the updates
-  /// merge by LWW into the earlier task and propagate in one locked
-  /// maintenance round instead of several conflicting ones.
-  bool propagation_coalescing = true;
-
   /// Period of the background replica-synchronization task; 0 disables it.
   /// Off by default: quorum paths plus read repair carry the experiments;
   /// tests enable it to demonstrate convergence under message loss.
@@ -159,9 +143,7 @@ struct ClusterConfig {
   std::size_t max_hints_per_target = 4096;
 
   /// Capacity (rows) of each server's replica-local row cache shared across
-  /// its engines; 0 disables caching entirely — the cache is then never
-  /// constructed and every read takes the exact pre-cache code path, so
-  /// same-seed runs are bit-identical to a build without the feature.
+  /// its engines. A zero-capacity cache stores nothing and counts no probes.
   std::size_t row_cache_entries = 0;
 
   /// Period of each server's clock-driven compaction round (flush + merge +
@@ -221,11 +203,6 @@ struct ClusterConfig {
   /// EWMA smoothing factor for the per-view propagation-lag estimate that
   /// feeds the router's cost model.
   double freshness_lag_alpha = 0.2;
-  /// Adaptive MV/SI routing: when the observed propagation lag for a view
-  /// exceeds a read's staleness bound, route to the SI/base path at once
-  /// instead of burning the whole wait budget first. Off = always wait out
-  /// `freshness_wait_max` before falling back.
-  bool freshness_router = true;
 
   // --- elastic membership (ISSUE 6) ---
 

@@ -155,7 +155,7 @@ class FreshnessTracker {
       std::optional<SessionId> session = std::nullopt) const;
 
   /// Per-(view, partition) high-water timestamp of applied propagations
-  /// (kNullTimestamp when none applied yet). Exposed for gossip.
+  /// (kNullTimestamp when none applied yet). Introspection for tests.
   Timestamp AppliedHighWater(const std::string& view,
                              const Key& partition) const;
 
@@ -218,31 +218,21 @@ class FreshnessTracker {
 /// round trip to decide a fallback) and falls through to the tracker's own
 /// estimate when cold.
 struct FreshnessCache {
-  struct Entry {
-    Timestamp high_water = kNullTimestamp;
-    double lag_ewma = 0.0;
-    bool has_lag = false;
-  };
-  std::map<std::string, Entry> by_view;
+  /// Per-view EWMA of the gossiped propagation lag.
+  std::map<std::string, double> lag_ewma;
 
-  void Merge(const std::string& view, Timestamp high_water, SimTime lag,
-             double alpha) {
-    Entry& entry = by_view[view];
-    if (high_water > entry.high_water) entry.high_water = high_water;
-    if (!entry.has_lag) {
-      entry.lag_ewma = static_cast<double>(lag);
-      entry.has_lag = true;
-    } else {
-      entry.lag_ewma =
-          alpha * static_cast<double>(lag) + (1.0 - alpha) * entry.lag_ewma;
+  void Merge(const std::string& view, SimTime lag, double alpha) {
+    auto [it, inserted] = lag_ewma.try_emplace(view, static_cast<double>(lag));
+    if (!inserted) {
+      it->second =
+          alpha * static_cast<double>(lag) + (1.0 - alpha) * it->second;
     }
   }
 
   /// -1 when no sample has arrived yet.
   SimTime LagEstimate(const std::string& view) const {
-    auto it = by_view.find(view);
-    if (it == by_view.end() || !it->second.has_lag) return -1;
-    return static_cast<SimTime>(it->second.lag_ewma);
+    auto it = lag_ewma.find(view);
+    return it == lag_ewma.end() ? -1 : static_cast<SimTime>(it->second);
   }
 };
 

@@ -81,7 +81,7 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
     /// Runs on each target under its service queue; the returned value
     /// travels back to the coordinator.
     std::function<Response(Server&)> request;
-    /// Optional transport override (the batched replica-write path). When
+    /// Optional transport override, for tests that script replies. When
     /// set, it must eventually invoke the reply callback with the target's
     /// response; the default ships `request` via Server::CallPeer.
     std::function<void(Server&, ServerId, std::function<void(Response)>)>

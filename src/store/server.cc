@@ -84,17 +84,11 @@ Server::Server(ServerId id, sim::Simulation* sim, sim::Network* network,
       config_(config),
       metrics_(metrics),
       tracer_(tracer),
-      queue_(sim, config->cores_per_server) {
+      queue_(sim, config->cores_per_server),
+      row_cache_(config->row_cache_entries) {
   queue_.set_tracer(tracer_, static_cast<int>(id_));
   queue_.set_stage_histograms(&metrics_->stage_queue_wait,
                               &metrics_->stage_service);
-  // Row cache off (the default) means no cache object at all: every read
-  // takes the exact pre-cache code path, keeping same-seed runs bit-identical
-  // to a build without the feature.
-  if (config_->row_cache_entries > 0) {
-    row_cache_ =
-        std::make_unique<storage::RowCache>(config_->row_cache_entries);
-  }
   // One local index fragment per index definition in the schema.
   for (const std::string& table : schema_->TableNames()) {
     for (const IndexDef& def : schema_->IndexesOn(table)) {
@@ -112,11 +106,9 @@ storage::Engine& Server::EngineFor(const std::string& table) {
                       std::make_unique<storage::Engine>(
                           config_->engine, [sim = sim_] { return sim->Now(); }))
              .first;
-    if (row_cache_ != nullptr) {
-      // All of this server's engines share the one cache, namespaced by
-      // table name.
-      it->second->set_row_cache(row_cache_.get(), table);
-    }
+    // All of this server's engines share the one cache, namespaced by
+    // table name.
+    it->second->set_row_cache(&row_cache_, table);
   }
   return *it->second;
 }
@@ -153,14 +145,13 @@ const std::vector<ServerId>& Server::ReplicasOf(const std::string& table,
 
 SimTime Server::ReadServiceFor(const std::string& table,
                                const Key& key) const {
-  if (row_cache_ != nullptr && row_cache_->Contains(table, key)) {
+  if (row_cache_.Contains(table, key)) {
     return config_->perf.read_cached_local;
   }
   return config_->perf.read_local;
 }
 
 void Server::WarmRowCache(const std::string& table, const Key& key) {
-  if (row_cache_ == nullptr) return;
   // GetRow populates the cache as a side effect when the key exists.
   EngineFor(table).GetRow(key);
 }
@@ -185,10 +176,8 @@ storage::Row Server::LocalRead(const std::string& table, const Key& key,
                                const std::vector<ColumnName>& columns) {
   metrics_->replica_reads++;
   storage::Engine& engine = EngineFor(table);
-  const std::uint64_t hits_before =
-      row_cache_ != nullptr ? row_cache_->hits() : 0;
-  const std::uint64_t misses_before =
-      row_cache_ != nullptr ? row_cache_->misses() : 0;
+  const std::uint64_t hits_before = row_cache_.hits();
+  const std::uint64_t misses_before = row_cache_.misses();
   storage::Row result;
   if (columns.empty()) {
     if (auto row = engine.GetRow(key)) result = *std::move(row);
@@ -199,21 +188,19 @@ storage::Row Server::LocalRead(const std::string& table, const Key& key,
       }
     }
   }
-  if (row_cache_ != nullptr) {
-    // Delta-sample the cache so per-column reads of one hot row still count
-    // as one logical probe each.
-    const std::uint64_t hit_delta = row_cache_->hits() - hits_before;
-    const std::uint64_t miss_delta = row_cache_->misses() - misses_before;
-    metrics_->row_cache_hits += hit_delta;
-    metrics_->row_cache_misses += miss_delta;
-    if (tracer_ != nullptr && tracer_->current() &&
-        (hit_delta > 0 || miss_delta > 0)) {
-      TraceContext span = tracer_->StartSpan(
-          tracer_->current(), hit_delta > 0 ? "cache.hit" : "cache.miss",
-          static_cast<int>(id_), sim_->Now());
-      tracer_->Annotate(span, table + "/" + key);
-      tracer_->EndSpan(span, sim_->Now());
-    }
+  // Delta-sample the cache so per-column reads of one hot row still count
+  // as one logical probe each.
+  const std::uint64_t hit_delta = row_cache_.hits() - hits_before;
+  const std::uint64_t miss_delta = row_cache_.misses() - misses_before;
+  metrics_->row_cache_hits += hit_delta;
+  metrics_->row_cache_misses += miss_delta;
+  if (tracer_ != nullptr && tracer_->current() &&
+      (hit_delta > 0 || miss_delta > 0)) {
+    TraceContext span = tracer_->StartSpan(
+        tracer_->current(), hit_delta > 0 ? "cache.hit" : "cache.miss",
+        static_cast<int>(id_), sim_->Now());
+    tracer_->Annotate(span, table + "/" + key);
+    tracer_->EndSpan(span, sim_->Now());
   }
   return result;
 }
@@ -322,14 +309,11 @@ void Server::CoordinateRead(
   RouteRead(id_, metrics_, ReplicasOf(table, key),
             /*single=*/read_quorum == 1 && !collect_all, std::nullopt, spec);
   spec.quorum = read_quorum;
-  spec.service = config_->perf.read_local;
-  if (config_->row_cache_entries > 0) {
-    // Resolve the demand on each replica at delivery: a cached row costs
-    // read_cached_local there instead of the full merge.
-    spec.service_at = [table, key](Server& s) {
-      return s.ReadServiceFor(table, key);
-    };
-  }
+  // Resolve the demand on each replica at delivery: a cached row costs
+  // read_cached_local there instead of the full merge.
+  spec.service_at = [table, key](Server& s) {
+    return s.ReadServiceFor(table, key);
+  };
   spec.request = [table, key, columns = std::move(columns)](Server& s) {
     return s.LocalRead(table, key, columns);
   };
@@ -346,7 +330,7 @@ void Server::CoordinateRead(
     Server& coord = op.coordinator();
     if (!aborted && op.num_responses() > 1) {
       // Read repair: push the merged image to every replica that answered
-      // with something older (rides the replica-write batch when enabled).
+      // with something older.
       storage::Row merged = MergeRowResponses(op.responses());
       if (!merged.empty()) {
         for (std::size_t i = 0; i < op.targets().size(); ++i) {
@@ -371,7 +355,8 @@ void Server::CoordinateRead(
 }
 
 // ---------------------------------------------------------------------------
-// Quorum write: a QuorumOp policy shipping through the replica-write batch.
+// Quorum write: a QuorumOp policy shipping one replica-write message per
+// target.
 // Hinted handoff for unacknowledged targets is the framework's doing (the
 // spec carries the hint payload).
 // ---------------------------------------------------------------------------
@@ -398,12 +383,10 @@ void Server::CoordinateWrite(const std::string& table, const Key& key,
   spec.name = "write";
   spec.targets = ReplicasOf(table, key);
   spec.quorum = write_quorum;
-  const SimTime service = WriteServiceFor(table, cells);
-  spec.send = [table, key, cells, service](
-                  Server& coord, ServerId to,
-                  std::function<void(bool)> on_reply) {
-    coord.SendReplicaWrite(to, table, key, cells, service,
-                           std::move(on_reply));
+  spec.service = WriteServiceFor(table, cells);
+  spec.request = [table, key, cells](Server& s) {
+    s.LocalApply(table, key, cells);
+    return true;
   };
   spec.quorum_error = "write quorum not reached";
   spec.hint_table = table;
@@ -421,90 +404,13 @@ void Server::SendReplicaWrite(ServerId to, const std::string& table,
                               const Key& key, const storage::Row& cells,
                               SimTime service,
                               UniqueFn<void(bool)> on_ack) {
-  if (config_->write_batch_max <= 1) {
-    CallPeer<bool>(
-        to, service,
-        [table, key, cells](Server& s) {
-          s.LocalApply(table, key, cells);
-          return true;
-        },
-        std::move(on_ack));
-    return;
-  }
-  ReplicaWriteLane& lane = write_lanes_[to];
-  lane.parked.push_back(PendingReplicaWrite{table, key, cells, service,
-                                            std::move(on_ack), sim_->Now()});
-  // Nagle gate: while the lane is idle the mutation ships at once (a batch
-  // of one — no latency is ever added to a solo write). Only while a batch
-  // is in flight do later mutations park, so batch size adapts to how many
-  // writes arrive per round trip.
-  if (lane.in_flight == 0 ||
-      static_cast<int>(lane.parked.size()) >= config_->write_batch_max) {
-    FlushReplicaWrites(to);
-    return;
-  }
-  if (lane.parked.size() == 1) {
-    // First mutation parked in this flight: arm the fallback flush timer so
-    // a lost ack can only stall parked writes for write_batch_delay. An
-    // earlier flush may empty the lane first, in which case the timer
-    // flushes whatever newer batch has formed by then (or nothing).
-    const std::uint64_t incarnation = incarnation_;
-    sim_->After(config_->write_batch_delay, [this, to, incarnation] {
-      if (incarnation != incarnation_ || crashed_) return;
-      FlushReplicaWrites(to);
-    });
-  }
-}
-
-void Server::FlushReplicaWrites(ServerId to) {
-  auto it = write_lanes_.find(to);
-  if (it == write_lanes_.end() || it->second.parked.empty()) return;
-  ReplicaWriteLane& lane = it->second;
-  std::vector<PendingReplicaWrite> batch = std::move(lane.parked);
-  lane.parked.clear();
-  ++lane.in_flight;
-  metrics_->replica_write_batches++;
-  const SimTime now = sim_->Now();
-  const std::uint64_t payloads = batch.size();
-  SimTime service = 0;
-  // Split the batch: the acks stay on this coordinator (the reply closure
-  // owns them), the payload rows move into the request closure outright —
-  // no shared ownership, no copy of the batched cells.
-  std::vector<UniqueFn<void(bool)>> acks;
-  acks.reserve(batch.size());
-  for (PendingReplicaWrite& item : batch) {
-    metrics_->stage_batch_flush.Record(now - item.enqueued_at);
-    service += item.service;
-    acks.push_back(std::move(item.on_ack));
-  }
-  // Reopen the lane when the batch acks — or after rpc_timeout if the ack
-  // was lost — and ship whatever parked during the flight.
-  auto open = std::make_shared<bool>(true);
-  auto settle = [this, to, open, incarnation = incarnation_] {
-    if (!*open) return;
-    *open = false;
-    if (incarnation != incarnation_ || crashed_) return;
-    auto lt = write_lanes_.find(to);
-    if (lt == write_lanes_.end()) return;
-    if (lt->second.in_flight > 0) --lt->second.in_flight;
-    FlushReplicaWrites(to);
-  };
-  // One message, one receive overhead, the summed apply demand; the single
-  // ack fans back out to every batched mutation's op.
   CallPeer<bool>(
       to, service,
-      [batch = std::move(batch)](Server& s) {
-        for (const PendingReplicaWrite& item : batch) {
-          s.LocalApply(item.table, item.key, item.cells);
-        }
+      [table, key, cells](Server& s) {
+        s.LocalApply(table, key, cells);
         return true;
       },
-      [acks = std::move(acks), settle](bool ok) mutable {
-        for (UniqueFn<void(bool)>& ack : acks) ack(ok);
-        settle();
-      },
-      payloads);
-  sim_->After(config_->rpc_timeout, settle);
+      std::move(on_ack));
 }
 
 // ---------------------------------------------------------------------------
@@ -524,15 +430,12 @@ void Server::CoordinateReadThenWrite(
   spec.name = "get_then_put";
   spec.targets = ReplicasOf(table, key);
   spec.quorum = write_quorum;
-  spec.service = config_->perf.read_local + WriteServiceFor(table, cells);
-  if (config_->row_cache_entries > 0) {
-    // The write half is schema-determined (identical on every server); only
-    // the read half depends on the target's cache.
-    const SimTime write_service = WriteServiceFor(table, cells);
-    spec.service_at = [table, key, write_service](Server& s) {
-      return s.ReadServiceFor(table, key) + write_service;
-    };
-  }
+  // The write half is schema-determined (identical on every server); only
+  // the read half depends on the target's cache.
+  spec.service_at = [table, key,
+                     write_service = WriteServiceFor(table, cells)](Server& s) {
+    return s.ReadServiceFor(table, key) + write_service;
+  };
   spec.request = [table, key, read_columns = std::move(read_columns),
                   cells](Server& s) {
     return s.LocalReadThenApply(table, key, read_columns, cells);
@@ -775,10 +678,10 @@ void Server::CoordinateViewScatterScan(
 }
 
 // ---------------------------------------------------------------------------
-// Broadcast secondary-index lookup: a QuorumOp policy whose quorum is ALL
-// fragments (every server holds part of the index). The framework's slot
-// dedupe also closes the old hole where a replayed fragment response could
-// count twice toward completion.
+// Broadcast match-scan: a QuorumOp policy whose quorum is ALL fragments
+// (every server holds part of the table and its index). The framework's
+// slot dedupe also closes the old hole where a replayed fragment response
+// could count twice toward completion.
 // ---------------------------------------------------------------------------
 
 void Server::HandleClientIndexGet(
@@ -796,62 +699,36 @@ void Server::HandleClientIndexGet(
   auto reply = WrapReply(std::move(callback));
   Enqueue(config_->perf.coordinator_op, [this, table, column, value,
                                          reply = std::move(reply)]() mutable {
-    CoordinateIndexScan(table, column, value, std::move(reply));
+    CoordinateMatchScan(table, column, value, std::move(reply));
   });
 }
 
-void Server::CoordinateIndexScan(
+void Server::CoordinateMatchScan(
     const std::string& table, const ColumnName& column, const Value& value,
     std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback) {
   using Op = QuorumOp<std::vector<storage::KeyedRow>>;
+  const bool indexed = schema_->FindIndex(table, column) != nullptr;
   Op::Spec spec;
-  spec.name = "index_scan";
+  spec.name = indexed ? "index_scan" : "base_match_scan";
   // Every CURRENT ring member holds a fragment; servers that left (or
   // never joined) hold nothing and would only stall the full-broadcast
   // quorum.
   spec.targets.assign(ring_->members().begin(), ring_->members().end());
   spec.quorum = static_cast<int>(spec.targets.size());
-  spec.service = config_->perf.index_scan_local;
-  spec.request = [table, column, value](Server& server) {
-    return server.LocalIndexProbe(table, column, value);
+  // Without an index every server walks its whole local fragment of the
+  // table — the router's priced-in worst case.
+  spec.service = indexed ? config_->perf.index_scan_local
+                         : config_->perf.base_scan_local;
+  spec.request = [table, column, value, indexed](Server& server) {
+    return indexed ? server.LocalIndexProbe(table, column, value)
+                   : server.LocalMatchScan(table, column, value);
   };
-  spec.quorum_error = "index fragments unreachable";
+  spec.quorum_error = indexed ? "index fragments unreachable"
+                              : "base-scan replicas unreachable";
   spec.on_quorum = [column, value, callback](Op& op) {
     // A fragment may return keys whose globally-latest value no longer
     // matches (its replica was stale); filter on the merged image, as
     // Cassandra's coordinator re-checks index hits.
-    std::map<Key, storage::Row> merged = MergeScanResponses(op.responses());
-    std::vector<storage::KeyedRow> rows;
-    for (auto& [key, row] : merged) {
-      auto current = row.GetValue(column);
-      if (!current || *current != value) continue;
-      rows.push_back(storage::KeyedRow{key, std::move(row)});
-    }
-    callback(std::move(rows));
-  };
-  spec.on_error = [callback = std::move(callback)](Op&,
-                                                   const Status& status) {
-    callback(status);
-  };
-  Op::Start(this, std::move(spec));
-}
-
-void Server::CoordinateBaseMatchScan(
-    const std::string& table, const ColumnName& column, const Value& value,
-    std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback) {
-  using Op = QuorumOp<std::vector<storage::KeyedRow>>;
-  Op::Spec spec;
-  spec.name = "base_match_scan";
-  // Same broadcast shape as the index scan, but every server walks its whole
-  // local fragment of the table — the router's priced-in worst case.
-  spec.targets.assign(ring_->members().begin(), ring_->members().end());
-  spec.quorum = static_cast<int>(spec.targets.size());
-  spec.service = config_->perf.base_scan_local;
-  spec.request = [table, column, value](Server& server) {
-    return server.LocalMatchScan(table, column, value);
-  };
-  spec.quorum_error = "base-scan replicas unreachable";
-  spec.on_quorum = [column, value, callback](Op& op) {
     std::map<Key, storage::Row> merged = MergeScanResponses(op.responses());
     std::vector<storage::KeyedRow> rows;
     for (auto& [key, row] : merged) {
@@ -1118,63 +995,51 @@ void Server::Start() {
 }
 
 void Server::ScheduleBackgroundTicks() {
-  // Tick chains belong to one process incarnation: when the server crashes,
-  // the pending chain link notices the incarnation changed and dies;
-  // Restart() arms a fresh chain.
-  const std::uint64_t incarnation = incarnation_;
-  if (config_->anti_entropy_interval > 0) {
+  const std::pair<SimTime, bool (Server::*)()> ticks[] = {
+      {config_->anti_entropy_interval, &Server::AntiEntropyTick},
+      {config_->hint_replay_interval, &Server::HintReplayTick},
+      {config_->compaction_interval, &Server::CompactionTick},
+  };
+  for (const auto& [interval, tick] : ticks) {
+    if (interval <= 0) continue;
     // Stagger the servers so rounds do not align.
-    const SimTime phase = config_->anti_entropy_interval *
-                          static_cast<SimTime>(id_ + 1) /
-                          static_cast<SimTime>(config_->num_servers);
-    sim_->After(phase, [this, incarnation] {
-      if (incarnation == incarnation_) AntiEntropyTick();
-    });
-  }
-  if (config_->hint_replay_interval > 0) {
-    const SimTime phase = config_->hint_replay_interval *
-                          static_cast<SimTime>(id_ + 1) /
-                          static_cast<SimTime>(config_->num_servers);
-    sim_->After(phase, [this, incarnation] {
-      if (incarnation == incarnation_) HintReplayTick();
-    });
-  }
-  if (config_->compaction_interval > 0) {
-    const SimTime phase = config_->compaction_interval *
-                          static_cast<SimTime>(id_ + 1) /
-                          static_cast<SimTime>(config_->num_servers);
-    sim_->After(phase, [this, incarnation] {
-      if (incarnation == incarnation_) CompactionTick();
-    });
+    ArmTick(interval * static_cast<SimTime>(id_ + 1) /
+                static_cast<SimTime>(config_->num_servers),
+            interval, tick);
   }
 }
 
-void Server::AntiEntropyTick() {
-  if (crashed_) return;
+void Server::ArmTick(SimTime delay, SimTime interval, bool (Server::*tick)()) {
+  // Tick chains belong to one process incarnation: when the server crashes,
+  // the pending chain link notices the incarnation changed and dies;
+  // Restart() arms a fresh chain.
+  sim_->After(delay, [this, interval, tick, incarnation = incarnation_] {
+    if (incarnation == incarnation_ && (this->*tick)()) {
+      ArmTick(interval, interval, tick);
+    }
+  });
+}
+
+bool Server::AntiEntropyTick() {
+  if (crashed_) return false;
   // A draining server shares no ranges with anyone (it already left the
   // ring); its handoff runs through the decommission streams instead.
   if (membership_ == MembershipState::kLeft ||
       membership_ == MembershipState::kDraining) {
-    return;
+    return false;
   }
   RunAntiEntropyRound();
-  const std::uint64_t incarnation = incarnation_;
-  sim_->After(config_->anti_entropy_interval, [this, incarnation] {
-    if (incarnation == incarnation_) AntiEntropyTick();
-  });
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Clock-driven compaction (tombstone GC in the service model).
 // ---------------------------------------------------------------------------
 
-void Server::CompactionTick() {
-  if (crashed_ || membership_ == MembershipState::kLeft) return;
+bool Server::CompactionTick() {
+  if (crashed_ || membership_ == MembershipState::kLeft) return false;
   RunCompactionRound();
-  const std::uint64_t incarnation = incarnation_;
-  sim_->After(config_->compaction_interval, [this, incarnation] {
-    if (incarnation == incarnation_) CompactionTick();
-  });
+  return true;
 }
 
 void Server::RunCompactionRound() {
@@ -1360,12 +1225,10 @@ void Server::Crash() {
   metrics_->inflight_ops_aborted += aborts.size();
 
   // 3. Volatile state dies with the process: memtables (the commit logs and
-  //    flushed runs are durable), stored hints, parked replica-write
-  //    batches, and the run-queue backlog.
+  //    flushed runs are durable), stored hints and the run-queue backlog.
   for (auto& [table, engine] : engines_) engine->LoseVolatileState();
   hints_.clear();
-  write_lanes_.clear();
-  freshness_cache_.by_view.clear();
+  freshness_cache_.lag_ewma.clear();
   queue_.Reset();
   // Membership stream progress is volatile too; Restart rebuilds the task
   // list from the (durable) join/decommission plan and streams from scratch.
@@ -1460,13 +1323,10 @@ std::size_t Server::pending_hints(ServerId target) const {
   return it == hints_.end() ? 0 : it->second.size();
 }
 
-void Server::HintReplayTick() {
-  if (crashed_ || membership_ == MembershipState::kLeft) return;
+bool Server::HintReplayTick() {
+  if (crashed_ || membership_ == MembershipState::kLeft) return false;
   ReplayHints();
-  const std::uint64_t incarnation = incarnation_;
-  sim_->After(config_->hint_replay_interval, [this, incarnation] {
-    if (incarnation == incarnation_) HintReplayTick();
-  });
+  return true;
 }
 
 void Server::ReplayHints() {
@@ -1834,7 +1694,6 @@ void Server::FinishLeave(bool forced) {
         << "server " << id_ << " left with hints still owed";
   }
   hints_.clear();
-  write_lanes_.clear();
   queue_.Reset();
   stream_tasks_.clear();
   stream_pull_pending_ = false;

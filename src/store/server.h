@@ -282,20 +282,13 @@ class Server {
       int read_quorum, bool allow_partial,
       std::function<void(StatusOr<ScatterScanResult>)> callback);
 
-  /// Secondary-index probe as a coordinator primitive: broadcast to every
-  /// ring member, probe local index fragments, merge, re-filter. The inner
-  /// machinery of HandleClientIndexGet, exposed so the bounded-read router
-  /// can fall back to the SI path (ISSUE 7).
-  void CoordinateIndexScan(
-      const std::string& table, const ColumnName& column, const Value& value,
-      std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback);
-
-  /// Last-resort fallback when no secondary index covers the routed column:
-  /// broadcast a full local match-scan of `table` (every row visited, at
-  /// `perf.base_scan_local` per server) and merge. Deliberately expensive —
-  /// the router only picks it when the view cannot satisfy a bound and no
-  /// SI exists.
-  void CoordinateBaseMatchScan(
+  /// The rows of `table` whose `column` equals `value`: broadcast to every
+  /// ring member, merge, re-filter on the merged image. Each server probes
+  /// its local index fragment when the schema defines an index on `column`
+  /// (`perf.index_scan_local`), and otherwise match-scans its whole local
+  /// fragment of the table (`perf.base_scan_local`, deliberately expensive).
+  /// Serves HandleClientIndexGet and the bounded-read router's fallback.
+  void CoordinateMatchScan(
       const std::string& table, const ColumnName& column, const Value& value,
       std::function<void(StatusOr<std::vector<storage::KeyedRow>>)> callback);
 
@@ -340,8 +333,8 @@ class Server {
   /// `SimTime(Server&)` callable resolved ON THE PEER when the message is
   /// delivered, so the demand can depend on replica-local state the sender
   /// cannot know (is the row cached there?). `payloads` is the logical
-  /// request count the message carries (> 1 for a batched replica-write
-  /// flush). Both closures are move-only, so a request may own its payload
+  /// request count the message carries (> 1 for a scan's read-repair push).
+  /// Both closures are move-only, so a request may own its payload
   /// vector outright (no shared_ptr indirection); callers that must re-send
   /// — the quorum retry path — keep a copyable std::function and pay one
   /// copy per send.
@@ -355,9 +348,6 @@ class Server {
   /// when this server's row cache holds the key, the full rate otherwise.
   SimTime ReadServiceFor(const std::string& table, const Key& key) const;
 
-  /// This server's row cache; null when `row_cache_entries` == 0.
-  storage::RowCache* row_cache() const { return row_cache_.get(); }
-
   /// This server's advisory freshness cache (ISSUE 7), merged from gossip
   /// the maintenance engine piggybacks on propagation-completion traffic.
   /// Volatile: cleared on crash.
@@ -365,7 +355,7 @@ class Server {
 
   /// Populates the row cache for a bootstrap-loaded key (loading applies
   /// rows, and applies invalidate — warming restores the "hot replica"
-  /// steady state the benches measure from). No-op without a cache.
+  /// steady state the benches measure from).
   void WarmRowCache(const std::string& table, const Key& key);
 
   /// The oldest write timestamp among this server's stored hints, or
@@ -451,15 +441,8 @@ class Server {
       const std::string& table, ServerId peer,
       const std::vector<int>& buckets, int total_buckets) const;
 
-  /// Ships one replica mutation to `to` and acks through `on_ack`. With
-  /// `write_batch_max` > 1, batching is Nagle-style per destination: a
-  /// mutation ships immediately while the lane is idle (no added latency at
-  /// low concurrency), and parks while a batch is in flight. Parked
-  /// mutations flush as ONE network message when the in-flight batch acks,
-  /// when `write_batch_max` accumulated, or after `write_batch_delay` at
-  /// the latest. With batching off every mutation is its own message.
-  /// `service` is the per-mutation replica-side demand (batching saves the
-  /// per-message receive overhead, not the apply work).
+  /// Ships one replica mutation to `to` as its own message and acks
+  /// through `on_ack`. `service` is the replica-side apply demand.
   void SendReplicaWrite(ServerId to, const std::string& table, const Key& key,
                         const storage::Row& cells, SimTime service,
                         UniqueFn<void(bool)> on_ack);
@@ -477,13 +460,18 @@ class Server {
   std::function<void(ResultT)> WrapReply(
       std::function<void(ResultT)> callback);
 
-  void AntiEntropyTick();
-  void HintReplayTick();
-  void CompactionTick();
+  /// One round of a periodic background task; false (the server crashed
+  /// or no longer takes part) ends the tick chain.
+  bool AntiEntropyTick();
+  bool HintReplayTick();
+  bool CompactionTick();
   void SyncTableWithPeer(const std::string& table, ServerId peer);
 
   /// (Re-)arms the periodic background ticks for the current incarnation.
   void ScheduleBackgroundTicks();
+  /// Runs `tick` after `delay`, then every `interval` while it returns true
+  /// and this incarnation lives.
+  void ArmTick(SimTime delay, SimTime interval, bool (Server::*tick)());
 
   /// Registers an abort closure for an in-flight coordinator operation;
   /// Crash() invokes every registered closure. `retarget` (optional) is
@@ -510,29 +498,6 @@ class Server {
   /// Zero-copy form: a slice of `key` (valid while `key` lives).
   std::string_view PartitionViewFor(const std::string& table,
                                     const Key& key) const;
-
-  /// One parked replica mutation awaiting a batch flush. Move-only (the ack
-  /// is a UniqueFn), so a flushed batch MOVES into the request closure —
-  /// cells and keys ride to the replica without a copy or a shared_ptr.
-  struct PendingReplicaWrite {
-    std::string table;
-    Key key;
-    storage::Row cells;
-    SimTime service;
-    UniqueFn<void(bool)> on_ack;
-    SimTime enqueued_at;
-  };
-
-  /// Per-destination batching lane: parked mutations plus the number of
-  /// shipped-but-unacknowledged batches (the Nagle gate).
-  struct ReplicaWriteLane {
-    std::vector<PendingReplicaWrite> parked;
-    int in_flight = 0;
-  };
-
-  /// Ships everything parked for `to` as one network message whose replica
-  /// service demand is the sum of the batched mutations' demands.
-  void FlushReplicaWrites(ServerId to);
 
   // --- elastic membership internals ---
 
@@ -588,15 +553,11 @@ class Server {
   const std::vector<Server*>* peers_ = nullptr;
 
   sim::ServiceQueue queue_;
-  /// Replica-local row cache shared by every engine of this server; null
-  /// when `row_cache_entries` == 0 (caching compiled out of the read path).
-  std::unique_ptr<storage::RowCache> row_cache_;
+  /// Replica-local row cache shared by every engine of this server.
+  storage::RowCache row_cache_;
   std::map<std::string, std::unique_ptr<storage::Engine>> engines_;
   std::vector<std::unique_ptr<index::LocalIndex>> indexes_;
   std::map<ServerId, std::deque<Hint>> hints_;
-  /// Per-destination replica-write lanes (write_batch_max > 1 only);
-  /// cleared on crash — parked mutations die with the coordinator.
-  std::map<ServerId, ReplicaWriteLane> write_lanes_;
   /// Advisory per-view freshness facts gossiped by the maintenance engine;
   /// volatile (cleared on crash).
   FreshnessCache freshness_cache_;
@@ -669,9 +630,9 @@ void Server::CallPeer(ServerId to, Demand remote_service,
        on_reply = std::move(on_reply)]() mutable {
         // Receiving a message costs a fixed deserialization/dispatch
         // overhead on top of the handler's own demand — charged per
-        // MESSAGE, which is what a batched flush amortizes across its
-        // payloads. A callable demand is resolved here, on the receiving
-        // replica, where it can consult peer-local state.
+        // MESSAGE, however many payloads it carries. A callable demand is
+        // resolved here, on the receiving replica, where it can consult
+        // peer-local state.
         SimTime demand;
         if constexpr (std::is_invocable_r_v<SimTime, Demand&, Server&>) {
           demand = remote_service(*peer);

@@ -198,16 +198,14 @@ void MaintenanceEngine::OnBasePutCommitted(
     // not started writing absorbs this update — both propagate in ONE
     // maintenance round instead of two conflicting ones (the conflicts are
     // exactly what Figure 8's retry storms are made of).
-    if (cluster_->config().propagation_coalescing) {
-      const std::string resource = ResourceOf(*task);
-      auto anchor = coalesce_anchor_.find(resource);
-      if (anchor != coalesce_anchor_.end() &&
-          CanAbsorb(*anchor->second, *task)) {
-        AbsorbTask(anchor->second, task);
-        continue;  // no dispatch: the task settles with its winner
-      }
-      coalesce_anchor_[resource] = task;
+    const std::string resource = ResourceOf(*task);
+    auto anchor = coalesce_anchor_.find(resource);
+    if (anchor != coalesce_anchor_.end() &&
+        CanAbsorb(*anchor->second, *task)) {
+      AbsorbTask(anchor->second, task);
+      continue;  // no dispatch: the task settles with its winner
     }
+    coalesce_anchor_[resource] = task;
 
     group_tasks.push_back(std::move(task));
   }
@@ -982,8 +980,7 @@ void MaintenanceEngine::ProvenViewGet(
   if (req.bound) {
     SimTime lag = coordinator->freshness_cache().LagEstimate(view.name);
     if (lag < 0) lag = tracker.LagEstimate(view.name);
-    if (now >= req.deadline ||
-        (cluster_->config().freshness_router && lag >= 0 && lag > *req.bound)) {
+    if (now >= req.deadline || (lag >= 0 && lag > *req.bound)) {
       // Waiting is hopeless (deadline spent) or pointless (typical
       // propagation lag exceeds the bound): route around the view.
       FallbackRead(coordinator, view, view_key, spec, std::move(callback));
@@ -1158,20 +1155,15 @@ void MaintenanceEngine::FallbackRead(
     cluster_->metrics().view_staleness.Record(0);
     callback(std::move(outcome));
   };
-  if (si) {
-    coordinator->CoordinateIndexScan(view.base_table, view.view_key_column,
-                                     view_key, std::move(on_rows));
-  } else {
-    coordinator->CoordinateBaseMatchScan(view.base_table, view.view_key_column,
-                                         view_key, std::move(on_rows));
-  }
+  coordinator->CoordinateMatchScan(view.base_table, view.view_key_column,
+                                   view_key, std::move(on_rows));
 }
 
 void MaintenanceEngine::GossipFreshness(
     const std::shared_ptr<PropagationTask>& task) {
-  // Piggyback (applied high-water, observed lag) for this view onto traffic
-  // toward the view partition's replicas — the servers a future read of
-  // this partition will coordinate scans against.
+  // Piggyback the observed lag for this view onto traffic toward the view
+  // partition's replicas — the servers a future read of this partition will
+  // coordinate scans against.
   const std::string view_name = task->view->name;
   const SimTime lag = cluster_->simulation().Now() - task->created_at;
   const double alpha = cluster_->config().freshness_lag_alpha;
@@ -1191,8 +1183,6 @@ void MaintenanceEngine::GossipFreshness(
   }
   if (partition.empty()) return;
 
-  const Timestamp high_water =
-      cluster_->freshness().AppliedHighWater(view_name, partition);
   const ServerId from = ExecutorOf(*task);
   // Gossip to the replicas of the sub-shard this task actually wrote — the
   // servers a scatter-gather read of that shard will scan.
@@ -1205,8 +1195,8 @@ void MaintenanceEngine::GossipFreshness(
     cluster_->metrics().freshness_gossip_updates++;
     store::Server* target = &cluster_->server(replica);
     cluster_->network().Send(
-        from, replica, [target, view_name, high_water, lag, alpha] {
-          target->freshness_cache().Merge(view_name, high_water, lag, alpha);
+        from, replica, [target, view_name, lag, alpha] {
+          target->freshness_cache().Merge(view_name, lag, alpha);
         });
   }
 }

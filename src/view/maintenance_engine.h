@@ -218,7 +218,7 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
       const Key& view_key, const store::ViewReadSpec& spec,
       std::function<void(StatusOr<store::ViewReadOutcome>)> callback);
 
-  /// Piggybacks (applied high-water, observed lag) for the task's view onto
+  /// Piggybacks the observed propagation lag for the task's view onto
   /// replica traffic toward the view partition's replicas, feeding their
   /// advisory FreshnessCaches.
   void GossipFreshness(const std::shared_ptr<PropagationTask>& task);

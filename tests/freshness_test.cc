@@ -155,12 +155,13 @@ TEST(BoundedStalenessTest, ProvenBoundServesFromView) {
 TEST(BoundedStalenessTest, ParksUntilPropagationApplies) {
   // Propagation dispatch ~5 ms; the bounded read arrives while the intent
   // is pending and must park until it applies, then return the NEW value.
+  // No propagation has completed yet, so the router has no lag estimate to
+  // fall back on and the read parks.
   store::ClusterConfig config = test::DefaultTestConfig();
   config.perf.propagation_dispatch_mu = std::log(5000.0);
   config.perf.propagation_dispatch_sigma = 0.0;
   config.perf.propagation_dispatch_min = Millis(5);
   config.freshness_wait_max = Millis(100);
-  config.freshness_router = false;  // force the park path
   TestCluster t(config);
   LoadTicket(t, "1", "rliu", "open", 100);
   t.Quiesce();
@@ -189,9 +190,7 @@ TEST(BoundedStalenessTest, RouterFallsBackToSiWhenBoundUnsatisfiable) {
   // Propagation takes ~50 ms; the bound is 1 ms. Once the router's lag
   // estimate is primed, waiting is pointless — the read must be served by
   // the secondary index, fresh by construction.
-  store::ClusterConfig config = SlowPropagationConfig();
-  config.freshness_router = true;
-  TestCluster t(config);
+  TestCluster t(SlowPropagationConfig());
   LoadTicket(t, "1", "rliu", "open", 100);
   t.Quiesce();
   auto client = t.cluster.NewClient(0);

@@ -390,6 +390,49 @@ TEST(ReadRoutingTest, OneGetOnANonReplicaCoordinatorAsksEveryReplica) {
   EXPECT_EQ(f.t.cluster.metrics().reads_fanned_out.value(), 1u);
 }
 
+TEST(ReadRoutingTest, ZeroCapacityRowCacheChargesTheFullReadAndCountsNoProbe) {
+  // Every server owns a row cache. At capacity 0 it holds nothing: the
+  // replica charges a Get the full read_local and no cache probe is
+  // counted. The 64-row run is the control, its bootstrap-warmed row costs
+  // read_cached_local.
+  for (const std::size_t capacity : {std::size_t{0}, std::size_t{64}}) {
+    SCOPED_TRACE("row_cache_entries=" + std::to_string(capacity));
+    store::ClusterConfig config = test::DefaultTestConfig();
+    config.row_cache_entries = capacity;
+    ReadRoutingFixture f(config);
+    const ServerId coord = f.Replicas()[0];
+    auto client = f.t.cluster.NewClient(coord);
+
+    auto read = client->GetSync("kv", ReadRoutingFixture::kKey, {.quorum = 1});
+    ASSERT_TRUE(read.ok()) << read.status;
+    EXPECT_EQ(read.row.GetValue("c"), "v");
+    // The replica's service span hangs under the op's request hop; the
+    // cluster is idle, so the span is the charged service and nothing else.
+    const std::vector<TraceEvent> events =
+        f.t.cluster.tracer().Collect(read.trace);
+    std::vector<SimTime> charged;
+    for (const TraceEvent& op : events) {
+      if (op.name != "quorum.read") continue;
+      for (const TraceEvent& hop : events) {
+        if (hop.parent != op.span || hop.name.rfind("net ", 0) != 0) continue;
+        for (const TraceEvent& svc : events) {
+          if (svc.parent == hop.span && svc.name == "svc") {
+            charged.push_back(svc.end - svc.start);
+          }
+        }
+      }
+    }
+    const store::PerfModel& perf = f.t.cluster.config().perf;
+    const SimTime read_service =
+        capacity == 0 ? perf.read_local : perf.read_cached_local;
+    EXPECT_EQ(charged,
+              std::vector<SimTime>{perf.message_process + read_service});
+    const store::Metrics& m = f.t.cluster.metrics();
+    EXPECT_EQ(m.row_cache_hits.value(), capacity == 0 ? 0u : 1u);
+    EXPECT_EQ(m.row_cache_misses.value(), 0u);
+  }
+}
+
 TEST(ReadRoutingTest, MajorityReadsPreReadsAndWritesContactEveryReplica) {
   ReadRoutingFixture f;
   const ServerId coord = f.Replicas()[0];
@@ -754,17 +797,14 @@ TEST(ClientCallbackReleaseTest, DeliveredCallbackReleasesItsCapturesAtDelivery) 
 }
 
 // --------------------------------------------------------------------------
-// Replica-write batching under a nemesis drop surge: a batch message is
-// atomic (all mutations land or none), so every acknowledged write must be
+// Replica writes under a nemesis drop surge: every acknowledged write must be
 // durably readable once the network heals.
 // --------------------------------------------------------------------------
 
-TEST(QuorumOpTest, BatchedWritesAckedUnderDropSurgeSurviveTheSurge) {
+TEST(QuorumOpTest, AckedWritesUnderDropSurgeSurviveTheSurge) {
   store::ClusterConfig config = test::DefaultTestConfig();
   config.default_read_quorum = 2;
   config.default_write_quorum = 2;
-  config.write_batch_max = 4;
-  config.write_batch_delay = Micros(800);
   config.hint_replay_interval = Millis(50);
   test::TestCluster t(config, SchemaWithPlainTable());
 
@@ -793,9 +833,6 @@ TEST(QuorumOpTest, BatchedWritesAckedUnderDropSurgeSurviveTheSurge) {
 
   t.cluster.RunFor(Seconds(1));  // surge, heal, hint replay, quiesce
 
-  EXPECT_GT(t.cluster.metrics().replica_write_batches.value(), 0u)
-      << "the burst must have produced at least one multi-mutation batch";
-
   int acked = 0;
   for (int i = 0; i < kWrites; ++i) {
     ASSERT_TRUE(acks[i].has_value()) << "write " << i << " never resolved";
@@ -804,7 +841,7 @@ TEST(QuorumOpTest, BatchedWritesAckedUnderDropSurgeSurviveTheSurge) {
     auto read = client->GetSync("kv", "k" + std::to_string(i), ReadOptions{});
     ASSERT_TRUE(read.ok()) << "acked write " << i << " unreadable after heal";
     EXPECT_EQ(read.row.GetValue("c"), std::string("v") + std::to_string(i))
-        << "acked write " << i << " lost (batch atomicity violated)";
+        << "acked write " << i << " lost";
   }
   EXPECT_GT(acked, kWrites / 2) << "the surge should not fail most writes";
 }
