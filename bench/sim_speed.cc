@@ -22,16 +22,34 @@
 // against a committed baseline (bench/baselines/BENCH_sim_speed_baseline.json)
 // captured on the same runner class, and the JSON also records the
 // machine-independent fingerprint (sim events, client ops, end time) so a
-// speed change can be told apart from a workload change.
+// speed change can be told apart from a workload change. It also records
+// the process's peak RSS (VmHWM), which the gate bounds at 1.25x the
+// baseline's.
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "bench/bench_common.h"
 #include "common/rng.h"
 
 namespace mvstore::bench {
 namespace {
+
+/// Peak resident set of this process (VmHWM from /proc, kB -> MB); 0 where
+/// /proc is unavailable.
+double PeakRssMb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0;
+}
 
 void Run() {
   // Smaller defaults than the figure benches: the pre-refactor harness pays
@@ -137,6 +155,8 @@ void Run() {
                        : 0;
   std::printf("  %-34s %12.2f\n", "replica reads / client read",
               replica_reads_per_client_read);
+  const double peak_rss_mb = PeakRssMb();
+  std::printf("  %-34s %12.1f\n", "peak RSS MB (VmHWM)", peak_rss_mb);
 
   BenchReport report("sim_speed");
   report.Add("rows", static_cast<std::int64_t>(scale.rows));
@@ -160,6 +180,9 @@ void Run() {
   report.Add("run_wall_s", wall_run_s);
   report.Add("sim_events_per_wall_s", events_per_wall_s);
   report.Add("client_ops_per_wall_s", ops_per_wall_s);
+  // Harness memory: peak pending events, row data and buffers, not a
+  // function of how many events passed through.
+  report.Add("peak_rss_mb", peak_rss_mb);
   report.Write();
 }
 

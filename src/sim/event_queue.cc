@@ -7,16 +7,6 @@
 
 namespace mvstore::sim {
 
-namespace {
-
-/// Strict (time, seq) order; seq is unique, so this is a total order.
-inline bool EarlierEvent(const SimEvent& a, const SimEvent& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.seq < b.seq;
-}
-
-}  // namespace
-
 CalendarQueue::CalendarQueue(SimTime bucket_width, std::size_t num_buckets)
     : width_(bucket_width), buckets_(num_buckets) {
   MVSTORE_CHECK_GT(bucket_width, 0);
@@ -24,12 +14,23 @@ CalendarQueue::CalendarQueue(SimTime bucket_width, std::size_t num_buckets)
   horizon_day_ = static_cast<std::int64_t>(num_buckets);
 }
 
-void CalendarQueue::Push(SimEvent event) {
+CalendarQueue::Ticket CalendarQueue::Push(SimEvent event) {
   ++size_;
   const std::int64_t day = DayOf(event.time);
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back(std::move(event));
+    generation_.push_back(0);
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    pool_[slot] = std::move(event);
+  }
+  const Ticket ticket{slot, generation_[slot]};
   if (day >= horizon_day_) {
-    OverflowPush(std::move(event));
-    return;
+    HeapPush(overflow_, slot);
+    return ticket;
   }
   // A push may land before the cursor's day: RunUntil peeks ahead, then
   // hands control back with the clock behind the peeked event, and the next
@@ -37,80 +38,40 @@ void CalendarQueue::Push(SimEvent event) {
   // Rewinding is safe — the days between hold no events, or Position()'s
   // min-day check re-skips them.
   if (day < day_) day_ = day;
-  BucketPush(buckets_[static_cast<std::size_t>(day) % buckets_.size()],
-             std::move(event));
+  HeapPush(BucketOf(day), slot);
   ++ring_size_;
+  return ticket;
 }
 
-void CalendarQueue::BucketPush(Bucket& bucket, SimEvent event) {
-  const auto slot = static_cast<std::uint32_t>(bucket.slots.size());
-  bucket.slots.push_back(std::move(event));
-  // Sift the new slot index up the per-bucket heap (u32 moves only).
-  bucket.heap.push_back(slot);
-  std::size_t i = bucket.heap.size() - 1;
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 2;
-    if (!EarlierEvent(bucket.slots[bucket.heap[i]],
-                      bucket.slots[bucket.heap[parent]])) {
-      break;
-    }
-    std::swap(bucket.heap[i], bucket.heap[parent]);
-    i = parent;
-  }
+void CalendarQueue::Cancel(Ticket ticket) {
+  if (!Live(ticket)) return;
+  // Move the closure out before it dies: its captures' destructors may
+  // schedule events, which can grow (and move) the pool.
+  UniqueFn<void()> dead = std::move(pool_[ticket.slot].fn);
 }
 
-SimEvent CalendarQueue::BucketPop(Bucket& bucket) {
-  const std::uint32_t slot = bucket.heap.front();
-  SimEvent event = std::move(bucket.slots[slot]);
-  // Standard sift-down after moving the last leaf to the root.
-  bucket.heap.front() = bucket.heap.back();
-  bucket.heap.pop_back();
-  std::size_t i = 0;
-  const std::size_t n = bucket.heap.size();
-  while (true) {
-    std::size_t best = i;
-    const std::size_t left = 2 * i + 1;
-    const std::size_t right = 2 * i + 2;
-    if (left < n && EarlierEvent(bucket.slots[bucket.heap[left]],
-                                 bucket.slots[bucket.heap[best]])) {
-      best = left;
-    }
-    if (right < n && EarlierEvent(bucket.slots[bucket.heap[right]],
-                                  bucket.slots[bucket.heap[best]])) {
-      best = right;
-    }
-    if (best == i) break;
-    std::swap(bucket.heap[i], bucket.heap[best]);
-    i = best;
-  }
-  if (bucket.heap.empty()) {
-    // Bucket drained: drop the dead slots but keep moderate capacity for
-    // its next lap around the calendar.
-    if (bucket.slots.capacity() > 512) {
-      std::vector<SimEvent>().swap(bucket.slots);
-    } else {
-      bucket.slots.clear();
-    }
-  }
-  return event;
+bool CalendarQueue::Live(Ticket ticket) const {
+  return ticket.slot < pool_.size() &&
+         generation_[ticket.slot] == ticket.generation &&
+         static_cast<bool>(pool_[ticket.slot].fn);
 }
 
-void CalendarQueue::OverflowPush(SimEvent event) {
-  overflow_.push_back(std::move(event));
-  std::push_heap(overflow_.begin(), overflow_.end(),
-                 [](const SimEvent& a, const SimEvent& b) {
-                   return EarlierEvent(b, a);  // min-heap
+void CalendarQueue::HeapPush(SlotHeap& heap, std::uint32_t slot) {
+  heap.push_back(slot);
+  std::push_heap(heap.begin(), heap.end(),
+                 [this](std::uint32_t a, std::uint32_t b) {
+                   return Later(a, b);
                  });
 }
 
-SimEvent CalendarQueue::OverflowPop() {
-  std::pop_heap(overflow_.begin(), overflow_.end(),
-                [](const SimEvent& a, const SimEvent& b) {
-                  return EarlierEvent(b, a);
+std::uint32_t CalendarQueue::HeapPop(SlotHeap& heap) {
+  std::pop_heap(heap.begin(), heap.end(),
+                [this](std::uint32_t a, std::uint32_t b) {
+                  return Later(a, b);
                 });
-  SimEvent event = std::move(overflow_.back());
-  overflow_.pop_back();
-  return event;
+  const std::uint32_t slot = heap.back();
+  heap.pop_back();
+  return slot;
 }
 
 void CalendarQueue::ExtendHorizon() {
@@ -118,30 +79,28 @@ void CalendarQueue::ExtendHorizon() {
       day_ + static_cast<std::int64_t>(buckets_.size());
   if (reach <= horizon_day_) return;
   horizon_day_ = reach;
-  while (!overflow_.empty() && DayOf(overflow_.front().time) < horizon_day_) {
-    SimEvent event = OverflowPop();
-    BucketPush(
-        buckets_[static_cast<std::size_t>(DayOf(event.time)) % buckets_.size()],
-        std::move(event));
+  while (!overflow_.empty() &&
+         DayOf(pool_[overflow_.front()].time) < horizon_day_) {
+    const std::uint32_t slot = HeapPop(overflow_);
+    HeapPush(BucketOf(DayOf(pool_[slot].time)), slot);
     ++ring_size_;
   }
 }
 
-CalendarQueue::Bucket* CalendarQueue::Position() {
+CalendarQueue::SlotHeap* CalendarQueue::Position() {
   if (size_ == 0) return nullptr;
   while (true) {
     if (ring_size_ == 0) {
       // Nothing in the ring: jump the cursor straight to the overflow's
       // earliest day instead of walking empty buckets toward it.
-      day_ = std::max(day_, DayOf(overflow_.front().time));
+      day_ = std::max(day_, DayOf(pool_[overflow_.front()].time));
       ExtendHorizon();
       continue;
     }
-    Bucket& bucket = buckets_[static_cast<std::size_t>(day_) % buckets_.size()];
+    SlotHeap& bucket = BucketOf(day_);
     // The bucket counts only when its earliest event belongs to the
     // cursor's day — it may also hold events a whole lap (or more) ahead.
-    if (!bucket.heap.empty() &&
-        DayOf(bucket.slots[bucket.heap.front()].time) == day_) {
+    if (!bucket.empty() && DayOf(pool_[bucket.front()].time) == day_) {
       return &bucket;
     }
     ++day_;
@@ -150,17 +109,20 @@ CalendarQueue::Bucket* CalendarQueue::Position() {
 }
 
 SimTime CalendarQueue::MinTime() {
-  Bucket* bucket = Position();
+  SlotHeap* bucket = Position();
   if (bucket == nullptr) return kSimTimeMax;
-  return bucket->slots[bucket->heap.front()].time;
+  return pool_[bucket->front()].time;
 }
 
 SimEvent CalendarQueue::PopMin() {
-  Bucket* bucket = Position();
+  SlotHeap* bucket = Position();
   MVSTORE_CHECK(bucket != nullptr);
   --ring_size_;
   --size_;
-  return BucketPop(*bucket);
+  const std::uint32_t slot = HeapPop(*bucket);
+  ++generation_[slot];
+  free_.push_back(slot);
+  return std::move(pool_[slot]);
 }
 
 }  // namespace mvstore::sim

@@ -6,33 +6,30 @@
 
 namespace mvstore::sim {
 
-void Simulation::Push(SimTime t, UniqueFn<void()> fn,
-                      std::shared_ptr<bool> cancelled) {
+CalendarQueue::Ticket Simulation::Push(SimTime t, UniqueFn<void()> fn) {
   MVSTORE_CHECK_GE(t, now_);
-  queue_.Push(SimEvent{t, next_seq_++, std::move(fn), std::move(cancelled)});
+  // An empty closure marks a cancelled event; a live one must not be empty.
+  MVSTORE_CHECK(static_cast<bool>(fn));
+  return queue_.Push(SimEvent{t, next_seq_++, std::move(fn)});
 }
 
-void Simulation::At(SimTime t, UniqueFn<void()> fn) {
-  Push(t, std::move(fn), nullptr);
-}
+void Simulation::At(SimTime t, UniqueFn<void()> fn) { Push(t, std::move(fn)); }
 
 void Simulation::After(SimTime dt, UniqueFn<void()> fn) {
   MVSTORE_CHECK_GE(dt, 0);
-  Push(now_ + dt, std::move(fn), nullptr);
+  Push(now_ + dt, std::move(fn));
 }
 
 EventHandle Simulation::AfterCancelable(SimTime dt, UniqueFn<void()> fn) {
   MVSTORE_CHECK_GE(dt, 0);
-  auto cancelled = std::make_shared<bool>(false);
-  Push(now_ + dt, std::move(fn), cancelled);
-  return EventHandle(std::move(cancelled));
+  return EventHandle(&queue_, Push(now_ + dt, std::move(fn)));
 }
 
 bool Simulation::Step() {
   if (queue_.empty()) return false;
   SimEvent ev = queue_.PopMin();
   now_ = ev.time;
-  if (!(ev.cancelled && *ev.cancelled)) {
+  if (ev.fn) {  // a cancelled event is an empty tombstone
     ++steps_;
     ev.fn();
   }
@@ -40,24 +37,13 @@ bool Simulation::Step() {
 }
 
 void Simulation::Run() {
-  while (!queue_.empty()) {
-    SimEvent ev = queue_.PopMin();
-    now_ = ev.time;
-    if (ev.cancelled && *ev.cancelled) continue;
-    ++steps_;
-    ev.fn();
+  while (Step()) {
   }
 }
 
 void Simulation::RunUntil(SimTime t) {
   MVSTORE_CHECK_GE(t, now_);
-  while (!queue_.empty() && queue_.MinTime() <= t) {
-    SimEvent ev = queue_.PopMin();
-    now_ = ev.time;
-    if (ev.cancelled && *ev.cancelled) continue;
-    ++steps_;
-    ev.fn();
-  }
+  while (!queue_.empty() && queue_.MinTime() <= t) Step();
   now_ = t;
 }
 

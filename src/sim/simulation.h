@@ -20,8 +20,8 @@
 #ifndef MVSTORE_SIM_SIMULATION_H_
 #define MVSTORE_SIM_SIMULATION_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "common/types.h"
 #include "common/unique_fn.h"
@@ -29,28 +29,31 @@
 
 namespace mvstore::sim {
 
-/// Cancellation handle for a scheduled event. Default-constructed handles are
-/// inert. Cancelling after the event fired is a no-op.
+/// Cancellation handle for a scheduled event: the queue, the event's pool
+/// slot and the slot's generation. Default-constructed handles are inert.
+/// Cancelling after the event fired is a no-op, also when its slot has
+/// since been reused by another event.
 ///
-/// Cancelling only flags the event: its closure, and everything the closure
-/// captured, stays in the queue until the event's fire time. A timer that
-/// must not keep an object alive (an rpc timeout on a finished op) should
-/// capture a weak_ptr, not a shared_ptr.
+/// Cancelling destroys the closure, and everything it captured, at once;
+/// only an inert (time, seq) tombstone stays queued until the fire time. A
+/// handle must not be used after its Simulation is destroyed.
 class EventHandle {
  public:
   EventHandle() = default;
 
   /// Prevents the event from running (if it has not run yet).
   void Cancel() {
-    if (cancelled_) *cancelled_ = true;
+    if (queue_ != nullptr) queue_->Cancel(ticket_);
   }
-  bool active() const { return cancelled_ != nullptr && !*cancelled_; }
+  /// True while the event is pending and not cancelled.
+  bool active() const { return queue_ != nullptr && queue_->Live(ticket_); }
 
  private:
   friend class Simulation;
-  explicit EventHandle(std::shared_ptr<bool> cancelled)
-      : cancelled_(std::move(cancelled)) {}
-  std::shared_ptr<bool> cancelled_;
+  EventHandle(CalendarQueue* queue, CalendarQueue::Ticket ticket)
+      : queue_(queue), ticket_(ticket) {}
+  CalendarQueue* queue_ = nullptr;
+  CalendarQueue::Ticket ticket_;
 };
 
 /// Calendar-queue tuning (see sim/event_queue.h). The defaults suit the
@@ -104,7 +107,7 @@ class Simulation {
   std::size_t pending() const { return queue_.size(); }
 
  private:
-  void Push(SimTime t, UniqueFn<void()> fn, std::shared_ptr<bool> cancelled);
+  CalendarQueue::Ticket Push(SimTime t, UniqueFn<void()> fn);
 
   CalendarQueue queue_;
   SimTime now_ = 0;

@@ -54,8 +54,8 @@ class Cluster {
   const ClusterConfig& config() const { return config_; }
   Metrics& metrics() { return metrics_; }
   /// Cluster-wide freshness tracker (ISSUE 7): per-(view, partition) intents
-  /// from in-flight propagations, applied high-water marks, and the per-view
-  /// propagation-lag estimate the bounded-read router consults.
+  /// from in-flight propagations and the per-view propagation-lag estimate
+  /// the bounded-read router consults.
   FreshnessTracker& freshness() { return freshness_; }
   /// Cluster-wide causal-trace recorder (disabled when trace_capacity == 0).
   Tracer& tracer() { return tracer_; }

@@ -61,13 +61,7 @@ void FreshnessTracker::MarkApplied(std::uint64_t intent) {
   if (intent == 0) return;
   auto it = intents_.find(intent);
   if (it == intents_.end()) return;
-  Intent& record = it->second;
-  for (const Key& partition : record.partitions) {
-    auto [hw, inserted] = applied_high_water_.try_emplace(
-        std::make_pair(record.view, partition), record.ts);
-    if (!inserted) hw->second = std::max(hw->second, record.ts);
-  }
-  const std::string view = record.view;
+  const std::string view = it->second.view;
   EraseIntent(it);
   FireImprovement(view);
 }
@@ -155,12 +149,6 @@ FreshnessTracker::BlockerSummary FreshnessTracker::BlockersBefore(
     }
   }
   return summary;
-}
-
-Timestamp FreshnessTracker::AppliedHighWater(const std::string& view,
-                                             const Key& partition) const {
-  auto it = applied_high_water_.find({view, partition});
-  return it == applied_high_water_.end() ? kNullTimestamp : it->second;
 }
 
 void FreshnessTracker::NotifyOnImprovement(const std::string& view,

@@ -105,8 +105,7 @@ class FreshnessTracker {
   void Discard(std::uint64_t intent);
 
   /// The propagation applied at its write quorum: the intent stops
-  /// blocking, the per-partition applied high-water advances, and parked
-  /// bounded reads are woken.
+  /// blocking and parked bounded reads are woken.
   void MarkApplied(std::uint64_t intent);
 
   /// The propagation died (coordinator crash, orphaning, retry budget):
@@ -154,11 +153,6 @@ class FreshnessTracker {
       const std::string& view, const Key& partition, Timestamp need,
       std::optional<SessionId> session = std::nullopt) const;
 
-  /// Per-(view, partition) high-water timestamp of applied propagations
-  /// (kNullTimestamp when none applied yet). Introspection for tests.
-  Timestamp AppliedHighWater(const std::string& view,
-                             const Key& partition) const;
-
   /// One-shot callback fired the next time `view`'s blockers change for the
   /// better: an intent applied, discarded, audited away, or wounded (which
   /// turns waiting into repairing). Parked reads use this instead of
@@ -201,8 +195,6 @@ class FreshnessTracker {
   std::map<std::uint64_t, Intent> intents_;
   /// Intent ids per view (the read path's index).
   std::map<std::string, std::set<std::uint64_t>> by_view_;
-  /// (view, partition) -> high-water timestamp of applied propagations.
-  std::map<std::pair<std::string, Key>, Timestamp> applied_high_water_;
   std::map<std::string, std::vector<std::function<void()>>> improvement_;
   struct LagEwma {
     double value = 0.0;

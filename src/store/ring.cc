@@ -79,16 +79,32 @@ void Ring::ForEachSegment(int n, Fn fn) const {
   }
 }
 
-std::vector<ServerId> Ring::ReplicasFor(std::string_view partition_key,
-                                        int n) const {
-  MVSTORE_CHECK_LE(n, num_servers());
-  const std::uint64_t token = TokenOf(partition_key);
+std::size_t Ring::StartFor(std::uint64_t token) const {
   auto it = std::lower_bound(
       vnodes_.begin(), vnodes_.end(), token,
       [](const VNode& v, std::uint64_t t) { return v.token < t; });
-  const std::size_t start =
-      it == vnodes_.end() ? 0 : static_cast<std::size_t>(it - vnodes_.begin());
-  return WalkFrom(start, n);
+  return it == vnodes_.end() ? 0
+                             : static_cast<std::size_t>(it - vnodes_.begin());
+}
+
+std::vector<ServerId> Ring::ReplicasFor(std::string_view partition_key,
+                                        int n) const {
+  MVSTORE_CHECK_LE(n, num_servers());
+  return WalkFrom(StartFor(TokenOf(partition_key)), n);
+}
+
+const std::vector<ServerId>& Ring::PlacementFor(
+    std::string_view partition_key, int n) const {
+  MVSTORE_CHECK_LE(n, num_servers());
+  PlacementTable& table = placements_[n];
+  if (table.replicas.empty() || table.version != version_) {
+    table.replicas.clear();
+    for (std::size_t i = 0; i < vnodes_.size(); ++i) {
+      table.replicas.push_back(WalkFrom(i, n));
+    }
+    table.version = version_;
+  }
+  return table.replicas[StartFor(TokenOf(partition_key))];
 }
 
 ServerId Ring::PrimaryFor(std::string_view partition_key) const {
@@ -136,14 +152,8 @@ std::vector<Ring::RangeTransfer> Ring::AddServer(ServerId server, int n) {
   ForEachSegment(effective_n,
                  [&](TokenRange range, const std::vector<ServerId>& reps) {
     if (!Contains(reps, server)) return;
-    auto it = std::lower_bound(
-        vnodes_.begin(), vnodes_.end(), range.end,
-        [](const VNode& v, std::uint64_t t) { return v.token < t; });
-    const std::size_t start = it == vnodes_.end()
-                                  ? 0
-                                  : static_cast<std::size_t>(
-                                        it - vnodes_.begin());
-    std::vector<ServerId> sources = WalkFrom(start, source_n, server);
+    std::vector<ServerId> sources =
+        WalkFrom(StartFor(range.end), source_n, server);
     if (!transfers.empty() && transfers.back().range.end == range.begin &&
         transfers.back().peers == sources) {
       transfers.back().range.end = range.end;
@@ -186,15 +196,8 @@ std::vector<Ring::RangeTransfer> Ring::RemoveServer(ServerId server, int n) {
   const int new_n = std::min(n, num_servers());
   std::vector<RangeTransfer> transfers;
   for (const OldSegment& seg : owned) {
-    auto it = std::lower_bound(
-        vnodes_.begin(), vnodes_.end(), seg.range.end,
-        [](const VNode& v, std::uint64_t t) { return v.token < t; });
-    const std::size_t start = it == vnodes_.end()
-                                  ? 0
-                                  : static_cast<std::size_t>(
-                                        it - vnodes_.begin());
     std::vector<ServerId> gained;
-    for (ServerId r : WalkFrom(start, new_n)) {
+    for (ServerId r : WalkFrom(StartFor(seg.range.end), new_n)) {
       if (!Contains(seg.replicas, r)) gained.push_back(r);
     }
     if (!transfers.empty() && transfers.back().range.end == seg.range.begin &&

@@ -18,7 +18,9 @@
 #ifndef MVSTORE_STORE_RING_H_
 #define MVSTORE_STORE_RING_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string_view>
 #include <vector>
@@ -75,6 +77,14 @@ class Ring {
   std::vector<ServerId> ReplicasFor(std::string_view partition_key,
                                     int n) const;
 
+  /// The same replica set as ReplicasFor, by reference into a ring-owned
+  /// table holding the replica set of every vnode start. The table is
+  /// rebuilt on first use after a membership change, so its size follows
+  /// the ring, not the number of keys ever routed. The reference is stable
+  /// until version() changes.
+  const std::vector<ServerId>& PlacementFor(std::string_view partition_key,
+                                            int n) const;
+
   /// First replica (used to pick dedicated propagators).
   ServerId PrimaryFor(std::string_view partition_key) const;
 
@@ -103,8 +113,20 @@ class Ring {
     ServerId server;
   };
 
+  /// Replica set of each vnode start (WalkFrom(i, n) at index i) for one
+  /// replication factor, valid while non-empty and `version` equals the
+  /// ring's.
+  struct PlacementTable {
+    std::uint64_t version = 0;
+    std::vector<std::vector<ServerId>> replicas;
+  };
+
   /// The deterministic vnode tokens of `server` (independent of membership).
   std::vector<VNode> TokensFor(ServerId server) const;
+
+  /// Index of the first vnode whose token is >= `token` (wrapping to 0):
+  /// where the replica walk for that token starts.
+  std::size_t StartFor(std::uint64_t token) const;
 
   /// Distinct-server walk starting at vnode index `start`, i.e. the replica
   /// set of keys mapping to that vnode. With `exclude` >= 0 that server's
@@ -124,6 +146,9 @@ class Ring {
   std::uint64_t version_ = 0;
   std::set<ServerId> members_;
   std::vector<VNode> vnodes_;  // sorted by token
+  /// PlacementFor's tables, one per replication factor asked for (a map, so
+  /// a table never moves and handed-out references stay put).
+  mutable std::map<int, PlacementTable> placements_;
 };
 
 }  // namespace mvstore::store

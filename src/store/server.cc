@@ -128,19 +128,8 @@ std::string_view Server::PartitionViewFor(const std::string& table,
 
 const std::vector<ServerId>& Server::ReplicasOf(const std::string& table,
                                                 const Key& key) const {
-  const KeyRef ref = placement_keys_.Intern(PartitionViewFor(table, key));
-  if (ref.id >= placement_cache_.size()) {
-    placement_cache_.resize(static_cast<std::size_t>(ref.id) + 1);
-  }
-  PlacementEntry& entry = placement_cache_[ref.id];
-  const std::uint64_t version = ring_->version();
-  if (!entry.valid || entry.ring_version != version) {
-    entry.replicas = ring_->ReplicasFor(placement_keys_.View(ref),
-                                        config_->replication_factor);
-    entry.ring_version = version;
-    entry.valid = true;
-  }
-  return entry.replicas;
+  return ring_->PlacementFor(PartitionViewFor(table, key),
+                             config_->replication_factor);
 }
 
 SimTime Server::ReadServiceFor(const std::string& table,

@@ -21,7 +21,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/interner.h"
 #include "common/statusor.h"
 #include "common/unique_fn.h"
 #include "common/trace.h"
@@ -380,11 +379,11 @@ class Server {
   }
 
   /// Replicas of `key` in `table` (partition prefix for composite keys).
-  /// Served from a per-server placement cache keyed by the interned
-  /// partition key and the ring version, so repeated routing of the same
-  /// partition (every write, every anti-entropy row) costs one hash and one
-  /// probe instead of a ring walk and a fresh allocation. The reference is
-  /// stable until the ring membership changes.
+  /// Served from the ring's per-vnode placement table (Ring::PlacementFor),
+  /// so routing a partition (every write, every anti-entropy row) costs one
+  /// hash and a binary search instead of a ring walk and a fresh
+  /// allocation, and keeps no per-key state. The reference is stable until
+  /// the ring membership changes.
   const std::vector<ServerId>& ReplicasOf(const std::string& table,
                                           const Key& key) const;
 
@@ -575,18 +574,6 @@ class Server {
   /// In-flight coordinator ops by registration id (ordered map: Crash()
   /// aborts and departures retarget in deterministic id order).
   std::map<std::uint64_t, InflightOp> inflight_;
-
-  // --- placement cache ---
-  /// Cached ring placements, one slot per interned partition key, revalidated
-  /// against the ring version (a deque so entries never relocate — returned
-  /// references survive cache growth).
-  struct PlacementEntry {
-    std::uint64_t ring_version = 0;
-    bool valid = false;
-    std::vector<ServerId> replicas;
-  };
-  mutable KeyInterner placement_keys_;
-  mutable std::deque<PlacementEntry> placement_cache_;
 
   // --- elastic membership state ---
   MembershipState membership_ = MembershipState::kServing;

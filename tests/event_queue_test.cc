@@ -18,7 +18,7 @@ namespace mvstore::sim {
 namespace {
 
 SimEvent Event(SimTime t, std::uint64_t seq) {
-  return SimEvent{t, seq, [] {}, nullptr};
+  return SimEvent{t, seq, [] {}};
 }
 
 TEST(CalendarQueueTest, EmptyQueueReportsMaxTime) {
@@ -107,6 +107,40 @@ TEST(CalendarQueueTest, FuzzMatchesReferenceOrder) {
     model.erase(min_it);
   }
   EXPECT_TRUE(q.empty());
+}
+
+TEST(CalendarQueueTest, SlotPoolIsBoundedByPeakPendingNotThroughput) {
+  // A steady pending population — mostly near-future events plus long
+  // timers that start in the overflow heap — driven over many laps of the
+  // ring. Popped slots are reused, so the pool stays within vector growth
+  // (2x) of the peak pending count however many events pass through.
+  CalendarQueue q(Micros(16), 64);  // horizon: 1024 us
+  const SimTime horizon = Micros(16) * 64;
+  Rng rng(11);
+  std::uint64_t seq = 0;
+  for (int i = 0; i < 300; ++i) {
+    q.Push(Event(Micros(rng.UniformInt(0, 1000)), seq++));
+  }
+  for (int i = 0; i < 40; ++i) {
+    q.Push(Event(Micros(rng.UniformInt(5000, 20000)), seq++));
+  }
+  std::size_t peak = q.size();
+  std::uint64_t popped = 0;
+  SimTime now = 0;
+  while (now < 20 * horizon) {
+    const SimEvent event = q.PopMin();
+    ASSERT_GE(event.time, now);
+    now = event.time;
+    ++popped;
+    // Replace it in kind: one in eight is a long (overflow) timer.
+    const SimTime delay = rng.UniformInt(0, 7) == 0
+                              ? Micros(rng.UniformInt(5000, 20000))
+                              : Micros(rng.UniformInt(0, 1000));
+    q.Push(Event(now + delay, seq++));
+    peak = std::max(peak, q.size());
+  }
+  EXPECT_GT(popped, 10 * peak);  // many slot reuses per slot
+  EXPECT_LE(q.slot_capacity(), 2 * peak);
 }
 
 TEST(CalendarQueueSimulationTest, TinyRingPreservesExecutionOrder) {

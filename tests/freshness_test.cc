@@ -49,7 +49,6 @@ TEST(FreshnessTrackerTest, IntentBlocksUntilApplied) {
   tracker.MarkApplied(intent);
   EXPECT_EQ(tracker.BlockersBefore("v", "alice", 100).live, 0u);
   EXPECT_EQ(tracker.FreshAsOf("v", "alice", 500), 500);
-  EXPECT_EQ(tracker.AppliedHighWater("v", "alice"), 100);
 }
 
 TEST(FreshnessTrackerTest, UnresolvedIntentBlocksEveryPartition) {

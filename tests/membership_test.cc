@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "sim/nemesis.h"
 #include "store/client.h"
 #include "store/cluster.h"
@@ -121,6 +122,31 @@ TEST(MembershipTest, DecommissionStreamsRangesToNewOwnersAndLeaves) {
           << "replica " << replica << " missing " << key;
     }
   }
+}
+
+TEST(MembershipTest, ReplicasOfMatchesTheRingAcrossJoinAndLeave) {
+  test::TestCluster t(ChurnConfig(), test::TicketSchema(false, false));
+  Rng rng(29);
+  const int rf = t.cluster.config().replication_factor;
+  auto expect_ring_placement = [&](const char* phase) {
+    for (int i = 0; i < 300; ++i) {
+      const Key key = "k" + std::to_string(rng.Next());
+      const std::vector<ServerId> want = t.cluster.ring().ReplicasFor(key, rf);
+      for (ServerId s : t.cluster.ring().members()) {
+        EXPECT_EQ(t.cluster.server(s).ReplicasOf("ticket", key), want)
+            << phase << ": server " << s << " key " << key;
+      }
+    }
+  };
+  expect_ring_placement("initial");
+  auto joiner = t.cluster.JoinServer();
+  ASSERT_TRUE(joiner.has_value());
+  expect_ring_placement("after join");
+  AwaitMembership(t.cluster, *joiner, MembershipState::kServing);
+  ASSERT_TRUE(t.cluster.DecommissionServer(1));
+  expect_ring_placement("after leave");
+  AwaitMembership(t.cluster, 1, MembershipState::kLeft);
+  expect_ring_placement("after drain");
 }
 
 TEST(MembershipTest, DecommissionRejectedBelowReplicationFactor) {

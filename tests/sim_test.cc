@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -88,6 +89,47 @@ TEST(SimulationTest, CancelAfterFireIsNoop) {
   sim.Run();
   EXPECT_TRUE(ran);
   handle.Cancel();  // must not crash
+}
+
+TEST(SimulationTest, CancelReleasesTheClosureBeforeItsFireTime) {
+  Simulation sim;
+  auto payload = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = payload;
+  EventHandle handle =
+      sim.AfterCancelable(Micros(5000), [payload = std::move(payload)] {});
+  sim.RunFor(Micros(10));
+  EXPECT_FALSE(watch.expired());
+  handle.Cancel();
+  // The captures die with the cancel, not at the fire time; the inert
+  // tombstone still counts as pending until it pops.
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.Run();
+  EXPECT_EQ(sim.steps(), 0u);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(SimulationTest, StaleHandleCannotCancelTheSlotsNextEvent) {
+  Simulation sim;
+  int first = 0;
+  int second = 0;
+  int third = 0;
+  EventHandle stale = sim.AfterCancelable(10, [&] { ++first; });
+  sim.Run();
+  EXPECT_EQ(first, 1);
+  EXPECT_FALSE(stale.active());
+  // The fired event's slot is reused by the next one scheduled.
+  EventHandle fresh = sim.AfterCancelable(10, [&] { ++second; });
+  stale.Cancel();
+  EXPECT_TRUE(fresh.active());
+  sim.Run();
+  EXPECT_EQ(second, 1);
+  // Same for a plain (non-cancelable) event in the reused slot.
+  sim.After(10, [&] { ++third; });
+  stale.Cancel();
+  fresh.Cancel();
+  sim.Run();
+  EXPECT_EQ(third, 1);
 }
 
 TEST(SimulationTest, StepExecutesOneEvent) {
