@@ -12,7 +12,10 @@
 //   2. zero lost acked writes — each tracked base key still exposes cells
 //      at least as new as its newest acknowledged Put,
 //   3. hints_outstanding == 0 on every server (drains really drained),
-//   4. the view converges to the Definition-1 recomputation.
+//   4. the view converges to the Definition-1 recomputation,
+//   5. anti-entropy has reached its fixed point: once gates 1-4 are
+//      checked, 2 more simulated seconds of the quiescent cluster push no
+//      row.
 //
 // Exit status is non-zero when any gate fails, so CI can run this binary
 // directly as the membership-churn convergence gate.
@@ -276,16 +279,27 @@ int Run() {
   const bool converged =
       expected.size() == exposed.size() && value_mismatches == 0;
 
+  // Gate 5, measured after gates 1-4 so they keep their deadline: at
+  // quiescence every replica pair agrees, so further anti-entropy rounds
+  // exchange digests and ship nothing.
+  const std::uint64_t ae_rows_before = m.anti_entropy_rows_pushed.value();
+  bc.cluster.RunFor(Seconds(2));
+  const std::uint64_t ae_rows_after_quiescence =
+      m.anti_entropy_rows_pushed.value() - ae_rows_before;
+
   const bool ok = membership_settled && hints_left == 0 &&
-                  lost_acked_writes == 0 && converged;
+                  lost_acked_writes == 0 && converged &&
+                  ae_rows_after_quiescence == 0;
   std::printf("\nchurn gate: %s (membership %s, %zu hints outstanding, "
               "%llu lost acked writes of %zu tracked keys, view %s: "
-              "%zu expected / %zu exposed / %zu mismatches)\n",
+              "%zu expected / %zu exposed / %zu mismatches, "
+              "%llu anti-entropy rows pushed after quiescence)\n",
               ok ? "PASS" : "FAIL",
               membership_settled ? "settled" : "UNSETTLED", hints_left,
               static_cast<unsigned long long>(lost_acked_writes),
               st->acked.size(), converged ? "CONVERGED" : "DIVERGED",
-              expected.size(), exposed.size(), value_mismatches);
+              expected.size(), exposed.size(), value_mismatches,
+              static_cast<unsigned long long>(ae_rows_after_quiescence));
 
   BenchReport report("chaos_churn");
   report.Add("seed", seed);
@@ -305,6 +319,7 @@ int Run() {
   report.Add("exposed_records", static_cast<std::uint64_t>(exposed.size()));
   report.Add("value_mismatches",
              static_cast<std::uint64_t>(value_mismatches));
+  report.Add("ae_rows_pushed_after_quiescence", ae_rows_after_quiescence);
   report.Add("joins_started", static_cast<std::uint64_t>(m.member_joins_started));
   report.Add("joins_completed",
              static_cast<std::uint64_t>(m.member_joins_completed));

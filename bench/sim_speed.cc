@@ -155,6 +155,15 @@ void Run() {
                        : 0;
   std::printf("  %-34s %12.2f\n", "replica reads / client read",
               replica_reads_per_client_read);
+  // Rows anti-entropy shipped (both ways) per (table, peer) digest exchange.
+  const double ae_rows_pushed_per_round =
+      metrics.anti_entropy_digest_exchanges.value() > 0
+          ? static_cast<double>(metrics.anti_entropy_rows_pushed.value()) /
+                static_cast<double>(
+                    metrics.anti_entropy_digest_exchanges.value())
+          : 0;
+  std::printf("  %-34s %12.2f\n", "anti-entropy rows / round",
+              ae_rows_pushed_per_round);
   const double peak_rss_mb = PeakRssMb();
   std::printf("  %-34s %12.1f\n", "peak RSS MB (VmHWM)", peak_rss_mb);
 
@@ -175,6 +184,7 @@ void Run() {
   report.Add("reads_one_replica", metrics.reads_one_replica.value());
   report.Add("reads_fanned_out", metrics.reads_fanned_out.value());
   report.Add("spares_contacted", metrics.spares_contacted.value());
+  report.Add("ae_rows_pushed_per_round", ae_rows_pushed_per_round);
   // Machine-dependent speed (what the gate ratios against the baseline).
   report.Add("bootstrap_wall_s", wall_load_s);
   report.Add("run_wall_s", wall_run_s);

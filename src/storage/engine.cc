@@ -141,6 +141,14 @@ std::optional<Row> Engine::GetRow(const Key& key) const {
   if (row_cache_ != nullptr) {
     if (const Row* cached = row_cache_->Get(cache_tag_, key)) return *cached;
   }
+  std::optional<Row> merged = GetRowBypassingCache(key);
+  if (merged && row_cache_ != nullptr) {
+    row_cache_->Put(cache_tag_, key, *merged);
+  }
+  return merged;
+}
+
+std::optional<Row> Engine::GetRowBypassingCache(const Key& key) const {
   Row merged;
   bool found = false;
   for (const auto& run : runs_) {
@@ -154,7 +162,6 @@ std::optional<Row> Engine::GetRow(const Key& key) const {
     found = true;
   }
   if (!found) return std::nullopt;
-  if (row_cache_ != nullptr) row_cache_->Put(cache_tag_, key, merged);
   return merged;
 }
 

@@ -89,6 +89,11 @@ class Engine {
   /// the key appears nowhere (tombstoned rows ARE returned).
   std::optional<Row> GetRow(const Key& key) const;
 
+  /// GetRow that leaves the row cache alone: it neither consults nor fills
+  /// it and counts no probe. Background repair (anti-entropy) reads through
+  /// it, so its rows never evict client-hot entries or move the hit rate.
+  std::optional<Row> GetRowBypassingCache(const Key& key) const;
+
   /// Merged cell for (key, col); nullopt when never written.
   std::optional<Cell> GetCell(const Key& key, const ColumnName& col) const;
 

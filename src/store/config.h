@@ -129,9 +129,13 @@ struct ClusterConfig {
   /// Off by default: quorum paths plus read repair carry the experiments;
   /// tests enable it to demonstrate convergence under message loss.
   /// Each round is Merkle-style: per-peer bucket digests are exchanged
-  /// first and only mismatched buckets ship rows.
+  /// first; the peer answers with its mismatched buckets and the per-key
+  /// row digests inside them, and only the rows that differ, or that one
+  /// side lacks, ship (both ways, `join_stream_batch` rows per message).
   SimTime anti_entropy_interval = 0;
-  /// Digest buckets per (table, peer) comparison.
+  /// Digest buckets per (table, peer) comparison. More buckets make the
+  /// key list in a digest answer shorter, not the rows shipped fewer:
+  /// those are exactly the rows that differ.
   int anti_entropy_buckets = 64;
 
   /// Hinted handoff: when a write's replica fails to acknowledge before the
@@ -214,7 +218,7 @@ struct ClusterConfig {
   int max_servers = 0;
 
   /// Rows per message in a membership range stream (join bootstrap and
-  /// decommission handoff).
+  /// decommission handoff), and entries per anti-entropy push.
   int join_stream_batch = 128;
 
   /// Base backoff before re-pulling a range slice that timed out (grows

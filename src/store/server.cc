@@ -1055,6 +1055,13 @@ void Server::RunCompactionRound() {
   }
 }
 
+bool Server::SharesKeyWith(const std::string& table, const Key& key,
+                           ServerId peer) const {
+  const auto& replicas = ReplicasOf(table, key);
+  return std::find(replicas.begin(), replicas.end(), id_) != replicas.end() &&
+         std::find(replicas.begin(), replicas.end(), peer) != replicas.end();
+}
+
 std::vector<std::uint64_t> Server::ComputeSyncDigests(const std::string& table,
                                                       ServerId peer,
                                                       int buckets) const {
@@ -1070,11 +1077,7 @@ std::vector<std::uint64_t> Server::ComputeSyncDigests(const std::string& table,
   // DIFFERENT rows, silently skipping the bucket forever.
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(buckets), 0);
   it->second->ForEach([&](const Key& key, const storage::Row& row) {
-    const auto& replicas = ReplicasOf(table, key);
-    const bool shared =
-        std::find(replicas.begin(), replicas.end(), id_) != replicas.end() &&
-        std::find(replicas.begin(), replicas.end(), peer) != replicas.end();
-    if (!shared) return;
+    if (!SharesKeyWith(table, key, peer)) return;
     const std::uint64_t key_hash = Hash64(key);
     const std::size_t bucket =
         key_hash % static_cast<std::uint64_t>(buckets);
@@ -1092,72 +1095,150 @@ std::vector<std::uint64_t> Server::ComputeSyncDigests(const std::string& table,
   return digests;
 }
 
-std::vector<storage::KeyedRow> Server::CollectBucketRows(
+void Server::ForEachSharedRowInBuckets(
     const std::string& table, ServerId peer, const std::vector<int>& buckets,
-    int total_buckets) const {
-  std::vector<storage::KeyedRow> rows;
+    int total_buckets,
+    const std::function<void(const Key&, const storage::Row&)>& fn) const {
   auto it = engines_.find(table);
-  if (it == engines_.end()) return rows;
+  if (it == engines_.end()) return;
   std::vector<bool> wanted(static_cast<std::size_t>(total_buckets), false);
   for (int bucket : buckets) wanted[static_cast<std::size_t>(bucket)] = true;
   it->second->ForEach([&](const Key& key, const storage::Row& row) {
     const std::size_t bucket =
         Hash64(key) % static_cast<std::uint64_t>(total_buckets);
-    if (!wanted[bucket]) return;
-    const auto& replicas = ReplicasOf(table, key);
-    const bool shared =
-        std::find(replicas.begin(), replicas.end(), id_) != replicas.end() &&
-        std::find(replicas.begin(), replicas.end(), peer) != replicas.end();
-    if (shared) rows.push_back(storage::KeyedRow{key, row});
+    if (wanted[bucket] && SharesKeyWith(table, key, peer)) fn(key, row);
   });
-  return rows;
 }
 
+// A (table, peer) sync runs in three steps:
+//   1. the peer compares bucket digests and answers with its mismatched
+//      buckets and the row digest of each of its keys in them;
+//   2. this server diffs that key list against its own rows of those
+//      buckets and pushes, in chunks, the rows that differ or that the peer
+//      lacks, plus the keys only the peer holds;
+//   3. the peer applies each chunk and answers with its rows of the keys it
+//      holds differently or alone, which this server applies. The peer
+//      reads those rows around its row cache, so repair traffic neither
+//      evicts client-hot rows nor counts as cache probes.
+// Steps 1 and 2 each walk the whole table for their digests and are priced
+// one flat `read_local` each; the walks are not yet charged per row. Every
+// row applied in step 3, on either side, costs `write_local`, and every
+// pulled key a `read_local` on the peer.
 void Server::SyncTableWithPeer(const std::string& table, ServerId peer) {
   const int buckets = config_->anti_entropy_buckets;
-  const std::vector<std::uint64_t> mine =
-      ComputeSyncDigests(table, peer, buckets);
+  std::vector<std::uint64_t> mine = ComputeSyncDigests(table, peer, buckets);
   metrics_->anti_entropy_digest_exchanges++;
   const ServerId self_id = id_;
-  // Phase 1: the peer compares digests and answers with mismatched buckets.
-  CallPeer<std::vector<int>>(
+  CallPeer<BucketKeyDigests>(
       peer, config_->perf.read_local,
-      [table, self_id, buckets, mine](Server& s) {
+      [table, self_id, buckets, mine = std::move(mine)](Server& s) {
         const std::vector<std::uint64_t> theirs =
             s.ComputeSyncDigests(table, self_id, buckets);
-        std::vector<int> mismatched;
+        BucketKeyDigests reply;
         for (int b = 0; b < buckets; ++b) {
           if (mine[static_cast<std::size_t>(b)] !=
               theirs[static_cast<std::size_t>(b)]) {
-            mismatched.push_back(b);
+            reply.buckets.push_back(b);
           }
         }
-        return mismatched;
-      },
-      [this, table, peer, buckets](std::vector<int> mismatched) {
-        if (mismatched.empty()) return;
-        metrics_->anti_entropy_buckets_synced += mismatched.size();
-        // Phase 2: ship our rows of the mismatched buckets; the peer applies
-        // them and answers with ITS rows of the same buckets (bidirectional).
-        std::vector<storage::KeyedRow> ours =
-            CollectBucketRows(table, peer, mismatched, buckets);
-        metrics_->anti_entropy_rows_pushed += ours.size();
-        const ServerId self_id2 = id_;
-        const SimTime service =
-            config_->perf.write_local *
-            static_cast<SimTime>(ours.size() + 1);
-        CallPeer<std::vector<storage::KeyedRow>>(
-            peer, service,
-            [table, self_id2, mismatched, buckets,
-             ours = std::move(ours)](Server& s) {
-              for (const auto& kr : ours) s.LocalApply(table, kr.key, kr.row);
-              return s.CollectBucketRows(table, self_id2, mismatched, buckets);
-            },
-            [this, table](std::vector<storage::KeyedRow> theirs) {
-              metrics_->anti_entropy_rows_pushed += theirs.size();
-              for (const auto& kr : theirs) LocalApply(table, kr.key, kr.row);
+        if (reply.buckets.empty()) return reply;
+        s.ForEachSharedRowInBuckets(
+            table, self_id, reply.buckets, buckets,
+            [&reply](const Key& key, const storage::Row& row) {
+              reply.keys.emplace_back(key, storage::RowDigest(row));
             });
+        return reply;
+      },
+      [this, table, peer, buckets](BucketKeyDigests theirs) {
+        if (theirs.buckets.empty()) return;
+        metrics_->anti_entropy_buckets_synced += theirs.buckets.size();
+        Enqueue(config_->perf.read_local,
+                [this, table, peer, buckets, theirs = std::move(theirs)] {
+                  PushDifferingRows(table, peer, buckets, theirs);
+                });
       });
+}
+
+void Server::PushDifferingRows(const std::string& table, ServerId peer,
+                               int buckets, const BucketKeyDigests& theirs) {
+  const std::size_t cap =
+      static_cast<std::size_t>(std::max(1, config_->join_stream_batch));
+  std::vector<SyncChunk> chunks(1);
+  auto next_entry = [&]() -> SyncChunk& {
+    if (chunks.back().rows.size() + chunks.back().pulls.size() == cap) {
+      chunks.emplace_back();
+    }
+    return chunks.back();
+  };
+  // Both sides list their keys in engine order, so one merge pass sorts
+  // every key into ours only, the peer's only, or on both sides.
+  auto peer_it = theirs.keys.begin();
+  ForEachSharedRowInBuckets(
+      table, peer, theirs.buckets, buckets,
+      [&](const Key& key, const storage::Row& row) {
+        for (; peer_it != theirs.keys.end() && peer_it->first < key;
+             ++peer_it) {
+          next_entry().pulls.push_back(peer_it->first);
+        }
+        if (peer_it != theirs.keys.end() && peer_it->first == key) {
+          const bool same = peer_it->second == storage::RowDigest(row);
+          ++peer_it;
+          if (same) return;
+        }
+        next_entry().rows.push_back(storage::KeyedRow{key, row});
+      });
+  for (; peer_it != theirs.keys.end(); ++peer_it) {
+    next_entry().pulls.push_back(peer_it->first);
+  }
+  for (SyncChunk& chunk : chunks) {
+    if (chunk.rows.empty() && chunk.pulls.empty()) continue;
+    SendSyncChunk(table, peer, std::move(chunk));
+  }
+}
+
+void Server::SendSyncChunk(const std::string& table, ServerId peer,
+                           SyncChunk chunk) {
+  metrics_->anti_entropy_rows_pushed += chunk.rows.size();
+  const SimTime service =
+      config_->perf.write_local * static_cast<SimTime>(chunk.rows.size()) +
+      config_->perf.read_local * static_cast<SimTime>(chunk.pulls.size());
+  CallPeer<std::vector<storage::KeyedRow>>(
+      peer, service,
+      [table, chunk = std::move(chunk)](Server& s) {
+        return s.ApplySyncChunk(table, chunk);
+      },
+      [this, table](std::vector<storage::KeyedRow> returned) {
+        if (returned.empty()) return;
+        metrics_->anti_entropy_rows_pushed += returned.size();
+        Enqueue(config_->perf.write_local *
+                    static_cast<SimTime>(returned.size()),
+                [this, table, returned = std::move(returned)] {
+                  for (const auto& kr : returned) {
+                    LocalApply(table, kr.key, kr.row);
+                  }
+                });
+      });
+}
+
+std::vector<storage::KeyedRow> Server::ApplySyncChunk(const std::string& table,
+                                                      const SyncChunk& chunk) {
+  storage::Engine& engine = EngineFor(table);
+  std::vector<storage::KeyedRow> back;
+  for (const auto& kr : chunk.rows) {
+    LocalApply(table, kr.key, kr.row);
+    // When the pushed row dominated ours, the merge is the pushed row and
+    // the initiator already holds it.
+    std::optional<storage::Row> merged = engine.GetRowBypassingCache(kr.key);
+    if (merged && storage::RowDigest(*merged) != storage::RowDigest(kr.row)) {
+      back.push_back(storage::KeyedRow{kr.key, std::move(*merged)});
+    }
+  }
+  for (const Key& key : chunk.pulls) {
+    if (std::optional<storage::Row> row = engine.GetRowBypassingCache(key)) {
+      back.push_back(storage::KeyedRow{key, std::move(*row)});
+    }
+  }
+  return back;
 }
 
 void Server::RunAntiEntropyRound() {

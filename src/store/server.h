@@ -399,9 +399,11 @@ class Server {
 
   /// One anti-entropy round: Merkle-style synchronization with every peer.
   /// For each (table, peer) the servers first exchange per-bucket digests
-  /// over the keys they both replicate, then ship rows only for mismatched
-  /// buckets (bidirectionally). Exposed for tests; also runs periodically
-  /// when `anti_entropy_interval` > 0.
+  /// over the keys they both replicate; the peer answers with its mismatched
+  /// buckets and the per-key row digests inside them, and only rows whose
+  /// digests differ (or that one side lacks) ship, both ways, in messages of
+  /// at most `join_stream_batch` rows. Exposed for tests; also runs
+  /// periodically when `anti_entropy_interval` > 0.
   void RunAntiEntropyRound();
 
   // --- hinted handoff ---
@@ -434,12 +436,6 @@ class Server {
                                                 ServerId peer,
                                                 int buckets) const;
 
-  /// This server's rows of `table` (co-replicated with `peer`) falling into
-  /// `buckets`.
-  std::vector<storage::KeyedRow> CollectBucketRows(
-      const std::string& table, ServerId peer,
-      const std::vector<int>& buckets, int total_buckets) const;
-
   /// Ships one replica mutation to `to` as its own message and acks
   /// through `on_ack`. `service` is the replica-side apply demand.
   void SendReplicaWrite(ServerId to, const std::string& table, const Key& key,
@@ -464,7 +460,45 @@ class Server {
   bool AntiEntropyTick();
   bool HintReplayTick();
   bool CompactionTick();
+
+  // --- anti-entropy steps ---
+
+  /// The peer's answer to a digest exchange: its mismatched buckets, and
+  /// (key, storage::RowDigest) for each of its shared rows in them, in key
+  /// order.
+  struct BucketKeyDigests {
+    std::vector<int> buckets;
+    std::vector<std::pair<Key, std::uint64_t>> keys;
+  };
+  /// One anti-entropy push message: rows the peer applies, and keys only
+  /// the peer holds. At most `join_stream_batch` entries, so the peer's
+  /// answer carries at most that many rows too.
+  struct SyncChunk {
+    std::vector<storage::KeyedRow> rows;
+    std::vector<Key> pulls;
+  };
+
   void SyncTableWithPeer(const std::string& table, ServerId peer);
+  /// Diffs `theirs` against this server's rows in the same buckets and
+  /// sends the differing rows and the peer-only keys as SyncChunks.
+  void PushDifferingRows(const std::string& table, ServerId peer,
+                         int buckets, const BucketKeyDigests& theirs);
+  void SendSyncChunk(const std::string& table, ServerId peer,
+                     SyncChunk chunk);
+  /// Runs on the peer: applies `chunk.rows` and returns its current row of
+  /// every key it holds differently from what it received, and of every
+  /// pulled key.
+  std::vector<storage::KeyedRow> ApplySyncChunk(const std::string& table,
+                                                const SyncChunk& chunk);
+  /// Whether both this server and `peer` replicate `key` of `table`.
+  bool SharesKeyWith(const std::string& table, const Key& key,
+                     ServerId peer) const;
+  /// Visits, in key order, this server's rows of `table` that it shares
+  /// with `peer` and whose key hashes into one of `buckets`.
+  void ForEachSharedRowInBuckets(
+      const std::string& table, ServerId peer,
+      const std::vector<int>& buckets, int total_buckets,
+      const std::function<void(const Key&, const storage::Row&)>& fn) const;
 
   /// (Re-)arms the periodic background ticks for the current incarnation.
   void ScheduleBackgroundTicks();

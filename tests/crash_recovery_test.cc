@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bitset>
 #include <cstdint>
@@ -475,6 +476,170 @@ TEST(AntiEntropyRegressionTest, XorCancellingRowSetIsCaughtByCountedDigest) {
     auto cell = t.cluster.server(peer).EngineFor("t").GetCell(keys[i], "a");
     ASSERT_TRUE(cell.has_value()) << keys[i] << " never reached the peer";
     EXPECT_EQ(cell->value, keys[i]);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Key-granular anti-entropy: inside a mismatched bucket only the rows whose
+// digests differ, or that one side lacks, cross the wire, in messages of at
+// most `join_stream_batch` rows.
+// --------------------------------------------------------------------------
+
+store::ClusterConfig ManualAntiEntropyConfig() {
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.replication_factor = 2;
+  config.anti_entropy_interval = 0;  // manual rounds only
+  return config;
+}
+
+/// The first `count` keys "<prefix><i>" replicated on exactly `a` and `b`.
+std::vector<Key> KeysReplicatedOn(store::Server& server, ServerId a,
+                                  ServerId b, const std::string& prefix,
+                                  std::size_t count) {
+  std::vector<Key> keys;
+  for (int i = 0; keys.size() < count; ++i) {
+    Key key = prefix + std::to_string(i);
+    const auto& replicas = server.ReplicasOf("t", key);
+    if (std::find(replicas.begin(), replicas.end(), a) != replicas.end() &&
+        std::find(replicas.begin(), replicas.end(), b) != replicas.end()) {
+      keys.push_back(std::move(key));
+    }
+  }
+  return keys;
+}
+
+storage::Row LiveRow(const Value& value, Timestamp ts) {
+  storage::Row row;
+  row.Apply("a", Cell::Live(value, ts));
+  return row;
+}
+
+TEST(AntiEntropyTest, OneDivergentRowInABusyBucketIsTheOnlyRowPushed) {
+  store::ClusterConfig config = ManualAntiEntropyConfig();
+  config.anti_entropy_buckets = 4;
+  test::TestCluster t(config, PlainSchema());
+  constexpr ServerId kHolder = 0;
+  constexpr ServerId kPeer = 1;
+  const std::vector<Key> keys =
+      KeysReplicatedOn(t.cluster.server(0), kHolder, kPeer, "k", 80);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    t.cluster.BootstrapLoadRow("t", keys[i], {{"a", std::string("v")}},
+                               static_cast<Timestamp>(100 + i));
+  }
+  const Key& key = keys[0];
+  const auto bucket_of = [&](const Key& k) {
+    return Hash64(k) % static_cast<std::uint64_t>(config.anti_entropy_buckets);
+  };
+  const auto bucket_mates =
+      std::count_if(keys.begin(), keys.end(),
+                    [&](const Key& k) { return bucket_of(k) == bucket_of(key); });
+  ASSERT_GE(bucket_mates, 10) << "the bucket must hold many shared rows";
+
+  // A write that reached only one replica of the pair.
+  t.cluster.server(kHolder).EngineFor("t").ApplyRow(key, LiveRow("new", 5000));
+  t.cluster.server(kHolder).RunAntiEntropyRound();
+  t.cluster.RunFor(Millis(500));
+
+  const store::Metrics& m = t.cluster.metrics();
+  EXPECT_EQ(m.anti_entropy_buckets_synced.value(), 1u);
+  EXPECT_EQ(m.anti_entropy_rows_pushed.value(), 1u)
+      << "only the divergent row may cross, not its " << bucket_mates
+      << "-row bucket";
+  for (ServerId s : {kHolder, kPeer}) {
+    EXPECT_EQ(t.cluster.server(s).EngineFor("t").GetCell(key, "a")->value,
+              "new")
+        << "server " << s;
+  }
+  EXPECT_EQ(t.cluster.server(kHolder).ComputeSyncDigests(
+                "t", kPeer, config.anti_entropy_buckets),
+            t.cluster.server(kPeer).ComputeSyncDigests(
+                "t", kHolder, config.anti_entropy_buckets));
+}
+
+TEST(AntiEntropyTest, KeyHeldByOneSideIsPushedOrPulled) {
+  test::TestCluster t(ManualAntiEntropyConfig(), PlainSchema());
+  constexpr ServerId kInitiator = 0;
+  constexpr ServerId kPeer = 2;
+  const std::vector<Key> keys =
+      KeysReplicatedOn(t.cluster.server(0), kInitiator, kPeer, "k", 2);
+  const Key& ours = keys[0];
+  const Key& theirs = keys[1];
+  t.cluster.server(kInitiator).EngineFor("t").ApplyRow(ours,
+                                                       LiveRow("ours", 10));
+  t.cluster.server(kPeer).EngineFor("t").ApplyRow(theirs,
+                                                  LiveRow("theirs", 20));
+
+  t.cluster.server(kInitiator).RunAntiEntropyRound();
+  t.cluster.RunFor(Millis(500));
+
+  EXPECT_EQ(t.cluster.metrics().anti_entropy_rows_pushed.value(), 2u)
+      << "one row pushed to the peer, one pulled back";
+  for (ServerId s : {kInitiator, kPeer}) {
+    auto& engine = t.cluster.server(s).EngineFor("t");
+    ASSERT_TRUE(engine.GetCell(ours, "a").has_value()) << "server " << s;
+    EXPECT_EQ(engine.GetCell(ours, "a")->value, "ours");
+    ASSERT_TRUE(engine.GetCell(theirs, "a").has_value()) << "server " << s;
+    EXPECT_EQ(engine.GetCell(theirs, "a")->value, "theirs");
+  }
+}
+
+TEST(AntiEntropyTest, TombstoneOnOneReplicaIsRepaired) {
+  test::TestCluster t(ManualAntiEntropyConfig(), PlainSchema());
+  constexpr ServerId kInitiator = 1;
+  constexpr ServerId kPeer = 3;
+  const std::vector<Key> keys =
+      KeysReplicatedOn(t.cluster.server(0), kInitiator, kPeer, "k", 20);
+  for (const Key& key : keys) {
+    t.cluster.BootstrapLoadRow("t", key, {{"a", std::string("v")}}, 100);
+  }
+  // The delete reached only the peer; the initiator still holds the live
+  // cell it shadows.
+  storage::Row deleted;
+  deleted.Apply("a", Cell::Tombstone(200));
+  t.cluster.server(kPeer).EngineFor("t").ApplyRow(keys[5], deleted);
+
+  t.cluster.server(kInitiator).RunAntiEntropyRound();
+  t.cluster.RunFor(Millis(500));
+
+  EXPECT_EQ(t.cluster.metrics().anti_entropy_rows_pushed.value(), 2u)
+      << "the live row out, the tombstoned merge back";
+  for (ServerId s : {kInitiator, kPeer}) {
+    auto cell = t.cluster.server(s).EngineFor("t").GetCell(keys[5], "a");
+    ASSERT_TRUE(cell.has_value()) << "server " << s;
+    EXPECT_TRUE(cell->tombstone) << "server " << s << " kept the live cell";
+    EXPECT_EQ(cell->ts, 200);
+  }
+}
+
+TEST(AntiEntropyTest, MoreDivergentRowsThanTheBatchCapShipInCappedMessages) {
+  store::ClusterConfig config = ManualAntiEntropyConfig();
+  config.join_stream_batch = 16;
+  test::TestCluster t(config, PlainSchema());
+  constexpr ServerId kInitiator = 0;
+  constexpr ServerId kPeer = 3;
+  constexpr std::size_t kRows = 50;
+  const std::vector<Key> keys =
+      KeysReplicatedOn(t.cluster.server(0), kInitiator, kPeer, "k", kRows);
+  for (const Key& key : keys) {
+    t.cluster.server(kInitiator).EngineFor("t").ApplyRow(key,
+                                                         LiveRow(key, 10));
+  }
+
+  const store::Metrics& m = t.cluster.metrics();
+  const std::uint64_t sent_before = t.cluster.network().messages_sent();
+  t.cluster.server(kInitiator).RunAntiEntropyRound();
+  t.cluster.RunFor(Millis(500));
+  const std::uint64_t sent = t.cluster.network().messages_sent() - sent_before;
+
+  // Every (table, peer) exchange is a request and a reply; each chunk of at
+  // most 16 rows is one more request and reply.
+  const std::uint64_t chunks = (kRows + 15) / 16;
+  EXPECT_EQ(sent, 2 * m.anti_entropy_digest_exchanges.value() + 2 * chunks);
+  EXPECT_EQ(m.anti_entropy_rows_pushed.value(), kRows);
+  for (const Key& key : keys) {
+    auto cell = t.cluster.server(kPeer).EngineFor("t").GetCell(key, "a");
+    ASSERT_TRUE(cell.has_value()) << key << " never reached the peer";
+    EXPECT_EQ(cell->value, key);
   }
 }
 

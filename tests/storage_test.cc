@@ -655,5 +655,31 @@ TEST(EngineTest, RowCacheServesInvalidatesAndClearsOnPurge) {
   EXPECT_FALSE(cache.Contains("t", "k2"));
 }
 
+TEST(EngineTest, GetRowBypassingCacheLeavesTheCacheAlone) {
+  RowCache cache(16);
+  Engine engine;
+  engine.set_row_cache(&cache, "t");
+  engine.Apply("k", "c", Cell::Live("v1", 10));
+
+  auto row = engine.GetRowBypassingCache("k");
+  ASSERT_TRUE(row.has_value());
+  EXPECT_EQ(row->GetValue("c").value_or(""), "v1");
+  EXPECT_FALSE(engine.GetRowBypassingCache("absent").has_value());
+  EXPECT_FALSE(cache.Contains("t", "k")) << "a bypassing read must not fill";
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
+
+  // A cached row stays cached and unbumped; the bypassing read still sees
+  // the merged state, not the cache.
+  engine.GetRow("k");
+  const std::uint64_t hits = cache.hits();
+  const std::uint64_t misses = cache.misses();
+  EXPECT_EQ(engine.GetRowBypassingCache("k")->GetValue("c").value_or(""),
+            "v1");
+  EXPECT_TRUE(cache.Contains("t", "k"));
+  EXPECT_EQ(cache.hits(), hits);
+  EXPECT_EQ(cache.misses(), misses);
+}
+
 }  // namespace
 }  // namespace mvstore::storage
