@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 
 namespace mvstore::storage {
 
@@ -231,33 +230,6 @@ void Engine::ForEach(
     cursors.push_back(c);
   }
   MergedScan(cursors, nullptr, scan_scratch_, fn);
-}
-
-std::vector<Key> Engine::CollectKeysAfter(
-    const Key& after, int limit,
-    const std::function<bool(const Key&)>& match, bool* more) const {
-  // Bounded top-k: keep the (limit + 1) smallest qualifying keys seen so
-  // far; the extra slot tells the caller whether anything remains. Keys are
-  // only ever compared (a set of at most limit + 1 strings), never merged
-  // into rows, which keeps resumable range streaming linear in table size.
-  std::set<Key> keys;
-  const auto cap = static_cast<std::size_t>(limit) + 1;
-  auto collect = [&](const Key& key, const Row&) {
-    if (key <= after || !match(key)) return;
-    if (keys.size() >= cap) {
-      if (key >= *keys.rbegin()) return;
-      keys.erase(std::prev(keys.end()));
-    }
-    keys.insert(key);
-  };
-  for (const auto& run : runs_) run->ForEach(collect);
-  memtable_.ForEach(collect);
-  *more = keys.size() >= cap;
-  std::vector<Key> out(keys.begin(), keys.end());
-  if (out.size() > static_cast<std::size_t>(limit)) {
-    out.resize(static_cast<std::size_t>(limit));
-  }
-  return out;
 }
 
 void Engine::Flush() {

@@ -105,17 +105,6 @@ class Engine {
   void ForEach(
       const std::function<void(const Key&, const Row&)>& fn) const;
 
-  /// The smallest `limit` keys strictly greater than `after` that satisfy
-  /// `match`, in key order; `*more` is set when further matching keys
-  /// remain beyond the returned window. A bounded selection over one cheap
-  /// pass of every stored entry: rows are never merged, only keys compared,
-  /// so a sparse token-range scan (membership range streaming) costs
-  /// O(entries) key work per slice instead of a full-table merge — callers
-  /// fetch the few returned rows with GetRow.
-  std::vector<Key> CollectKeysAfter(
-      const Key& after, int limit,
-      const std::function<bool(const Key&)>& match, bool* more) const;
-
   /// Seals the memtable into a run (no-op when empty).
   void Flush();
 

@@ -217,14 +217,10 @@ struct ClusterConfig {
   /// layout.
   int max_servers = 0;
 
-  /// Rows per message in a membership range stream (join bootstrap and
-  /// decommission handoff), and entries per anti-entropy push.
+  /// Entries (rows pushed plus keys pulled) per push message of a range
+  /// sync: anti-entropy repair, join bootstrap and decommission handoff
+  /// alike.
   int join_stream_batch = 128;
-
-  /// Base backoff before re-pulling a range slice that timed out (grows
-  /// linearly with the attempt count, capped at 8x). The puller also
-  /// rotates to the next candidate source on each retry.
-  SimTime join_stream_retry_backoff = Millis(50);
 
   /// How long a decommissioning server keeps waiting for its own hinted
   /// handoffs to drain before it force-reroutes them to the keys' current

@@ -103,8 +103,8 @@ struct Metrics {
   Counter& member_leaves_started;
   Counter& member_leaves_completed;
   Counter& member_ranges_streamed;   ///< (range, table) stream tasks finished
-  Counter& member_rows_streamed;     ///< rows shipped by membership streams
-  Counter& member_stream_retries;    ///< slice pulls that timed out and retried
+  Counter& member_rows_streamed;     ///< rows membership syncs shipped
+  Counter& member_stream_retries;    ///< membership syncs retried on silence
   Counter& member_hints_rerouted;    ///< hints re-sent to a range's new owners
   Counter& member_ops_retargeted;    ///< in-flight quorum slots moved off a leaver
   Counter& member_drains_forced;     ///< drain timeouts that force-rerouted hints

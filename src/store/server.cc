@@ -20,6 +20,10 @@ namespace {
 /// that target the entry-hash function directly).
 constexpr std::uint64_t kSyncDigestSalt = 0x9e3779b97f4a7c15ULL;
 
+/// Base backoff before retrying a membership sync that fell silent; grows
+/// linearly with the attempt count, capped at 8x.
+constexpr SimTime kStreamRetryBackoff = Millis(50);
+
 /// LWW merge of every answered slot's row.
 storage::Row MergeRowResponses(
     const std::vector<std::optional<storage::Row>>& responses) {
@@ -1055,16 +1059,19 @@ void Server::RunCompactionRound() {
   }
 }
 
-bool Server::SharesKeyWith(const std::string& table, const Key& key,
-                           ServerId peer) const {
+bool Server::InSyncScope(const std::string& table, const Key& key,
+                         ServerId peer, const SyncScope& scope) const {
+  if (scope.range) {
+    return scope.range->Covers(Ring::TokenOf(PartitionViewFor(table, key)));
+  }
   const auto& replicas = ReplicasOf(table, key);
   return std::find(replicas.begin(), replicas.end(), id_) != replicas.end() &&
          std::find(replicas.begin(), replicas.end(), peer) != replicas.end();
 }
 
-std::vector<std::uint64_t> Server::ComputeSyncDigests(const std::string& table,
-                                                      ServerId peer,
-                                                      int buckets) const {
+std::vector<std::uint64_t> Server::ComputeSyncDigests(
+    const std::string& table, ServerId peer, int buckets,
+    const SyncScope& scope) const {
   std::vector<std::uint64_t> digests(static_cast<std::size_t>(buckets), 0);
   auto it = engines_.find(table);
   if (it == engines_.end()) return digests;
@@ -1077,7 +1084,7 @@ std::vector<std::uint64_t> Server::ComputeSyncDigests(const std::string& table,
   // DIFFERENT rows, silently skipping the bucket forever.
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(buckets), 0);
   it->second->ForEach([&](const Key& key, const storage::Row& row) {
-    if (!SharesKeyWith(table, key, peer)) return;
+    if (!InSyncScope(table, key, peer, scope)) return;
     const std::uint64_t key_hash = Hash64(key);
     const std::size_t bucket =
         key_hash % static_cast<std::uint64_t>(buckets);
@@ -1088,16 +1095,16 @@ std::vector<std::uint64_t> Server::ComputeSyncDigests(const std::string& table,
   });
   for (std::size_t b = 0; b < digests.size(); ++b) {
     // Empty buckets stay 0 so a server with no engine for the table (all-zero
-    // fast path above) agrees with a peer that has the engine but no shared
-    // rows.
+    // fast path above) agrees with a peer that has the engine but no rows in
+    // scope.
     if (counts[b] > 0) digests[b] = HashCombine(digests[b], counts[b]);
   }
   return digests;
 }
 
-void Server::ForEachSharedRowInBuckets(
-    const std::string& table, ServerId peer, const std::vector<int>& buckets,
-    int total_buckets,
+void Server::ForEachRowInBuckets(
+    const std::string& table, ServerId peer, const SyncScope& scope,
+    const std::vector<int>& buckets, int total_buckets,
     const std::function<void(const Key&, const storage::Row&)>& fn) const {
   auto it = engines_.find(table);
   if (it == engines_.end()) return;
@@ -1106,13 +1113,15 @@ void Server::ForEachSharedRowInBuckets(
   it->second->ForEach([&](const Key& key, const storage::Row& row) {
     const std::size_t bucket =
         Hash64(key) % static_cast<std::uint64_t>(total_buckets);
-    if (wanted[bucket] && SharesKeyWith(table, key, peer)) fn(key, row);
+    if (wanted[bucket] && InSyncScope(table, key, peer, scope)) fn(key, row);
   });
 }
 
-// A (table, peer) sync runs in three steps:
-//   1. the peer compares bucket digests and answers with its mismatched
-//      buckets and the row digest of each of its keys in them;
+// A (table, peer) range sync — one anti-entropy exchange, or one membership
+// task — runs in three steps:
+//   1. the peer compares bucket digests over the keys in scope and answers
+//      with its mismatched buckets and the row digest of each of its keys
+//      in them;
 //   2. this server diffs that key list against its own rows of those
 //      buckets and pushes, in chunks, the rows that differ or that the peer
 //      lacks, plus the keys only the peer holds;
@@ -1123,17 +1132,21 @@ void Server::ForEachSharedRowInBuckets(
 // Steps 1 and 2 each walk the whole table for their digests and are priced
 // one flat `read_local` each; the walks are not yet charged per row. Every
 // row applied in step 3, on either side, costs `write_local`, and every
-// pulled key a `read_local` on the peer.
-void Server::SyncTableWithPeer(const std::string& table, ServerId peer) {
+// pulled key a `read_local` on the peer. A sync only ships what differs, so
+// re-running one after a lost message ships only what is still missing.
+void Server::SyncTableWithPeer(const std::string& table, ServerId peer,
+                               const SyncScope& scope,
+                               SyncSettled on_settled) {
   const int buckets = config_->anti_entropy_buckets;
-  std::vector<std::uint64_t> mine = ComputeSyncDigests(table, peer, buckets);
-  metrics_->anti_entropy_digest_exchanges++;
+  std::vector<std::uint64_t> mine =
+      ComputeSyncDigests(table, peer, buckets, scope);
+  if (!scope.range) metrics_->anti_entropy_digest_exchanges++;
   const ServerId self_id = id_;
   CallPeer<BucketKeyDigests>(
       peer, config_->perf.read_local,
-      [table, self_id, buckets, mine = std::move(mine)](Server& s) {
+      [table, self_id, buckets, scope, mine = std::move(mine)](Server& s) {
         const std::vector<std::uint64_t> theirs =
-            s.ComputeSyncDigests(table, self_id, buckets);
+            s.ComputeSyncDigests(table, self_id, buckets, scope);
         BucketKeyDigests reply;
         for (int b = 0; b < buckets; ++b) {
           if (mine[static_cast<std::size_t>(b)] !=
@@ -1142,25 +1155,35 @@ void Server::SyncTableWithPeer(const std::string& table, ServerId peer) {
           }
         }
         if (reply.buckets.empty()) return reply;
-        s.ForEachSharedRowInBuckets(
-            table, self_id, reply.buckets, buckets,
+        s.ForEachRowInBuckets(
+            table, self_id, scope, reply.buckets, buckets,
             [&reply](const Key& key, const storage::Row& row) {
               reply.keys.emplace_back(key, storage::RowDigest(row));
             });
         return reply;
       },
-      [this, table, peer, buckets](BucketKeyDigests theirs) {
-        if (theirs.buckets.empty()) return;
-        metrics_->anti_entropy_buckets_synced += theirs.buckets.size();
+      [this, table, peer, buckets, scope,
+       on_settled = std::move(on_settled)](BucketKeyDigests theirs) mutable {
+        if (theirs.buckets.empty()) {
+          if (on_settled) on_settled(0);
+          return;
+        }
+        if (!scope.range) {
+          metrics_->anti_entropy_buckets_synced += theirs.buckets.size();
+        }
         Enqueue(config_->perf.read_local,
-                [this, table, peer, buckets, theirs = std::move(theirs)] {
-                  PushDifferingRows(table, peer, buckets, theirs);
+                [this, table, peer, buckets, scope, theirs = std::move(theirs),
+                 on_settled = std::move(on_settled)]() mutable {
+                  PushDifferingRows(table, peer, buckets, scope, theirs,
+                                    std::move(on_settled));
                 });
       });
 }
 
 void Server::PushDifferingRows(const std::string& table, ServerId peer,
-                               int buckets, const BucketKeyDigests& theirs) {
+                               int buckets, const SyncScope& scope,
+                               const BucketKeyDigests& theirs,
+                               SyncSettled on_settled) {
   const std::size_t cap =
       static_cast<std::size_t>(std::max(1, config_->join_stream_batch));
   std::vector<SyncChunk> chunks(1);
@@ -1173,8 +1196,8 @@ void Server::PushDifferingRows(const std::string& table, ServerId peer,
   // Both sides list their keys in engine order, so one merge pass sorts
   // every key into ours only, the peer's only, or on both sides.
   auto peer_it = theirs.keys.begin();
-  ForEachSharedRowInBuckets(
-      table, peer, theirs.buckets, buckets,
+  ForEachRowInBuckets(
+      table, peer, scope, theirs.buckets, buckets,
       [&](const Key& key, const storage::Row& row) {
         for (; peer_it != theirs.keys.end() && peer_it->first < key;
              ++peer_it) {
@@ -1190,15 +1213,25 @@ void Server::PushDifferingRows(const std::string& table, ServerId peer,
   for (; peer_it != theirs.keys.end(); ++peer_it) {
     next_entry().pulls.push_back(peer_it->first);
   }
+  if (chunks.back().rows.empty() && chunks.back().pulls.empty()) {
+    chunks.pop_back();  // nothing differed after all
+  }
+  auto tally = std::make_shared<SyncTally>(
+      SyncTally{chunks.size(), 0, std::move(on_settled)});
+  if (chunks.empty() && tally->on_settled) tally->on_settled(0);
   for (SyncChunk& chunk : chunks) {
-    if (chunk.rows.empty() && chunk.pulls.empty()) continue;
-    SendSyncChunk(table, peer, std::move(chunk));
+    SendSyncChunk(table, peer, scope, std::move(chunk), tally);
   }
 }
 
 void Server::SendSyncChunk(const std::string& table, ServerId peer,
-                           SyncChunk chunk) {
-  metrics_->anti_entropy_rows_pushed += chunk.rows.size();
+                           const SyncScope& scope, SyncChunk chunk,
+                           std::shared_ptr<SyncTally> tally) {
+  // Membership tasks count their rows apart from anti-entropy repair.
+  Counter& shipped = scope.range ? metrics_->member_rows_streamed
+                                 : metrics_->anti_entropy_rows_pushed;
+  shipped += chunk.rows.size();
+  tally->rows += chunk.rows.size();
   const SimTime service =
       config_->perf.write_local * static_cast<SimTime>(chunk.rows.size()) +
       config_->perf.read_local * static_cast<SimTime>(chunk.pulls.size());
@@ -1207,15 +1240,21 @@ void Server::SendSyncChunk(const std::string& table, ServerId peer,
       [table, chunk = std::move(chunk)](Server& s) {
         return s.ApplySyncChunk(table, chunk);
       },
-      [this, table](std::vector<storage::KeyedRow> returned) {
-        if (returned.empty()) return;
-        metrics_->anti_entropy_rows_pushed += returned.size();
+      [this, table, &shipped,
+       tally = std::move(tally)](std::vector<storage::KeyedRow> returned) {
+        if (returned.empty()) {
+          tally->Close();
+          return;
+        }
+        shipped += returned.size();
+        tally->rows += returned.size();
         Enqueue(config_->perf.write_local *
                     static_cast<SimTime>(returned.size()),
-                [this, table, returned = std::move(returned)] {
+                [this, table, tally, returned = std::move(returned)] {
                   for (const auto& kr : returned) {
                     LocalApply(table, kr.key, kr.row);
                   }
+                  tally->Close();
                 });
       });
 }
@@ -1300,10 +1339,10 @@ void Server::Crash() {
   hints_.clear();
   freshness_cache_.lag_ewma.clear();
   queue_.Reset();
-  // Membership stream progress is volatile too; Restart rebuilds the task
-  // list from the (durable) join/decommission plan and streams from scratch.
+  // Membership task progress is volatile too; Restart re-syncs the
+  // (durable) join/decommission plan, shipping only what is still missing.
   stream_tasks_.clear();
-  stream_pull_pending_ = false;
+  stream_sync_pending_ = false;
 
   // 4. Disappear from the network. Bumping the incarnation (a) drops every
   //    in-flight message to/from the dead process at delivery time and
@@ -1337,17 +1376,14 @@ void Server::Restart() {
   // propagations orphaned by the crash.
   if (view_hook_ != nullptr) view_hook_->OnServerRestart(this);
 
-  // A membership transition interrupted by the crash resumes: the plans are
-  // durable intent records, only the stream cursors died with the process.
+  // A membership transition interrupted by the crash resumes from its
+  // durable plan: every range re-diffs, so the ranges that already landed
+  // settle after one digest exchange.
   if (membership_ == MembershipState::kJoining) {
-    BuildStreamTasks(join_plan_);
-    stream_min_ts_ = 0;
-    PumpStream();
+    StreamPlan(join_plan_);
   } else if (membership_ == MembershipState::kDraining) {
     decommission_phase_ = 1;
-    stream_min_ts_ = 0;
-    BuildStreamTasks(decommission_plan_);
-    PumpStream();
+    StreamPlan(decommission_plan_);
   }
 }
 
@@ -1486,9 +1522,7 @@ void Server::ActivateForJoin() {
 void Server::BeginJoinStream(std::vector<Ring::RangeTransfer> plan) {
   MVSTORE_CHECK(membership_ == MembershipState::kJoining);
   join_plan_ = std::move(plan);
-  stream_min_ts_ = 0;
-  BuildStreamTasks(join_plan_);
-  PumpStream();
+  StreamPlan(join_plan_);
 }
 
 void Server::BeginDecommission(std::vector<Ring::RangeTransfer> plan) {
@@ -1503,42 +1537,35 @@ void Server::BeginDecommission(std::vector<Ring::RangeTransfer> plan) {
                                         sim_->Now());
   }
   drain_deadline_ = sim_->Now() + config_->decommission_drain_timeout;
-  // Writes coordinated while the ring change raced this call may still land
-  // here; the tail sweep (phase 2) re-ships anything stamped since shortly
-  // before the full sweep began. Client timestamps are epoch + client time.
-  tail_cutoff_ = kClientTimestampEpoch +
-                 (sim_->Now() > Seconds(1) ? sim_->Now() - Seconds(1) : 0);
   decommission_phase_ = 1;
-  stream_min_ts_ = 0;
-  BuildStreamTasks(decommission_plan_);
-  PumpStream();
+  StreamPlan(decommission_plan_);
 }
 
-void Server::BuildStreamTasks(const std::vector<Ring::RangeTransfer>& plan) {
+void Server::StreamPlan(const std::vector<Ring::RangeTransfer>& plan) {
   stream_tasks_.clear();
-  stream_pull_pending_ = false;
+  stream_sync_pending_ = false;
   for (const Ring::RangeTransfer& transfer : plan) {
     // No peers: the remaining members already replicate the range (leave at
     // low replication pressure) — nothing to move.
     if (transfer.peers.empty()) continue;
     for (const std::string& table : schema_->TableNames()) {
       if (membership_ == MembershipState::kDraining) {
-        // Push: one task per NEW owner — each must receive its own copy.
+        // One task per NEW owner — each must receive its own copy.
         for (ServerId owner : transfer.peers) {
-          stream_tasks_.push_back(
-              StreamTask{table, transfer.range, {owner}, Key{}, 0, 0});
+          stream_tasks_.push_back(StreamTask{table, transfer.range, {owner}});
         }
       } else {
-        // Pull: one task per range, rotating through the sources on retry.
+        // One task per range, rotating through the sources on retry.
         stream_tasks_.push_back(
-            StreamTask{table, transfer.range, transfer.peers, Key{}, 0, 0});
+            StreamTask{table, transfer.range, transfer.peers});
       }
     }
   }
+  PumpStream();
 }
 
 void Server::PumpStream() {
-  if (crashed_ || stream_pull_pending_) return;
+  if (crashed_ || stream_sync_pending_) return;
   if (membership_ != MembershipState::kJoining &&
       membership_ != MembershipState::kDraining) {
     return;
@@ -1552,94 +1579,36 @@ void Server::PumpStream() {
     return;
   }
 
-  StreamTask& task = stream_tasks_.front();
+  const StreamTask& task = stream_tasks_.front();
   const std::uint64_t seq = ++stream_seq_;
-  stream_pull_pending_ = true;
-  const int limit = std::max(1, config_->join_stream_batch);
-  const std::string table = task.table;
-  const Ring::TokenRange range = task.range;
-  const Key from = task.cursor;
-  const Timestamp min_ts = stream_min_ts_;
-  const int attempt = task.attempt;
+  stream_sync_pending_ = true;
+  const ServerId peer =
+      task.peers[static_cast<std::size_t>(task.attempt) % task.peers.size()];
+  SyncTableWithPeer(task.table, peer, SyncScope{task.range},
+                    [this, seq](std::uint64_t rows) {
+                      StreamSyncSettled(seq, rows);
+                    });
 
-  if (membership_ == MembershipState::kJoining) {
-    // Pull the next slice from a source replica.
-    const ServerId source =
-        task.peers[static_cast<std::size_t>(attempt) % task.peers.size()];
-    CallPeer<RangeSlice>(
-        source, config_->perf.view_scan_local,
-        [table, range, from, limit, min_ts](Server& s) {
-          return s.CollectRangeRows(table, range, from, limit, min_ts);
-        },
-        [this, seq, table](RangeSlice slice) {
-          if (seq != stream_seq_) return;  // superseded by a retry
-          // Applying the slice is real replica work: charge it through the
-          // service queue before acknowledging progress.
-          const SimTime service =
-              config_->perf.write_local *
-              static_cast<SimTime>(slice.rows.size() + 1);
-          Enqueue(service, [this, seq, table,
-                            slice = std::move(slice)]() mutable {
-            if (seq != stream_seq_) return;
-            for (const auto& kr : slice.rows) {
-              LocalApply(table, kr.key, kr.row);
-            }
-            StreamSliceSettled(seq, true, slice.rows.size(), slice.resume,
-                               slice.done);
-          });
-        });
-  } else {
-    // Decommission push: collect locally (scan demand on our own cores),
-    // then ship the slice to the single new owner of this task.
-    const ServerId target = task.peers.front();
-    Enqueue(config_->perf.view_scan_local, [this, seq, table, range, from,
-                                            limit, min_ts, target] {
-      if (seq != stream_seq_) return;
-      RangeSlice slice = CollectRangeRows(table, range, from, limit, min_ts);
-      const std::size_t n = slice.rows.size();
-      const Key resume = slice.resume;
-      const bool done = slice.done;
-      if (n == 0) {  // nothing (left) in this slice: just advance the cursor
-        StreamSliceSettled(seq, true, 0, resume, done);
-        return;
-      }
-      const SimTime service =
-          config_->perf.write_local * static_cast<SimTime>(n + 1);
-      auto rows =
-          std::make_shared<std::vector<storage::KeyedRow>>(
-              std::move(slice.rows));
-      CallPeer<bool>(
-          target, service,
-          [table, rows](Server& s) {
-            for (const auto& kr : *rows) s.LocalApply(table, kr.key, kr.row);
-            return true;
-          },
-          [this, seq, n, resume, done](bool) {
-            StreamSliceSettled(seq, true, n, resume, done);
-          });
-    });
-  }
-
-  // Arm the silence probe: an unacknowledged slice is re-requested from the
-  // last acked cursor after a linearly growing backoff, rotating to the next
-  // candidate source. Idempotent on the receiving side (LWW applies).
+  // Arm the silence probe: a sync that has not settled by then is retried
+  // after a linearly growing backoff, against the next candidate source.
+  // The retry re-diffs, so it ships only what the peer still lacks.
   const std::uint64_t incarnation = incarnation_;
   sim_->After(config_->rpc_timeout, [this, incarnation, seq] {
     if (incarnation != incarnation_ || seq != stream_seq_ ||
-        !stream_pull_pending_) {
+        !stream_sync_pending_) {
       return;
     }
-    stream_pull_pending_ = false;
+    stream_sync_pending_ = false;
     metrics_->member_stream_retries++;
     // A draining server cannot wait forever on an unreachable new owner:
-    // past the drain deadline the remaining slices for that range are
-    // abandoned (counted as a forced drain) and the surviving replicas'
-    // anti-entropy covers the gap once the owner returns. A joiner has no
-    // such deadline — it keeps rotating sources until one answers.
+    // past the drain deadline the task is abandoned (counted as a forced
+    // drain) and the surviving replicas' anti-entropy covers the gap once
+    // the owner returns. A joiner has no such deadline — it keeps rotating
+    // sources until one answers.
     if (membership_ == MembershipState::kDraining &&
         sim_->Now() >= drain_deadline_ && !stream_tasks_.empty()) {
       metrics_->member_drains_forced++;
-      FinishStreamTask();
+      FinishStreamTask(0);
       PumpStream();
       return;
     }
@@ -1648,36 +1617,26 @@ void Server::PumpStream() {
       next_attempt = ++stream_tasks_.front().attempt;
     }
     const SimTime backoff =
-        config_->join_stream_retry_backoff *
-        static_cast<SimTime>(std::min(next_attempt, 8));
+        kStreamRetryBackoff * static_cast<SimTime>(std::min(next_attempt, 8));
     sim_->After(backoff, [this, incarnation] {
       if (incarnation == incarnation_) PumpStream();
     });
   });
 }
 
-void Server::StreamSliceSettled(std::uint64_t seq, bool ok,
-                                std::size_t rows_acked, Key resume,
-                                bool done) {
-  if (seq != stream_seq_) return;  // a retry superseded this slice
-  stream_pull_pending_ = false;
+void Server::StreamSyncSettled(std::uint64_t seq, std::uint64_t rows) {
+  if (seq != stream_seq_) return;  // a retry superseded this sync
+  stream_sync_pending_ = false;
   if (stream_tasks_.empty()) return;
-  StreamTask& task = stream_tasks_.front();
-  if (ok) {
-    task.cursor = std::move(resume);
-    task.attempt = 0;
-    task.rows_streamed += rows_acked;
-    metrics_->member_rows_streamed += rows_acked;
-    if (done) FinishStreamTask();
-  }
+  FinishStreamTask(rows);
   PumpStream();
 }
 
-void Server::FinishStreamTask() {
+void Server::FinishStreamTask(std::uint64_t rows) {
   const StreamTask& task = stream_tasks_.front();
   metrics_->member_ranges_streamed++;
   EmitMemberSpan("member.stream_range",
-                 task.table + " rows=" + std::to_string(task.rows_streamed) +
+                 task.table + " rows=" + std::to_string(rows) +
                      " peer=" + std::to_string(task.peers.front()));
   stream_tasks_.pop_front();
 }
@@ -1690,20 +1649,19 @@ void Server::FinishJoin() {
     tracer_->EndSpan(member_trace_, sim_->Now());
     member_trace_ = {};
   }
-  // The streams carried a snapshot; one immediate anti-entropy round closes
-  // any gap with writes replicated while the bootstrap was in flight.
+  // Each range sync settled on a snapshot; one immediate anti-entropy round
+  // closes any gap with writes replicated while the bootstrap was in flight.
   RunAntiEntropyRound();
   if (view_hook_ != nullptr) view_hook_->OnServerJoin(this);
 }
 
 void Server::ContinueDecommission() {
   if (decommission_phase_ == 1) {
-    // Full sweep done. Tail sweep: only rows stamped since shortly before
-    // the full sweep began (straggler writes in flight at the ring change).
+    // First pass done. Replica writes in flight at the ring change may have
+    // landed here after their range synced; a second pass over the same
+    // plan ships them, whatever their timestamps.
     decommission_phase_ = 2;
-    stream_min_ts_ = tail_cutoff_;
-    BuildStreamTasks(decommission_plan_);
-    PumpStream();
+    StreamPlan(decommission_plan_);
   } else if (decommission_phase_ == 2) {
     decommission_phase_ = 3;
     DrainHintsThenLeave();
@@ -1766,7 +1724,7 @@ void Server::FinishLeave(bool forced) {
   hints_.clear();
   queue_.Reset();
   stream_tasks_.clear();
-  stream_pull_pending_ = false;
+  stream_sync_pending_ = false;
   decommission_plan_.clear();
   decommission_phase_ = 0;
   membership_ = MembershipState::kLeft;
@@ -1829,45 +1787,6 @@ std::size_t Server::hints_outstanding() const {
   std::size_t total = 0;
   for (const auto& [target, queue] : hints_) total += queue.size();
   return total;
-}
-
-Server::RangeSlice Server::CollectRangeRows(const std::string& table,
-                                            Ring::TokenRange range,
-                                            const Key& from, int limit,
-                                            Timestamp min_ts) const {
-  RangeSlice slice;
-  auto it = engines_.find(table);
-  if (it == engines_.end()) return slice;  // nothing stored: done
-  // Bounded window of keys in the range past the cursor (cheap: no row
-  // merges), then point lookups for just those rows. The cursor advances
-  // over EXAMINED keys, so a min_ts tail sweep that filters everything out
-  // still makes progress.
-  bool more = false;
-  const std::vector<Key> keys = it->second->CollectKeysAfter(
-      from, limit,
-      [&](const Key& key) {
-        return range.Covers(Ring::TokenOf(PartitionViewFor(table, key)));
-      },
-      &more);
-  slice.done = !more;
-  if (keys.empty()) return slice;
-  slice.resume = keys.back();
-  for (const Key& key : keys) {
-    auto row = it->second->GetRow(key);
-    if (!row.has_value()) continue;
-    if (min_ts > 0) {
-      bool fresh = false;
-      for (const auto& [col, cell] : row->cells()) {
-        if (cell.ts >= min_ts) {
-          fresh = true;
-          break;
-        }
-      }
-      if (!fresh) continue;
-    }
-    slice.rows.push_back(storage::KeyedRow{key, *std::move(row)});
-  }
-  return slice;
 }
 
 void Server::EmitMemberSpan(const char* name, const std::string& note) {

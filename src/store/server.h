@@ -64,8 +64,8 @@ struct ScatterScanResult {
 /// joining or draining server can crash and resume the transition after
 /// Restart).
 ///
-///   kLeft ──ActivateForJoin──▶ kJoining ──stream done──▶ kServing
-///   kServing ──BeginDecommission──▶ kDraining ──streamed+drained──▶ kLeft
+///   kLeft ──ActivateForJoin──▶ kJoining ──ranges synced──▶ kServing
+///   kServing ──BeginDecommission──▶ kDraining ──synced+drained──▶ kLeft
 enum class MembershipState { kServing, kJoining, kDraining, kLeft };
 
 class Server {
@@ -143,18 +143,17 @@ class Server {
   /// this BEFORE adding the server to the ring.
   void ActivateForJoin();
 
-  /// Starts the streaming bootstrap: pulls every range in `plan` (one task
-  /// per range and table, `join_stream_batch` rows per message, resumable
-  /// cursor, per-range retry with linear backoff rotating through the
-  /// sources). Flips to kServing when the last range lands.
+  /// Starts the bootstrap: one range sync per (range, table) in `plan`
+  /// against one of the range's current replicas, rotating through them
+  /// when a sync falls silent. Flips to kServing when the last sync settles.
   void BeginJoinStream(std::vector<Ring::RangeTransfer> plan);
 
   /// Starts the decommission. The Cluster has already removed this server
   /// from the ring; `plan` names the ranges it owned and their new owners.
-  /// The server streams each range out (a full sweep, then a tail sweep
-  /// that catches writes applied during the first), drains its hinted
-  /// handoffs, then leaves: endpoint down, new coordination rejected from
-  /// the moment this is called.
+  /// The server syncs each range with each new owner, twice (the second
+  /// pass catches replica writes that landed during the first), drains its
+  /// hinted handoffs, then leaves: endpoint down, new coordination rejected
+  /// from the moment this is called.
   void BeginDecommission(std::vector<Ring::RangeTransfer> plan);
 
   /// Re-coordinates every hint queued FOR `departed` to the hinted keys'
@@ -168,21 +167,6 @@ class Server {
 
   /// Total hints queued across all targets (the decommission drain gate).
   std::size_t hints_outstanding() const;
-
-  /// One batch of a membership range stream: rows of `table` whose
-  /// partition key falls in `range`, with keys strictly greater than
-  /// `from`, holding at least one cell with ts >= `min_ts`; at most `limit`
-  /// rows per call (in key order). `resume` is the cursor for the next
-  /// call; `done` signals the range is exhausted. Runs on the source server
-  /// (join pulls) or locally (decommission pushes).
-  struct RangeSlice {
-    std::vector<storage::KeyedRow> rows;
-    Key resume;
-    bool done = true;
-  };
-  RangeSlice CollectRangeRows(const std::string& table,
-                              Ring::TokenRange range, const Key& from,
-                              int limit, Timestamp min_ts) const;
 
   /// All servers of the cluster, indexed by ServerId (set by the Cluster;
   /// used to address peers).
@@ -425,16 +409,24 @@ class Server {
   /// target acknowledges. Runs periodically when `hint_replay_interval` > 0.
   void ReplayHints();
 
-  // --- anti-entropy internals (public: invoked on peers via messages) ---
+  // --- range sync internals (public: invoked on peers via messages) ---
 
-  /// Digest of this server's rows of `table` that are co-replicated with
-  /// `peer`, bucketed by key hash. Per bucket: sum (mod 2^64) of salted entry
+  /// The keys of a table one range sync covers; both sides evaluate it the
+  /// same way. Anti-entropy (no `range`) covers the keys this server and
+  /// the peer both replicate; a membership task covers the keys whose
+  /// partition token falls in `range`, whoever replicates them.
+  struct SyncScope {
+    std::optional<Ring::TokenRange> range;
+  };
+
+  /// Digest of this server's rows of `table` in `scope` with `peer`,
+  /// bucketed by key hash. Per bucket: sum (mod 2^64) of salted entry
   /// hashes folded with the row count — commutative (order-insensitive) but,
   /// unlike an XOR fold, not a GF(2) linear map that dependent entry sets can
   /// cancel to a false match.
-  std::vector<std::uint64_t> ComputeSyncDigests(const std::string& table,
-                                                ServerId peer,
-                                                int buckets) const;
+  std::vector<std::uint64_t> ComputeSyncDigests(
+      const std::string& table, ServerId peer, int buckets,
+      const SyncScope& scope = {}) const;
 
   /// Ships one replica mutation to `to` as its own message and acks
   /// through `on_ack`. `service` is the replica-side apply demand.
@@ -461,42 +453,63 @@ class Server {
   bool HintReplayTick();
   bool CompactionTick();
 
-  // --- anti-entropy steps ---
+  // --- range sync steps ---
 
   /// The peer's answer to a digest exchange: its mismatched buckets, and
-  /// (key, storage::RowDigest) for each of its shared rows in them, in key
+  /// (key, storage::RowDigest) for each of its rows in scope in them, in key
   /// order.
   struct BucketKeyDigests {
     std::vector<int> buckets;
     std::vector<std::pair<Key, std::uint64_t>> keys;
   };
-  /// One anti-entropy push message: rows the peer applies, and keys only
-  /// the peer holds. At most `join_stream_batch` entries, so the peer's
-  /// answer carries at most that many rows too.
+  /// One push message: rows the peer applies, and keys only the peer
+  /// holds. At most `join_stream_batch` entries, so the peer's answer
+  /// carries at most that many rows too.
   struct SyncChunk {
     std::vector<storage::KeyedRow> rows;
     std::vector<Key> pulls;
   };
+  /// Called once a sync is settled, with the rows it shipped both ways.
+  using SyncSettled = std::function<void(std::uint64_t rows)>;
+  /// The chunks of one sync still unanswered, and the rows shipped so far.
+  struct SyncTally {
+    std::size_t open = 0;
+    std::uint64_t rows = 0;
+    SyncSettled on_settled;
+    /// One chunk answered and applied; the last one settles the sync.
+    void Close() {
+      if (--open == 0 && on_settled) on_settled(rows);
+    }
+  };
 
-  void SyncTableWithPeer(const std::string& table, ServerId peer);
+  /// Syncs the rows of `table` in `scope` with `peer`. `on_settled`, if
+  /// set, runs once the digest answer shows no mismatched bucket or every
+  /// chunk of the diff has been answered and applied here; a sync that
+  /// loses a message never settles.
+  void SyncTableWithPeer(const std::string& table, ServerId peer,
+                         const SyncScope& scope = {},
+                         SyncSettled on_settled = nullptr);
   /// Diffs `theirs` against this server's rows in the same buckets and
   /// sends the differing rows and the peer-only keys as SyncChunks.
   void PushDifferingRows(const std::string& table, ServerId peer,
-                         int buckets, const BucketKeyDigests& theirs);
+                         int buckets, const SyncScope& scope,
+                         const BucketKeyDigests& theirs,
+                         SyncSettled on_settled);
   void SendSyncChunk(const std::string& table, ServerId peer,
-                     SyncChunk chunk);
+                     const SyncScope& scope, SyncChunk chunk,
+                     std::shared_ptr<SyncTally> tally);
   /// Runs on the peer: applies `chunk.rows` and returns its current row of
   /// every key it holds differently from what it received, and of every
   /// pulled key.
   std::vector<storage::KeyedRow> ApplySyncChunk(const std::string& table,
                                                 const SyncChunk& chunk);
-  /// Whether both this server and `peer` replicate `key` of `table`.
-  bool SharesKeyWith(const std::string& table, const Key& key,
-                     ServerId peer) const;
-  /// Visits, in key order, this server's rows of `table` that it shares
-  /// with `peer` and whose key hashes into one of `buckets`.
-  void ForEachSharedRowInBuckets(
-      const std::string& table, ServerId peer,
+  /// Whether `key` of `table` is in `scope` of a sync with `peer`.
+  bool InSyncScope(const std::string& table, const Key& key, ServerId peer,
+                   const SyncScope& scope) const;
+  /// Visits, in key order, this server's rows of `table` in `scope` with
+  /// `peer` whose key hashes into one of `buckets`.
+  void ForEachRowInBuckets(
+      const std::string& table, ServerId peer, const SyncScope& scope,
       const std::vector<int>& buckets, int total_buckets,
       const std::function<void(const Key&, const storage::Row&)>& fn) const;
 
@@ -534,31 +547,28 @@ class Server {
 
   // --- elastic membership internals ---
 
-  /// One (range, table) unit of a membership stream. Join tasks pull from
-  /// `peers` (rotating on retry); decommission tasks push to the single
-  /// server in `peers`. `cursor` makes the stream resumable: a timed-out
-  /// slice re-requests from the last acknowledged key, not from scratch.
+  /// One (range, table) unit of a membership transfer, settled by one range
+  /// sync. Join tasks sync with `peers` (rotating on retry); decommission
+  /// tasks with the single new owner in `peers`. A retried task re-diffs,
+  /// so it ships only what the peer still lacks.
   struct StreamTask {
     std::string table;
     Ring::TokenRange range;
     std::vector<ServerId> peers;
-    Key cursor;
     int attempt = 0;
-    std::uint64_t rows_streamed = 0;
   };
 
   /// Expands a transfer plan into stream tasks (join: one per range+table;
-  /// decommission: one per range+table+new owner).
-  void BuildStreamTasks(const std::vector<Ring::RangeTransfer>& plan);
-  /// Drives the front stream task: issues the next slice pull/push with a
-  /// timeout, advances the cursor on ack, retries with backoff on silence.
+  /// decommission: one per range+table+new owner) and starts the first.
+  void StreamPlan(const std::vector<Ring::RangeTransfer>& plan);
+  /// Drives the front stream task: starts its sync with a silence probe
+  /// that retries it, with backoff and the next source, at `rpc_timeout`.
   void PumpStream();
-  void StreamSliceSettled(std::uint64_t seq, bool ok,
-                          std::size_t rows_acked, Key resume, bool done);
-  void FinishStreamTask();
+  void StreamSyncSettled(std::uint64_t seq, std::uint64_t rows);
+  void FinishStreamTask(std::uint64_t rows);
   void FinishJoin();
-  /// Advances the decommission phase machine once the current sweep's
-  /// stream tasks have drained.
+  /// Advances the decommission phase machine once the current pass's
+  /// stream tasks have settled.
   void ContinueDecommission();
   /// Polls the hint queues; leaves when empty, force-reroutes at the drain
   /// deadline.
@@ -612,21 +622,16 @@ class Server {
   // --- elastic membership state ---
   MembershipState membership_ = MembershipState::kServing;
   std::deque<StreamTask> stream_tasks_;
-  /// Matches slice replies and their timeout probes to the CURRENT pull;
-  /// a stale reply (superseded by a retry) or a stale timeout is ignored.
+  /// Matches sync settlements and their silence probes to the CURRENT
+  /// attempt; a stale one (superseded by a retry) is ignored.
   std::uint64_t stream_seq_ = 0;
-  bool stream_pull_pending_ = false;
-  /// The decommission plan outlives a crash (modeled as a durable
-  /// decommission-intent record): a draining server that crashes resumes
-  /// the handoff after Restart instead of stranding its ranges.
+  bool stream_sync_pending_ = false;
+  /// The plans outlive a crash (modeled as durable intent records): a
+  /// joining or draining server that crashes re-syncs them after Restart.
   std::vector<Ring::RangeTransfer> decommission_plan_;
   std::vector<Ring::RangeTransfer> join_plan_;
-  /// 0 = idle, 1 = full sweep, 2 = tail sweep, 3 = hint drain.
+  /// 0 = idle, 1 = first pass, 2 = second pass, 3 = hint drain.
   int decommission_phase_ = 0;
-  /// Tail-sweep filter: only rows written since shortly before the full
-  /// sweep began (straggler writes in flight when the ring changed).
-  Timestamp stream_min_ts_ = 0;
-  Timestamp tail_cutoff_ = 0;
   SimTime drain_deadline_ = 0;
   /// Root span of the in-progress join or drain ("member.join" /
   /// "member.drain"); child spans mark each streamed range.

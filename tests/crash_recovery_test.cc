@@ -643,6 +643,69 @@ TEST(AntiEntropyTest, MoreDivergentRowsThanTheBatchCapShipInCappedMessages) {
   }
 }
 
+// A replica partitioned through a W=1 write burst, with hint replay and
+// scrub off and no client reads, has one way back: anti-entropy rounds run
+// by the replicas that took the writes push the rows it missed. Nothing else
+// converges it, so a sync whose peer dropped pushed rows fails here.
+TEST(AntiEntropyTest, OnlyAntiEntropyRepairsAReplicaPartitionedThroughWrites) {
+  store::ClusterConfig config = test::DefaultTestConfig();
+  config.anti_entropy_interval = 0;  // manual rounds from the fresh replicas
+  config.hint_replay_interval = 0;   // hints are stored, never replayed
+  config.view_scrub_interval = 0;
+  test::TestCluster t(config, PlainSchema());
+  constexpr ServerId kLagging = 3;
+  constexpr ServerId kCoordinator = 0;
+  const std::vector<Key> keys =
+      KeysReplicatedOn(t.cluster.server(0), kCoordinator, kLagging, "k", 40);
+  // Half the keys exist everywhere at an old version; the burst overwrites
+  // them and inserts the other half.
+  for (std::size_t i = 0; i < keys.size() / 2; ++i) {
+    t.cluster.BootstrapLoadRow("t", keys[i], {{"a", std::string("old")}},
+                               100);
+  }
+
+  for (ServerId s = 0; s < kLagging; ++s) {
+    t.cluster.network().PartitionLink(kLagging, s);
+  }
+  auto client = t.cluster.NewClient(kCoordinator);
+  store::WriteOptions w1;
+  w1.quorum = 1;
+  for (const Key& key : keys) {
+    ASSERT_TRUE(client->PutSync("t", key, {{"a", std::string("new")}}, w1)
+                    .ok());
+  }
+  t.cluster.RunFor(Seconds(1));  // every replica-write retry gives up
+  for (ServerId s = 0; s < kLagging; ++s) {
+    t.cluster.network().RestoreLink(kLagging, s);
+  }
+  t.cluster.RunFor(Seconds(2));
+  storage::Engine& lagging = t.cluster.server(kLagging).EngineFor("t");
+  for (const Key& key : keys) {
+    auto cell = lagging.GetCell(key, "a");
+    ASSERT_TRUE(!cell.has_value() || cell->value == "old")
+        << key << " reached the partitioned replica without anti-entropy";
+  }
+
+  for (ServerId s = 0; s < kLagging; ++s) {
+    t.cluster.server(s).RunAntiEntropyRound();
+  }
+  t.cluster.RunFor(Millis(500));
+  for (const Key& key : keys) {
+    for (ServerId replica : t.cluster.server(0).ReplicasOf("t", key)) {
+      auto cell = t.cluster.server(replica).EngineFor("t").GetCell(key, "a");
+      ASSERT_TRUE(cell.has_value()) << key << " missing on " << replica;
+      EXPECT_EQ(cell->value, "new") << key << " stale on " << replica;
+    }
+  }
+  store::ReadOptions r3;
+  r3.quorum = 3;
+  for (const Key& key : keys) {
+    const store::ReadResult result = client->GetSync("t", key, r3);
+    ASSERT_TRUE(result.ok()) << key;
+    EXPECT_EQ(result.row.GetValue("a"), "new") << key;
+  }
+}
+
 // Tombstone-resurrection guard: a tombstone whose delete is still owed to a
 // partitioned replica (a stored hint) must survive GC even past grace.
 // Without the purge floor, the coordinator compacts the tombstone away while

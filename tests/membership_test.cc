@@ -1,8 +1,9 @@
-// Elastic membership, end to end: runtime bootstrap (join streams the
-// joiner's ranges, resumable across a crash), decommission (ranges stream
-// to their new owners, hinted handoffs drain before the server leaves),
-// hint rerouting, in-flight op retargeting, coordination rejection while
-// draining, and a join -> leave -> rejoin lifecycle that must converge.
+// Elastic membership, end to end: runtime bootstrap (join syncs the
+// joiner's ranges, resumable across a crash), decommission (ranges sync to
+// their new owners in two passes, hinted handoffs drain before the server
+// leaves), hint rerouting, in-flight op retargeting, coordination rejection
+// while draining, and a join -> leave -> rejoin lifecycle that must
+// converge.
 
 #include <gtest/gtest.h>
 
@@ -331,6 +332,130 @@ TEST(MembershipTest, CrashDuringJoinResumesStreamingAfterRestart) {
       EXPECT_TRUE(local.count(key) != 0) << "joiner missing " << key;
     }
   }
+}
+
+// A crashed joiner resumes by re-diffing its ranges, so it ships only the
+// rows it still lacks. The joiner crashes each time it has streamed 60% of
+// its rows since it last started, at most twice: a join that restreamed
+// every range from scratch after Restart would ship 2.2x its rows.
+TEST(MembershipTest, CrashedJoinerResumesByShippingOnlyWhatItLacks) {
+  store::ClusterConfig config = ChurnConfig();
+  config.join_stream_batch = 4;
+  test::TestCluster t(config, test::TicketSchema(false, false));
+  constexpr int kRows = 150;
+  for (int k = 0; k < kRows; ++k) {
+    t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
+                               {{"status", std::string("open")}}, 100 + k);
+  }
+
+  auto joiner = t.cluster.JoinServer();
+  ASSERT_TRUE(joiner.has_value());
+  std::set<Key> owned;
+  for (int k = 0; k < kRows; ++k) {
+    const Key key = "t" + std::to_string(k);
+    const auto replicas = t.cluster.ring().ReplicasFor(key, 3);
+    if (std::find(replicas.begin(), replicas.end(), *joiner) !=
+        replicas.end()) {
+      owned.insert(key);
+    }
+  }
+  ASSERT_GE(owned.size(), 20u);
+
+  const store::Metrics& m = t.cluster.metrics();
+  store::Server& server = t.cluster.server(*joiner);
+  std::uint64_t streamed_at_start = 0;
+  int crashes = 0;
+  for (int step = 0;
+       step < 100000 && server.membership() == MembershipState::kJoining;
+       ++step) {
+    t.cluster.RunFor(Micros(100));
+    if (crashes < 2 && server.membership() == MembershipState::kJoining &&
+        (m.member_rows_streamed - streamed_at_start) * 5 >=
+            owned.size() * 3) {
+      ASSERT_TRUE(t.cluster.CrashServer(*joiner));
+      t.cluster.RunFor(Millis(50));
+      ASSERT_TRUE(t.cluster.RestartServer(*joiner));
+      streamed_at_start = m.member_rows_streamed;
+      ++crashes;
+    }
+  }
+  ASSERT_EQ(server.membership(), MembershipState::kServing);
+  EXPECT_GE(crashes, 1) << "the join never got far enough to crash";
+  EXPECT_EQ(m.member_joins_completed, 1u);
+
+  const std::set<Key> local = LocalKeys(t.cluster, *joiner, "ticket");
+  for (const Key& key : owned) {
+    EXPECT_TRUE(local.count(key) != 0) << "joiner missing " << key;
+  }
+  EXPECT_LT(m.member_rows_streamed, 2 * owned.size())
+      << "the resumed join re-shipped rows the joiner already held";
+}
+
+// A replica write in flight when the ring changed can land on the draining
+// server after its range's first pass. The second pass must carry it to the
+// range's new owner before the server leaves — whatever its timestamp.
+TEST(MembershipTest, DecommissionSecondPassShipsStragglerWrites) {
+  store::ClusterConfig config = ChurnConfig();
+  config.anti_entropy_interval = 0;  // the passes are the only carrier
+  test::TestCluster t(config, test::TicketSchema(false, false));
+  constexpr ServerId kLeaver = 2;
+  constexpr int kRows = 120;
+  std::map<Key, std::vector<ServerId>> before;
+  for (int k = 0; k < kRows; ++k) {
+    const Key key = "t" + std::to_string(k);
+    t.cluster.BootstrapLoadRow("ticket", key,
+                               {{"status", std::string("open")}}, 100 + k);
+    before[key] = t.cluster.ring().ReplicasFor(key, 3);
+  }
+
+  ASSERT_TRUE(t.cluster.DecommissionServer(kLeaver));
+  // A key the leaver held, and the server that newly gained it.
+  Key key;
+  ServerId owner = kLeaver;
+  for (const auto& [k, old_replicas] : before) {
+    if (std::find(old_replicas.begin(), old_replicas.end(), kLeaver) ==
+        old_replicas.end()) {
+      continue;
+    }
+    for (ServerId replica : t.cluster.ring().ReplicasFor(k, 3)) {
+      if (std::find(old_replicas.begin(), old_replicas.end(), replica) ==
+          old_replicas.end()) {
+        key = k;
+        owner = replica;
+      }
+    }
+    if (owner != kLeaver) break;
+  }
+  ASSERT_NE(owner, kLeaver) << "no key moved to a new owner";
+
+  // The first pass hands the key over.
+  storage::Engine& owner_engine = t.cluster.server(owner).EngineFor("ticket");
+  for (int step = 0; step < 10000 && !owner_engine.GetCell(key, "status");
+       ++step) {
+    t.cluster.RunFor(Micros(100));
+  }
+  ASSERT_TRUE(owner_engine.GetCell(key, "status").has_value());
+
+  // Then the straggler lands on the leaver alone. It is stamped before the
+  // decommission began, as a write that spent a long time in flight is.
+  storage::Row straggler;
+  straggler.Apply("status", storage::Cell::Live("straggler", 5000));
+  const ServerId sender = owner == 0 ? 1 : 0;
+  store::Server& leaver = t.cluster.server(kLeaver);
+  bool acked_while_draining = false;
+  t.cluster.server(sender).SendReplicaWrite(
+      kLeaver, "ticket", key, straggler, config.perf.write_local,
+      [&](bool acked) {
+        acked_while_draining =
+            acked && leaver.membership() == MembershipState::kDraining;
+      });
+
+  AwaitMembership(t.cluster, kLeaver, MembershipState::kLeft);
+  ASSERT_TRUE(acked_while_draining) << "the straggler never reached the leaver";
+  auto cell = owner_engine.GetCell(key, "status");
+  ASSERT_TRUE(cell.has_value());
+  EXPECT_EQ(cell->value, "straggler")
+      << "the new owner " << owner << " never received the straggler";
 }
 
 TEST(MembershipTest, JoinLeaveRejoinLifecycleConverges) {
