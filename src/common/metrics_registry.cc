@@ -27,12 +27,6 @@ const Counter* MetricsRegistry::FindCounter(const std::string& name) const {
   return it == counters_.end() ? nullptr : it->second.get();
 }
 
-const Histogram* MetricsRegistry::FindHistogram(
-    const std::string& name) const {
-  auto it = histograms_.find(name);
-  return it == histograms_.end() ? nullptr : it->second.get();
-}
-
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snap;
   for (const auto& [name, counter] : counters_) {

@@ -94,7 +94,6 @@ class MetricsRegistry {
 
   /// Instrument lookup without creation (nullptr when absent).
   const Counter* FindCounter(const std::string& name) const;
-  const Histogram* FindHistogram(const std::string& name) const;
 
   MetricsSnapshot Snapshot() const;
   std::string ToJson() const { return Snapshot().ToJson(); }

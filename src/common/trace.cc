@@ -13,10 +13,10 @@ Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
 }
 
 TraceEvent* Tracer::Find(const TraceContext& ctx) {
-  if (!ctx) return nullptr;
-  auto it = slot_of_.find(ctx.span);
-  if (it == slot_of_.end()) return nullptr;
-  TraceEvent& event = ring_[it->second];
+  if (!ctx || ring_.empty()) return nullptr;
+  const std::size_t slot = (ctx.span - 1) % capacity_;
+  if (slot >= ring_.size()) return nullptr;
+  TraceEvent& event = ring_[slot];
   // The slot may have been recycled for a newer span after eviction.
   return event.span == ctx.span ? &event : nullptr;
 }
@@ -25,16 +25,11 @@ TraceContext Tracer::Append(TraceEvent event) {
   const TraceContext ctx{event.trace, event.span};
   ++recorded_;
   if (ring_.size() < capacity_) {
-    slot_of_.emplace(event.span, ring_.size());
     ring_.push_back(std::move(event));
     return ctx;
   }
-  // Ring full: evict the oldest slot.
-  TraceEvent& slot = ring_[next_slot_];
-  slot_of_.erase(slot.span);
-  slot_of_.emplace(event.span, next_slot_);
-  slot = std::move(event);
-  next_slot_ = (next_slot_ + 1) % capacity_;
+  // Ring full: the span evicts the oldest one, which held its slot.
+  ring_[(event.span - 1) % capacity_] = std::move(event);
   ++evicted_;
   return ctx;
 }

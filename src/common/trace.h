@@ -22,7 +22,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -128,10 +127,10 @@ class Tracer {
   std::uint64_t next_span_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t evicted_ = 0;
-  /// Fixed-capacity ring; `next_slot_` is the eviction cursor once full.
+  /// Fixed-capacity ring. Span ids are minted sequentially and appended in
+  /// order, so span s lives in slot (s - 1) % capacity until a newer span
+  /// evicts it.
   std::vector<TraceEvent> ring_;
-  std::size_t next_slot_ = 0;
-  std::map<SpanId, std::size_t> slot_of_;
 };
 
 }  // namespace mvstore

@@ -326,10 +326,4 @@ std::uint64_t Engine::run_bloom_negatives() const {
   return total;
 }
 
-std::size_t Engine::ApproxEntries() const {
-  std::size_t total = memtable_.entries();
-  for (const auto& run : runs_) total += run->entries();
-  return total;
-}
-
 }  // namespace mvstore::storage

@@ -130,9 +130,6 @@ class Engine {
   /// Sum of bloom rejections across live runs.
   std::uint64_t run_bloom_negatives() const;
 
-  /// Total distinct keys across structures (upper bound; pre-merge).
-  std::size_t ApproxEntries() const;
-
   // --- crash-stop fault model ---
 
   /// Models a crash: discards the memtable (volatile state). Durable runs

@@ -200,12 +200,10 @@ void Cluster::BootstrapLoadRow(const std::string& table, const Key& key,
     }
     if (view->selection.has_value()) {
       auto selected = cells.Get(view->selection->column);
-      const bool pass = selected && !selected->tombstone &&
-                        selected->value == view->selection->equals;
       const Timestamp ts_sel = selected ? selected->ts : ts_key;
       view_cells.Apply(kViewSelectionColumn,
-                       pass ? storage::Cell::Tombstone(ts_sel)
-                            : storage::Cell::Live("1", ts_sel));
+                       view->Selects(cells) ? storage::Cell::Tombstone(ts_sel)
+                                            : storage::Cell::Live("1", ts_sel));
     }
     for (ServerId replica : servers_[0]->ReplicasOf(view->name, row_key)) {
       servers_[replica]->LocalApply(view->name, row_key, view_cells);

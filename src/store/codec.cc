@@ -169,13 +169,6 @@ std::optional<std::pair<Key, Key>> SplitViewRowKey(std::string_view key) {
   return std::make_pair(std::move(*view_key), std::move(*base_key));
 }
 
-KeyRef InternViewRowKey(KeyInterner& interner, std::string_view view_key,
-                        std::string_view base_key, std::string& scratch) {
-  scratch.clear();
-  ComposeViewRowKeyTo(view_key, base_key, scratch);
-  return interner.Intern(scratch);
-}
-
 std::string_view PartitionPrefixViewOf(std::string_view composed_key) {
   for (std::size_t i = 0; i < composed_key.size(); ++i) {
     if (composed_key[i] == kEscape) {

@@ -25,7 +25,6 @@
 #include <string_view>
 #include <utility>
 
-#include "common/interner.h"
 #include "common/types.h"
 
 namespace mvstore::store {
@@ -137,14 +136,6 @@ std::optional<std::pair<Key, Key>> SplitViewRowKey(std::string_view key);
 /// compare avoid the two unescape allocations of SplitViewRowKey.
 bool SplitViewRowKeyViews(std::string_view key, std::string_view* escaped_view,
                           std::string_view* escaped_base);
-
-/// Interned encode: composes (view_key, base_key) into `scratch` and interns
-/// the result. The returned handle's bytes live in the interner's arena —
-/// decode with interner.View(ref) (feed that to SplitViewRowKey), compare
-/// and hash by the fixed-size KeyRef. Repeated encodes of the same view row
-/// cost one escape pass into the reused scratch plus one table probe.
-KeyRef InternViewRowKey(KeyInterner& interner, std::string_view view_key,
-                        std::string_view base_key, std::string& scratch);
 
 /// The partition component of a key in a composite-key table (everything up
 /// to and including the separator). For non-composite tables callers use the

@@ -99,31 +99,18 @@ std::size_t FreshnessTracker::FamilyAudited(const std::string& view,
 // ---------------------------------------------------------------------------
 
 Timestamp FreshnessTracker::FreshAsOf(const std::string& view,
-                                      const Key& partition,
-                                      Timestamp now_ts) const {
+                                      const Key& partition, Timestamp now_ts,
+                                      int shard, int shard_count) const {
   Timestamp fresh = now_ts;
   auto view_it = by_view_.find(view);
   if (view_it == by_view_.end()) return fresh;
   for (std::uint64_t id : view_it->second) {
     const Intent& intent = intents_.at(id);
     if (!Covers(intent, partition)) continue;
-    fresh = std::min(fresh, intent.ts - 1);
-  }
-  return fresh;
-}
-
-Timestamp FreshnessTracker::FreshAsOfShard(const std::string& view,
-                                           const Key& partition, int shard,
-                                           int shard_count,
-                                           Timestamp now_ts) const {
-  if (shard_count <= 1) return FreshAsOf(view, partition, now_ts);
-  Timestamp fresh = now_ts;
-  auto view_it = by_view_.find(view);
-  if (view_it == by_view_.end()) return fresh;
-  for (std::uint64_t id : view_it->second) {
-    const Intent& intent = intents_.at(id);
-    if (!Covers(intent, partition)) continue;
-    if (ShardOfBaseKey(intent.base_key, shard_count) != shard) continue;
+    if (shard_count > 1 &&
+        ShardOfBaseKey(intent.base_key, shard_count) != shard) {
+      continue;
+    }
     fresh = std::min(fresh, intent.ts - 1);
   }
   return fresh;

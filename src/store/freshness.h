@@ -127,17 +127,13 @@ class FreshnessTracker {
 
   /// The freshness a read of (view, partition) at wall-clock `now_ts` may
   /// claim: just below the oldest unsettled intent that can reach the
-  /// partition, or `now_ts` when none is pending.
+  /// partition, or `now_ts` when none is pending. For a sharded view
+  /// (`shard_count` > 1) only intents whose base key hashes into `shard`
+  /// count: an intent routed to another sub-shard cannot affect this one,
+  /// and a scatter-gather read claims the min over the shards it merged.
   Timestamp FreshAsOf(const std::string& view, const Key& partition,
-                      Timestamp now_ts) const;
-
-  /// Per-sub-shard FreshAsOf for sharded views (ISSUE 9): like FreshAsOf
-  /// but only intents whose base key hashes into `shard` (of `shard_count`)
-  /// count — an intent routed to another sub-shard cannot affect this one.
-  /// A scatter-gather read's freshness claim is the min of this over the
-  /// shards it actually merged. Identical to FreshAsOf when shard_count<=1.
-  Timestamp FreshAsOfShard(const std::string& view, const Key& partition,
-                           int shard, int shard_count, Timestamp now_ts) const;
+                      Timestamp now_ts, int shard = 0,
+                      int shard_count = 1) const;
 
   struct BlockerSummary {
     int live = 0;     ///< propagations still in flight

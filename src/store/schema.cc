@@ -49,6 +49,24 @@ bool ViewDef::IsMaterialized(const ColumnName& column) const {
                    column) != materialized_columns.end();
 }
 
+bool ViewDef::Selects(const storage::Row& base_row) const {
+  if (!selection.has_value()) return true;
+  const std::optional<Value> value = base_row.GetValue(selection->column);
+  return value.has_value() && *value == selection->equals;
+}
+
+storage::Row ViewDef::Project(const storage::Row& row,
+                              const std::vector<ColumnName>& columns) const {
+  storage::Row cells;
+  for (const ColumnName& col : columns.empty() ? materialized_columns
+                                               : columns) {
+    if (auto cell = row.Get(col); cell && !cell->tombstone) {
+      cells.Apply(col, *cell);
+    }
+  }
+  return cells;
+}
+
 ViewDefBuilder::ViewDefBuilder(std::string name) {
   def_.name = std::move(name);
 }

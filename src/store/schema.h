@@ -17,6 +17,7 @@
 #include "common/status.h"
 #include "common/statusor.h"
 #include "common/types.h"
+#include "storage/row.h"
 
 namespace mvstore::store {
 
@@ -105,6 +106,14 @@ struct ViewDef {
   /// True if a Put touching `column` requires maintenance of this view.
   bool Affects(const ColumnName& column) const;
   bool IsMaterialized(const ColumnName& column) const;
+
+  /// True when `base_row` passes the selection (always, without one).
+  bool Selects(const storage::Row& base_row) const;
+  /// The live cells of `row` among `columns` (empty = the materialized
+  /// columns): the record Definition 1 derives from a base row, or the one
+  /// a view row exposes. Tombstoned cells are dropped.
+  storage::Row Project(const storage::Row& row,
+                       const std::vector<ColumnName>& columns = {}) const;
 };
 
 /// Fluent construction for ViewDef — the supported way to define views

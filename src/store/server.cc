@@ -117,10 +117,6 @@ storage::Engine& Server::EngineFor(const std::string& table) {
   return *it->second;
 }
 
-Key Server::PartitionKeyFor(const std::string& table, const Key& key) const {
-  return Key(PartitionViewFor(table, key));
-}
-
 std::string_view Server::PartitionViewFor(const std::string& table,
                                           const Key& key) const {
   const TableDef* def = schema_->GetTable(table);
@@ -1016,12 +1012,14 @@ void Server::ArmTick(SimTime delay, SimTime interval, bool (Server::*tick)()) {
 bool Server::AntiEntropyTick() {
   if (crashed_) return false;
   // A draining server shares no ranges with anyone (it already left the
-  // ring); its handoff runs through the decommission streams instead.
+  // ring); its handoff runs through the decommission syncs instead.
   if (membership_ == MembershipState::kLeft ||
       membership_ == MembershipState::kDraining) {
     return false;
   }
-  RunAntiEntropyRound();
+  // A joiner's membership syncs bootstrap its ranges; its first round runs
+  // when they have all settled (FinishJoin).
+  if (membership_ == MembershipState::kServing) RunAntiEntropyRound();
   return true;
 }
 
@@ -1290,7 +1288,13 @@ void Server::RunAntiEntropyRound() {
   }
   Tracer::Scope scope(tracer_, round);
   for (ServerId peer : ring_->members()) {
-    if (peer == id_) continue;
+    // Anti-entropy pairs serving members only: a joiner is still being
+    // bootstrapped by its own membership syncs.
+    if (peer == id_ || (peers_ != nullptr &&
+                        (*peers_)[peer]->membership() !=
+                            MembershipState::kServing)) {
+      continue;
+    }
     for (const auto& [table, engine] : engines_) {
       SyncTableWithPeer(table, peer);
     }
@@ -1368,9 +1372,10 @@ void Server::Restart() {
   }
 
   // Catch up with the writes this replica missed while down: re-arm the
-  // periodic ticks and run one anti-entropy round right away.
+  // periodic ticks and, when serving, run one anti-entropy round right away
+  // (a joiner catches up through its resumed membership syncs below).
   ScheduleBackgroundTicks();
-  RunAntiEntropyRound();
+  if (membership_ == MembershipState::kServing) RunAntiEntropyRound();
 
   // Let the view engine re-scrub the ranges this server owns, adopting
   // propagations orphaned by the crash.

@@ -539,9 +539,7 @@ class Server {
   SimTime WriteServiceFor(const std::string& table,
                           const storage::Row& cells) const;
 
-  /// Resolves the partition key used for ring placement.
-  Key PartitionKeyFor(const std::string& table, const Key& key) const;
-  /// Zero-copy form: a slice of `key` (valid while `key` lives).
+  /// The slice of `key` used for ring placement (valid while `key` lives).
   std::string_view PartitionViewFor(const std::string& table,
                                     const Key& key) const;
 

@@ -43,10 +43,20 @@ MaintenanceEngine::MaintenanceEngine(store::Cluster* cluster)
 }
 
 std::string MaintenanceEngine::ResourceOf(const PropagationTask& task) {
-  std::string resource = task.view->name;
+  return ResourceOf(task.view->name, task.base_key);
+}
+
+std::string MaintenanceEngine::ResourceOf(const std::string& view,
+                                          const Key& base_key) {
+  std::string resource = view;
   resource.push_back('\0');
-  resource += task.base_key;
+  resource += base_key;
   return resource;
+}
+
+bool MaintenanceEngine::FamilyBusy(const std::string& view,
+                                   const Key& base_key) const {
+  return active_per_resource_.count(ResourceOf(view, base_key)) != 0;
 }
 
 SimTime MaintenanceEngine::RetryDelay(const PropagationTask& task) const {
@@ -216,20 +226,7 @@ void MaintenanceEngine::OnBasePutCommitted(
   // maintenance together rather than straggling in independently.
   const SimTime delay = SampleDispatchDelay();
   for (std::shared_ptr<PropagationTask>& task : group_tasks) {
-    switch (cluster_->config().propagation_mode) {
-      case store::PropagationMode::kLockService:
-        cluster_->simulation().After(
-            delay, [this, task] { RunWithLocks(task); });
-        break;
-      case store::PropagationMode::kDedicatedPropagators:
-        cluster_->simulation().After(
-            delay, [this, task] { EnqueueOnPropagator(task); });
-        break;
-      case store::PropagationMode::kUnsynchronized:
-        cluster_->simulation().After(
-            delay, [this, task] { RunUnsynchronized(task); });
-        break;
-    }
+    cluster_->simulation().After(delay, [this, task] { DispatchTask(task); });
   }
 }
 
@@ -568,6 +565,10 @@ void MaintenanceEngine::OnServerCrash(store::Server* server) {
     }
   }
   for (const auto& task : doomed) OrphanTask(task);
+  DropServerVolatileState(id);
+}
+
+void MaintenanceEngine::DropServerVolatileState(ServerId id) {
   // Intents registered at Put issue on `id` but not yet attached to a task
   // (the issue->collection window) die with the coordinator: wound them so
   // bounded reads stay honest until the families are audited.
@@ -624,19 +625,7 @@ void MaintenanceEngine::OnServerLeave(store::Server* server) {
     for (const auto& task : queue.tasks) doomed.push_back(task);
   }
   for (const auto& task : doomed) OrphanTask(task);
-  // Same unattached-intent cleanup as a crash: the leaver's issue-window
-  // intents will never attach to a task.
-  for (auto it = put_groups_.begin(); it != put_groups_.end();) {
-    if (it->second.origin == id) {
-      for (const auto& [view_name, intent] : it->second.intents) {
-        cluster_->freshness().MarkWounded(intent);
-      }
-      it = put_groups_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  row_queues_[id].clear();
+  DropServerVolatileState(id);
   // Recovery of the orphaned families follows the same path as after a
   // crash: every one of them has a (new) primary owner in the ring, whose
   // periodic owned-range scrub re-derives the view rows. Clusters that
@@ -651,10 +640,7 @@ std::size_t MaintenanceEngine::RunOwnedRangeScrub(ServerId server) {
       recovered += ScrubOwnedRanges(
           *cluster_, *view, server,
           [this, view](const Key& base_key) {
-            std::string resource = view->name;
-            resource.push_back('\0');
-            resource += base_key;
-            return active_per_resource_.count(resource) != 0;
+            return FamilyBusy(view->name, base_key);
           },
           [this, view](const Key& base_key) {
             // The audit proved the family matches Definition 1: clear its
@@ -954,11 +940,7 @@ void MaintenanceEngine::ProvenViewGet(
          callback = std::move(callback)]() mutable {
           RepairViewFamilies(*cluster_, *view_def, wounded,
                              [this, view_def](const Key& base_key) {
-                               std::string resource = view_def->name;
-                               resource.push_back('\0');
-                               resource += base_key;
-                               return active_per_resource_.count(resource) !=
-                                      0;
+                               return FamilyBusy(view_def->name, base_key);
                              });
           // The audited families provably match Definition 1 now; clearing
           // their intents guarantees the re-entry below cannot see the same
@@ -1074,21 +1056,16 @@ void MaintenanceEngine::ServeFromView(
                 callback(std::move(outcome));
                 return;
               }
-              if (view_def->shard_count > 1) {
-                // A scatter-gather read is only as fresh as its weakest
-                // sub-shard: claim the min of the per-shard freshness
-                // (ISSUE 9's freshness-over-shards rule).
-                Timestamp fresh = now_ts;
-                for (int shard = 0; shard < view_def->shard_count; ++shard) {
-                  fresh = std::min(
-                      fresh, cluster_->freshness().FreshAsOfShard(
-                                 view_def->name, view_key, shard,
-                                 view_def->shard_count, now_ts));
-                }
-                outcome.freshness = fresh;
-              } else {
-                outcome.freshness = cluster_->freshness().FreshAsOf(
-                    view_def->name, view_key, now_ts);
+              // A scatter-gather read is only as fresh as its weakest
+              // sub-shard: claim the min of the per-shard freshness.
+              outcome.freshness = now_ts;
+              for (int shard = 0; shard < std::max(1, view_def->shard_count);
+                   ++shard) {
+                outcome.freshness = std::min(
+                    outcome.freshness,
+                    cluster_->freshness().FreshAsOf(view_def->name, view_key,
+                                                    now_ts, shard,
+                                                    view_def->shard_count));
               }
               outcome.served_by = store::ServedBy::kView;
               cluster_->metrics().view_staleness.Record(
@@ -1120,21 +1097,12 @@ void MaintenanceEngine::FallbackRead(
     }
     // Evaluate the view definition inline over the base rows: selection
     // filter, then project the wanted materialized columns.
-    const std::vector<ColumnName>& wanted =
-        columns.empty() ? view_def->materialized_columns : columns;
     store::ViewReadOutcome outcome;
     for (const storage::KeyedRow& kr : *rows) {
-      if (view_def->selection.has_value()) {
-        auto selected = kr.row.GetValue(view_def->selection->column);
-        if (!selected || *selected != view_def->selection->equals) continue;
-      }
+      if (!view_def->Selects(kr.row)) continue;
       store::ViewRecord record;
       record.base_key = kr.key;
-      for (const ColumnName& col : wanted) {
-        if (auto cell = kr.row.Get(col); cell && !cell->tombstone) {
-          record.cells.Apply(col, *cell);
-        }
-      }
+      record.cells = view_def->Project(kr.row, columns);
       outcome.records.push_back(std::move(record));
     }
     if (view_def->IsAggregate()) {
@@ -1278,19 +1246,13 @@ void MaintenanceEngine::DoViewGet(
               });
           return;
         }
-        const std::vector<ColumnName>& wanted =
-            columns.empty() ? view_def->materialized_columns : columns;
         ViewScanResult result;
         result.failed_shards = scan->failed_shards;
         result.records.reserve(live_rows.size());
         for (const auto& [base_key, row] : live_rows) {
           store::ViewRecord record;
           record.base_key = base_key;
-          for (const ColumnName& col : wanted) {
-            if (auto cell = row->Get(col); cell && !cell->tombstone) {
-              record.cells.Apply(col, *cell);
-            }
-          }
+          record.cells = view_def->Project(*row, columns);
           result.records.push_back(std::move(record));
         }
         callback(std::move(result));

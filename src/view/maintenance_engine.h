@@ -75,6 +75,11 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   /// Serialization resource name for a task (one lock / one queue per
   /// (view, base key), Section IV-F).
   static std::string ResourceOf(const PropagationTask& task);
+  static std::string ResourceOf(const std::string& view, const Key& base_key);
+
+  /// Whether a propagation of (view, base key) is still in flight: the scrub
+  /// and the ladder's targeted repair leave such a family to it.
+  bool FamilyBusy(const std::string& view, const Key& base_key) const;
 
   const storage::Cell& CurrentGuess(const PropagationTask& task) const;
 
@@ -146,6 +151,11 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   /// Marks a task lost to a crash: it leaves the active set, every pending
   /// closure that still holds it bails out, and the scrub inherits recovery.
   void OrphanTask(const std::shared_ptr<PropagationTask>& task);
+
+  /// The rest of a crashed or departed server's volatile share: wounds the
+  /// intents of its Puts still in the issue->collection window (they will
+  /// never attach to a task) and drops its row queues.
+  void DropServerVolatileState(ServerId id);
 
   /// Scrubs the view families whose base key is primarily owned by `server`
   /// (skipping families with a propagation still in flight); returns the

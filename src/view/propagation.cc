@@ -33,13 +33,6 @@ bool NewKeyWins(const Key& knew, Timestamp tnew, const Key& klive,
 
 }  // namespace
 
-bool PropagationTask::AllGuessesNull() const {
-  for (const Cell& guess : guesses) {
-    if (!guess.IsNull()) return false;
-  }
-  return true;
-}
-
 void Propagation::Run(store::Server* executor,
                       std::shared_ptr<PropagationTask> task,
                       const storage::Cell& guess,

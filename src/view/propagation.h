@@ -116,10 +116,6 @@ struct PropagationTask {
   /// update is maintained in a single maintenance round instead of one
   /// independently-timed round per view. 0 = pre-group task (tests).
   std::uint64_t put_group = 0;
-
-  /// True when no replica had ever seen a view key for this row — the only
-  /// situation in which propagation may create the row's first view row.
-  bool AllGuessesNull() const;
 };
 
 class Propagation : public std::enable_shared_from_this<Propagation> {

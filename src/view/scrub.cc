@@ -5,7 +5,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/logging.h"
 #include "store/codec.h"
 #include "view/view_row.h"
 
@@ -40,27 +39,222 @@ bool RecordLess(const ExpectedRecord& a, const ExpectedRecord& b) {
   return a.base_key < b.base_key;
 }
 
+/// One classified row of a per-base-key view family.
+struct FamilyRow {
+  Key view_key;
+  Key row_key;
+  const Row* row;
+  RowStatus status;
+
+  /// What a reader sees: live, initialized, selection true.
+  bool exposed() const {
+    return status.live && status.initialized && !status.hidden;
+  }
+};
+
+/// Everything the view holds, and Definition 1 asks it to hold, for one
+/// base key.
+struct Family {
+  const Row* base = nullptr;    ///< merged base row; null when none
+  std::vector<FamilyRow> rows;  ///< the view rows that exist, by row key
+  Timestamp newest = 0;  ///< newest cell of its view rows, retired included
+};
+
+/// The merged base and view tables grouped into families: one per base key
+/// with a base row or leftover view rows, in base-key order. The row
+/// pointers point into `base` and `view_rows` (map nodes are stable under
+/// move).
+struct FamilyIndex {
+  std::map<Key, Row> base;
+  std::map<Key, Row> view_rows;
+  std::map<Key, Family> families;
+};
+
+FamilyIndex LoadFamilies(store::Cluster& cluster, const store::ViewDef& view) {
+  FamilyIndex index;
+  index.base = MergedTable(cluster, view.base_table);
+  index.view_rows = MergedTable(cluster, view.name);
+  for (const auto& [key, row] : index.base) index.families[key].base = &row;
+  for (const auto& [key, row] : index.view_rows) {
+    auto split = store::SplitShardedViewRowKey(key, view.shard_count);
+    if (!split) continue;
+    Family& family = index.families[split->second];
+    family.newest = std::max(family.newest, row.MaxTimestamp());
+    RowStatus status = ClassifyViewRow(row, split->first);
+    if (!status.exists) continue;
+    family.rows.push_back({split->first, key, &row, status});
+  }
+  return index;
+}
+
+/// Definition 1 for one family: the record its merged base row puts in the
+/// view, if any.
+std::optional<ExpectedRecord> ExpectedOf(const store::ViewDef& view,
+                                         const Key& base_key,
+                                         const Family& family) {
+  if (family.base == nullptr) return std::nullopt;
+  auto view_key = family.base->Get(view.view_key_column);
+  if (!view_key || view_key->tombstone || !view.Selects(*family.base)) {
+    return std::nullopt;
+  }
+  return ExpectedRecord{view_key->value, base_key, view.Project(*family.base)};
+}
+
+/// Definition 3's chain rule: following __next from stale row `from` reaches
+/// the family's live row, with no dangling pointer and no cycle (a walk
+/// longer than the family has rows must have cycled).
+bool ReachesLive(const Family& family, const FamilyRow& from) {
+  Key at = from.view_key;
+  for (std::size_t hop = 0; hop <= family.rows.size(); ++hop) {
+    auto it = std::find_if(
+        family.rows.begin(), family.rows.end(),
+        [&at](const FamilyRow& fr) { return fr.view_key == at; });
+    if (it == family.rows.end()) return false;
+    if (it->status.live) return true;
+    at = it->status.next;
+  }
+  return false;
+}
+
+/// Audits one family into `report`: Definition 3 (one live row, every stale
+/// chain reaches it, live rows initialized) and Definition 1 (the exposed
+/// records are exactly `expected`, value AND timestamp — repairs preserve
+/// base timestamps, so this is stable). Returns true when the family needs
+/// a rewrite: its exposed records differ from Definition 1, or a live row
+/// is uninitialized and a reader would spin on it. Chain and live-count
+/// findings alone do not ask for one, and hidden live rows (selection
+/// currently false) are a valid resting state.
+bool AuditFamily(const store::ViewDef& view, const Key& base_key,
+                 const Family& family,
+                 const std::optional<ExpectedRecord>& expected,
+                 ScrubReport& report) {
+  auto label = [&base_key](const Key& view_key) {
+    return base_key + "@" + view_key;
+  };
+  bool broken = false;
+  int live = 0;
+  bool expected_exposed = false;
+  for (const FamilyRow& fr : family.rows) {
+    report.rows_examined++;
+    if (!fr.status.live) {
+      report.stale_rows++;
+      if (!ReachesLive(family, fr)) {
+        report.broken_chains.push_back(label(fr.view_key));
+      }
+      continue;
+    }
+    ++live;
+    report.live_rows++;
+    if (fr.status.hidden) report.hidden_rows++;
+    if (!fr.status.initialized) {
+      report.uninitialized_live.push_back(label(fr.view_key));
+      broken = true;
+      continue;
+    }
+    if (fr.status.hidden) continue;
+    if (!expected || fr.view_key != expected->view_key || expected_exposed) {
+      report.spurious_records.push_back(label(fr.view_key));
+      broken = true;
+      continue;
+    }
+    expected_exposed = true;
+    if (!(view.Project(*fr.row) == expected->cells)) {
+      report.wrong_cells.push_back(label(fr.view_key));
+      broken = true;
+    }
+  }
+  if (live > 1) report.multiple_live_rows.push_back(base_key);
+  if (expected && !expected_exposed) {
+    report.missing_records.push_back(label(expected->view_key));
+    broken = true;
+  }
+  return broken;
+}
+
+/// Writes `cells` to every replica of the view row `key` but the crashed
+/// ones: WAL replay plus anti-entropy re-synchronize those at restart.
+void ApplyToReplicas(store::Cluster& cluster, const store::ViewDef& view,
+                     const Key& key, const Row& cells) {
+  for (ServerId replica : cluster.server(0).ReplicasOf(view.name, key)) {
+    if (cluster.server(replica).crashed()) continue;
+    cluster.server(replica).EngineFor(view.name).ApplyRow(key, cells);
+  }
+}
+
+/// Rewrites one family to exactly Definition 1: force-writes the expected
+/// live row and re-roots its sentinel anchor at it, then retires every
+/// other row, all one tick above the family's newest cell (a retired row's
+/// tombstones included) so LWW makes the rewrite stick.
+void RewriteFamily(store::Cluster& cluster, const store::ViewDef& view,
+                   const Key& base_key, const Family& family,
+                   const std::optional<ExpectedRecord>& expected) {
+  Timestamp repair_ts = family.newest;
+  if (expected) {
+    repair_ts = std::max(repair_ts, expected->cells.MaxTimestamp());
+  }
+  repair_ts += 1;
+
+  std::set<Key> keep;
+  if (expected) {
+    const int shard = store::ShardOfBaseKey(base_key, view.shard_count);
+    const Key key = store::ShardedViewRowKey(expected->view_key, base_key,
+                                             shard, view.shard_count);
+    keep.insert(key);
+    Row cells;
+    cells.Apply(store::kViewBaseKeyColumn, Cell::Live(base_key, repair_ts));
+    cells.Apply(store::kViewNextColumn,
+                Cell::Live(expected->view_key, repair_ts));
+    cells.Apply(store::kViewInitColumn, Cell::Live("1", repair_ts));
+    cells.Apply(store::kViewSelectionColumn, Cell::Tombstone(repair_ts));
+    cells.MergeFrom(expected->cells);
+    ApplyToReplicas(cluster, view, key, cells);
+
+    // The sentinel anchor survives as a stale row pointing at the live key:
+    // the invariant the propagation engine's creation logic relies on.
+    const Key anchor_row = store::ShardedViewRowKey(
+        store::DeletedSentinelViewKey(base_key), base_key, shard,
+        view.shard_count);
+    keep.insert(anchor_row);
+    Row anchor;
+    anchor.Apply(store::kViewBaseKeyColumn, Cell::Live(base_key, repair_ts));
+    anchor.Apply(store::kViewNextColumn,
+                 Cell::Live(expected->view_key, repair_ts));
+    anchor.Apply(store::kViewInitColumn, Cell::Tombstone(repair_ts));
+    ApplyToReplicas(cluster, view, anchor_row, anchor);
+  }
+  // Retire the rest: without a live __next a row is invisible to reads and
+  // nonexistent to GetLiveKey.
+  for (const FamilyRow& fr : family.rows) {
+    if (keep.count(fr.row_key) != 0) continue;
+    Row cells;
+    cells.Apply(store::kViewNextColumn, Cell::Tombstone(repair_ts));
+    cells.Apply(store::kViewInitColumn, Cell::Tombstone(repair_ts));
+    ApplyToReplicas(cluster, view, fr.row_key, cells);
+  }
+}
+
+/// The scrub's step for one family: audit, and rewrite when broken.
+/// Returns true when a rewrite was applied.
+bool AuditAndRepairFamily(store::Cluster& cluster, const store::ViewDef& view,
+                          const Key& base_key, const Family& family) {
+  const std::optional<ExpectedRecord> expected =
+      ExpectedOf(view, base_key, family);
+  ScrubReport findings;
+  if (!AuditFamily(view, base_key, family, expected, findings)) return false;
+  RewriteFamily(cluster, view, base_key, family, expected);
+  return true;
+}
+
 }  // namespace
 
 std::vector<ExpectedRecord> ComputeExpectedView(store::Cluster& cluster,
                                                 const store::ViewDef& view) {
+  const FamilyIndex index = LoadFamilies(cluster, view);
   std::vector<ExpectedRecord> expected;
-  for (const auto& [base_key, row] : MergedTable(cluster, view.base_table)) {
-    auto view_key = row.Get(view.view_key_column);
-    if (!view_key || view_key->tombstone) continue;  // no row (Definition 1)
-    if (view.selection.has_value()) {
-      auto selected = row.GetValue(view.selection->column);
-      if (!selected || *selected != view.selection->equals) continue;
+  for (const auto& [base_key, family] : index.families) {
+    if (auto record = ExpectedOf(view, base_key, family)) {
+      expected.push_back(std::move(*record));
     }
-    ExpectedRecord record;
-    record.view_key = view_key->value;
-    record.base_key = base_key;
-    for (const ColumnName& col : view.materialized_columns) {
-      if (auto cell = row.Get(col); cell && !cell->tombstone) {
-        record.cells.Apply(col, *cell);
-      }
-    }
-    expected.push_back(std::move(record));
   }
   std::sort(expected.begin(), expected.end(), RecordLess);
   return expected;
@@ -68,24 +262,13 @@ std::vector<ExpectedRecord> ComputeExpectedView(store::Cluster& cluster,
 
 std::vector<ExpectedRecord> ReadConvergedView(store::Cluster& cluster,
                                               const store::ViewDef& view) {
+  const FamilyIndex index = LoadFamilies(cluster, view);
   std::vector<ExpectedRecord> exposed;
-  for (const auto& [key, row] : MergedTable(cluster, view.name)) {
-    auto split = store::SplitShardedViewRowKey(key, view.shard_count);
-    if (!split) continue;
-    RowStatus status = ClassifyViewRow(row, split->first);
-    if (!status.exists || !status.live || !status.initialized ||
-        status.hidden) {
-      continue;
+  for (const auto& [base_key, family] : index.families) {
+    for (const FamilyRow& fr : family.rows) {
+      if (!fr.exposed()) continue;
+      exposed.push_back({fr.view_key, base_key, view.Project(*fr.row)});
     }
-    ExpectedRecord record;
-    record.view_key = split->first;
-    record.base_key = split->second;
-    for (const ColumnName& col : view.materialized_columns) {
-      if (auto cell = row.Get(col); cell && !cell->tombstone) {
-        record.cells.Apply(col, *cell);
-      }
-    }
-    exposed.push_back(std::move(record));
   }
   std::sort(exposed.begin(), exposed.end(), RecordLess);
   return exposed;
@@ -110,326 +293,37 @@ std::string ScrubReport::Summary() const {
 }
 
 ScrubReport CheckView(store::Cluster& cluster, const store::ViewDef& view) {
+  const FamilyIndex index = LoadFamilies(cluster, view);
   ScrubReport report;
-  const std::map<Key, Row> rows = MergedTable(cluster, view.name);
-
-  // Index the versioned view by (base key -> view key -> status).
-  std::map<Key, std::map<Key, RowStatus>> by_base;
-  for (const auto& [key, row] : rows) {
-    auto split = store::SplitShardedViewRowKey(key, view.shard_count);
-    if (!split) continue;
-    RowStatus status = ClassifyViewRow(row, split->first);
-    if (!status.exists) continue;
-    report.rows_examined++;
-    if (status.live) {
-      report.live_rows++;
-      if (status.hidden) report.hidden_rows++;
-      if (!status.initialized) {
-        report.uninitialized_live.push_back(split->second + "@" +
-                                            split->first);
-      }
-    } else {
-      report.stale_rows++;
-    }
-    by_base[split->second][split->first] = status;
-  }
-
-  // Definition 3: one live row per base key; every stale chain reaches it.
-  for (const auto& [base_key, versions] : by_base) {
-    int live_count = 0;
-    Key live_key;
-    for (const auto& [view_key, status] : versions) {
-      if (status.live) {
-        ++live_count;
-        live_key = view_key;
-      }
-    }
-    if (live_count > 1) report.multiple_live_rows.push_back(base_key);
-    for (const auto& [view_key, status] : versions) {
-      if (status.live) continue;
-      // Follow the chain.
-      Key at = view_key;
-      bool reached_live = false;
-      std::set<Key> seen;
-      while (seen.insert(at).second) {
-        auto it = versions.find(at);
-        if (it == versions.end()) break;  // dangling pointer
-        if (it->second.live) {
-          reached_live = true;
-          break;
-        }
-        at = it->second.next;
-      }
-      if (!reached_live) {
-        report.broken_chains.push_back(base_key + "@" + view_key);
-      }
-    }
-  }
-
-  // Content: the exposed records must equal the Definition-1 evaluation.
-  const std::vector<ExpectedRecord> expected =
-      ComputeExpectedView(cluster, view);
-  const std::vector<ExpectedRecord> exposed = ReadConvergedView(cluster, view);
-  auto label = [](const ExpectedRecord& r) {
-    return r.base_key + "@" + r.view_key;
-  };
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < expected.size() || j < exposed.size()) {
-    if (j == exposed.size() ||
-        (i < expected.size() && RecordLess(expected[i], exposed[j]))) {
-      report.missing_records.push_back(label(expected[i]));
-      ++i;
-    } else if (i == expected.size() || RecordLess(exposed[j], expected[i])) {
-      report.spurious_records.push_back(label(exposed[j]));
-      ++j;
-    } else {
-      if (!(expected[i].cells == exposed[j].cells)) {
-        report.wrong_cells.push_back(label(expected[i]));
-      }
-      ++i;
-      ++j;
-    }
+  for (const auto& [base_key, family] : index.families) {
+    AuditFamily(view, base_key, family, ExpectedOf(view, base_key, family),
+                report);
   }
   return report;
 }
 
 std::size_t RepairView(store::Cluster& cluster, const store::ViewDef& view) {
-  const std::vector<ExpectedRecord> expected =
-      ComputeExpectedView(cluster, view);
-  std::set<Key> keep;
-  Timestamp repair_ts = 0;
-  const std::map<Key, Row> existing = MergedTable(cluster, view.name);
-  for (const auto& [key, row] : existing) {
-    repair_ts = std::max(repair_ts, row.MaxTimestamp());
+  const FamilyIndex index = LoadFamilies(cluster, view);
+  std::size_t records = 0;
+  for (const auto& [base_key, family] : index.families) {
+    const std::optional<ExpectedRecord> expected =
+        ExpectedOf(view, base_key, family);
+    RewriteFamily(cluster, view, base_key, family, expected);
+    if (expected) ++records;
   }
-  repair_ts += 1;
-
-  auto apply_everywhere = [&cluster, &view](const Key& key, const Row& cells) {
-    for (ServerId replica :
-         cluster.server(0).ReplicasOf(view.name, key)) {
-      cluster.server(replica).EngineFor(view.name).ApplyRow(key, cells);
-    }
-  };
-
-  for (const ExpectedRecord& record : expected) {
-    const int shard =
-        store::ShardOfBaseKey(record.base_key, view.shard_count);
-    const Key key = store::ShardedViewRowKey(record.view_key, record.base_key,
-                                             shard, view.shard_count);
-    keep.insert(key);
-    Row cells;
-    cells.Apply(store::kViewBaseKeyColumn,
-                Cell::Live(record.base_key, repair_ts));
-    cells.Apply(store::kViewNextColumn,
-                Cell::Live(record.view_key, repair_ts));
-    cells.Apply(store::kViewInitColumn, Cell::Live("1", repair_ts));
-    cells.Apply(store::kViewSelectionColumn, Cell::Tombstone(repair_ts));
-    cells.MergeFrom(record.cells);
-    apply_everywhere(key, cells);
-
-    // Re-root the family: the sentinel anchor survives as a stale row
-    // pointing at the repaired live key (the invariant the propagation
-    // engine's creation logic relies on).
-    const Key anchor_key =
-        store::DeletedSentinelViewKey(record.base_key);
-    const Key anchor_row = store::ShardedViewRowKey(
-        anchor_key, record.base_key, shard, view.shard_count);
-    keep.insert(anchor_row);
-    Row anchor;
-    anchor.Apply(store::kViewBaseKeyColumn,
-                 Cell::Live(record.base_key, repair_ts));
-    anchor.Apply(store::kViewNextColumn,
-                 Cell::Live(record.view_key, repair_ts));
-    anchor.Apply(store::kViewInitColumn, Cell::Tombstone(repair_ts));
-    apply_everywhere(anchor_row, anchor);
-  }
-
-  // Retire every row that is not an expected live row: tombstone its Next
-  // pointer so reads and GetLiveKey treat it as nonexistent.
-  for (const auto& [key, row] : existing) {
-    if (keep.count(key) != 0) continue;
-    Row cells;
-    cells.Apply(store::kViewNextColumn, Cell::Tombstone(repair_ts));
-    cells.Apply(store::kViewInitColumn, Cell::Tombstone(repair_ts));
-    apply_everywhere(key, cells);
-  }
-  return expected.size();
+  return records;
 }
-
-namespace {
-
-/// One classified row of a per-base-key view family.
-struct FamilyRow {
-  Key view_key;
-  Key row_key;
-  const Row* row;
-  RowStatus status;
-};
-
-/// The merged state a family audit works from. FamilyRow::row points into
-/// `view_rows` (map nodes are stable under move).
-struct FamilyIndex {
-  std::map<Key, Row> base;
-  std::map<Key, Row> view_rows;
-  std::map<Key, std::vector<FamilyRow>> families;
-};
-
-FamilyIndex LoadFamilies(store::Cluster& cluster, const store::ViewDef& view) {
-  FamilyIndex index;
-  index.base = MergedTable(cluster, view.base_table);
-  index.view_rows = MergedTable(cluster, view.name);
-  for (const auto& [key, row] : index.view_rows) {
-    auto split = store::SplitShardedViewRowKey(key, view.shard_count);
-    if (!split) continue;
-    RowStatus status = ClassifyViewRow(row, split->first);
-    if (!status.exists) continue;
-    index.families[split->second].push_back({split->first, key, &row, status});
-  }
-  return index;
-}
-
-/// Definition-1 evaluation of one merged base row.
-std::optional<ExpectedRecord> ExpectedOf(const FamilyIndex& index,
-                                         const store::ViewDef& view,
-                                         const Key& base_key) {
-  auto it = index.base.find(base_key);
-  if (it == index.base.end()) return std::nullopt;
-  const Row& row = it->second;
-  auto view_key = row.Get(view.view_key_column);
-  if (!view_key || view_key->tombstone) return std::nullopt;
-  if (view.selection.has_value()) {
-    auto selected = row.GetValue(view.selection->column);
-    if (!selected || *selected != view.selection->equals) return std::nullopt;
-  }
-  ExpectedRecord record;
-  record.view_key = view_key->value;
-  record.base_key = base_key;
-  for (const ColumnName& col : view.materialized_columns) {
-    if (auto cell = row.Get(col); cell && !cell->tombstone) {
-      record.cells.Apply(col, *cell);
-    }
-  }
-  return record;
-}
-
-/// Audits one family against Definition 1 and repairs it when broken.
-/// Returns true when a repair was applied. The shared guts of
-/// ScrubOwnedRanges and RepairViewFamilies.
-bool AuditAndRepairFamily(store::Cluster& cluster, const store::ViewDef& view,
-                          const FamilyIndex& index, const Key& base_key) {
-  const std::optional<ExpectedRecord> expected =
-      ExpectedOf(index, view, base_key);
-  static const std::vector<FamilyRow> kNoRows;
-  auto fam_it = index.families.find(base_key);
-  const std::vector<FamilyRow>& fam =
-      fam_it == index.families.end() ? kNoRows : fam_it->second;
-
-  // Health check: exactly the Definition-1 record exposed (value AND
-  // timestamp — repairs preserve base timestamps, so this is stable), no
-  // stray live rows, no uninitialized live row a reader would spin on.
-  // Hidden live rows (selection currently false) are a valid resting state
-  // and judged only through the exposure count.
-  bool broken = false;
-  int exposed = 0;
-  for (const FamilyRow& fr : fam) {
-    if (!fr.status.live) continue;
-    if (!fr.status.initialized) {
-      broken = true;
-      continue;
-    }
-    if (fr.status.hidden) continue;
-    ++exposed;
-    if (!expected || fr.view_key != expected->view_key) {
-      broken = true;
-      continue;
-    }
-    Row cells;
-    for (const ColumnName& col : view.materialized_columns) {
-      if (auto cell = fr.row->Get(col); cell && !cell->tombstone) {
-        cells.Apply(col, *cell);
-      }
-    }
-    if (!(cells == expected->cells)) broken = true;
-  }
-  if (exposed != (expected.has_value() ? 1 : 0)) broken = true;
-  if (!broken) return false;
-
-  // Crashed replicas are skipped: their copy is re-synchronized by WAL
-  // replay plus anti-entropy at restart.
-  auto apply_alive = [&cluster, &view](const Key& key, const Row& cells) {
-    for (ServerId replica : cluster.server(0).ReplicasOf(view.name, key)) {
-      if (cluster.server(replica).crashed()) continue;
-      cluster.server(replica).EngineFor(view.name).ApplyRow(key, cells);
-    }
-  };
-
-  // Per-family RepairView: force-write the expected live row (and re-root
-  // its anchor), retire everything else, all one tick above the family's
-  // newest cell so LWW makes the repair stick.
-  Timestamp repair_ts = 0;
-  for (const FamilyRow& fr : fam) {
-    repair_ts = std::max(repair_ts, fr.row->MaxTimestamp());
-  }
-  if (expected) {
-    repair_ts = std::max(repair_ts, expected->cells.MaxTimestamp());
-  }
-  repair_ts += 1;
-
-  std::set<Key> keep;
-  if (expected) {
-    const int shard = store::ShardOfBaseKey(base_key, view.shard_count);
-    const Key key = store::ShardedViewRowKey(expected->view_key, base_key,
-                                             shard, view.shard_count);
-    keep.insert(key);
-    Row cells;
-    cells.Apply(store::kViewBaseKeyColumn, Cell::Live(base_key, repair_ts));
-    cells.Apply(store::kViewNextColumn,
-                Cell::Live(expected->view_key, repair_ts));
-    cells.Apply(store::kViewInitColumn, Cell::Live("1", repair_ts));
-    cells.Apply(store::kViewSelectionColumn, Cell::Tombstone(repair_ts));
-    cells.MergeFrom(expected->cells);
-    apply_alive(key, cells);
-
-    const Key anchor_row = store::ShardedViewRowKey(
-        store::DeletedSentinelViewKey(base_key), base_key, shard,
-        view.shard_count);
-    keep.insert(anchor_row);
-    Row anchor;
-    anchor.Apply(store::kViewBaseKeyColumn, Cell::Live(base_key, repair_ts));
-    anchor.Apply(store::kViewNextColumn,
-                 Cell::Live(expected->view_key, repair_ts));
-    anchor.Apply(store::kViewInitColumn, Cell::Tombstone(repair_ts));
-    apply_alive(anchor_row, anchor);
-  }
-  for (const FamilyRow& fr : fam) {
-    if (keep.count(fr.row_key) != 0) continue;
-    Row cells;
-    cells.Apply(store::kViewNextColumn, Cell::Tombstone(repair_ts));
-    cells.Apply(store::kViewInitColumn, Cell::Tombstone(repair_ts));
-    apply_alive(fr.row_key, cells);
-  }
-  return true;
-}
-
-}  // namespace
 
 std::size_t ScrubOwnedRanges(
     store::Cluster& cluster, const store::ViewDef& view, ServerId owner,
     const std::function<bool(const Key&)>& skip,
     const std::function<void(const Key&)>& on_family_audited) {
   const FamilyIndex index = LoadFamilies(cluster, view);
-
-  // Every base key with either a base row or leftover view rows.
-  std::set<Key> base_keys;
-  for (const auto& [key, row] : index.base) base_keys.insert(key);
-  for (const auto& [key, fam] : index.families) base_keys.insert(key);
-
   std::size_t repaired = 0;
-  for (const Key& base_key : base_keys) {
+  for (const auto& [base_key, family] : index.families) {
     if (cluster.ring().PrimaryFor(base_key) != owner) continue;
     if (skip && skip(base_key)) continue;
-    if (AuditAndRepairFamily(cluster, view, index, base_key)) ++repaired;
+    if (AuditAndRepairFamily(cluster, view, base_key, family)) ++repaired;
     // After the audit (repairing or not) the family provably matches
     // Definition 1 — the proof the freshness tracker needs to clear the
     // family's wounded intents.
@@ -442,13 +336,17 @@ std::size_t RepairViewFamilies(store::Cluster& cluster,
                                const store::ViewDef& view,
                                const std::vector<Key>& base_keys,
                                const std::function<bool(const Key&)>& skip) {
+  static const Family kNoFamily;
   const FamilyIndex index = LoadFamilies(cluster, view);
   std::set<Key> seen;
   std::size_t repaired = 0;
   for (const Key& base_key : base_keys) {
     if (!seen.insert(base_key).second) continue;
     if (skip && skip(base_key)) continue;
-    if (AuditAndRepairFamily(cluster, view, index, base_key)) ++repaired;
+    auto it = index.families.find(base_key);
+    const Family& family =
+        it == index.families.end() ? kNoFamily : it->second;
+    if (AuditAndRepairFamily(cluster, view, base_key, family)) ++repaired;
   }
   return repaired;
 }
@@ -456,69 +354,55 @@ std::size_t RepairViewFamilies(store::Cluster& cluster,
 std::size_t TrimStaleViewRows(store::Cluster& cluster,
                               const store::ViewDef& view,
                               Timestamp older_than) {
-  const std::map<Key, Row> rows = MergedTable(cluster, view.name);
-
-  // Identify families that currently have a live row — only their stale
-  // rows are retireable (a family mid-promotion must not lose chain links)
-  // — and remember each family's live key so anchors can be re-pointed.
-  std::map<Key, Key> live_key_of;  // base key -> live view key
-  for (const auto& [key, row] : rows) {
-    auto split = store::SplitShardedViewRowKey(key, view.shard_count);
-    if (!split) continue;
-    RowStatus status = ClassifyViewRow(row, split->first);
-    if (status.exists && status.live) live_key_of[split->second] = split->first;
-  }
-
+  const FamilyIndex index = LoadFamilies(cluster, view);
   std::size_t trimmed = 0;
-  std::set<Key> trimmed_families;
-  for (const auto& [key, row] : rows) {
-    auto split = store::SplitShardedViewRowKey(key, view.shard_count);
-    if (!split) continue;
-    // The sentinel anchor is the row family's permanent chain root: never
-    // trimmed (it is re-pointed below instead).
-    if (store::IsSentinelViewKey(split->first)) continue;
-    RowStatus status = ClassifyViewRow(row, split->first);
-    if (!status.exists || status.live) continue;
-    if (live_key_of.count(split->second) == 0) continue;
-    // Freshness is judged by the Next pointer's timestamp: chain targets are
-    // always at least as fresh as their pointers, so trimming by next_ts can
-    // never leave a surviving non-anchor row dangling.
-    if (status.next_ts >= older_than) continue;
-
-    // Sever only the BOOKKEEPING cells: without a live __next the row is
-    // invisible to reads and nonexistent to GetLiveKey, and compaction
-    // purges the tombstones after the GC grace period. Materialized cells
-    // are left in place: CopyData writes carry their ORIGINAL (old)
-    // timestamps, so a tombstone at `older_than` would shadow the data a
-    // future re-promotion of this key copies back in. The leftovers are
-    // inert (they come from the same base-cell history, so LWW merges them
-    // harmlessly if the key is reused).
-    Row tombstones;
-    tombstones.Apply(store::kViewNextColumn, Cell::Tombstone(older_than));
-    tombstones.Apply(store::kViewInitColumn, Cell::Tombstone(older_than));
-    for (ServerId replica : cluster.server(0).ReplicasOf(view.name, key)) {
-      cluster.server(replica).EngineFor(view.name).ApplyRow(key, tombstones);
+  for (const auto& [base_key, family] : index.families) {
+    // Only families with a live row are trimmed (one mid-promotion must not
+    // lose chain links); the anchor is re-pointed at that row below.
+    const FamilyRow* live = nullptr;
+    for (const FamilyRow& fr : family.rows) {
+      if (fr.status.live) live = &fr;
     }
-    trimmed_families.insert(split->second);
-    ++trimmed;
-  }
-
-  // Re-point affected anchors straight at their live rows, so the chain
-  // root stays valid after its old target was retired. (LWW: a newer
-  // deletion/reassignment pointer on the anchor wins over this.)
-  for (const Key& base_key : trimmed_families) {
-    const Key anchor_key = store::DeletedSentinelViewKey(base_key);
+    if (live == nullptr) continue;
+    bool family_trimmed = false;
+    for (const FamilyRow& fr : family.rows) {
+      // The sentinel anchor is the family's permanent chain root: never
+      // trimmed. Freshness is judged by the Next pointer's timestamp: chain
+      // targets are always at least as fresh as their pointers, so trimming
+      // by next_ts can never leave a surviving non-anchor row dangling.
+      if (fr.status.live || store::IsSentinelViewKey(fr.view_key) ||
+          fr.status.next_ts >= older_than) {
+        continue;
+      }
+      // Sever only the BOOKKEEPING cells: without a live __next the row is
+      // invisible to reads and nonexistent to GetLiveKey, and compaction
+      // purges the tombstones after the GC grace period. Materialized cells
+      // are left in place: CopyData writes carry their ORIGINAL (old)
+      // timestamps, so a tombstone at `older_than` would shadow the data a
+      // future re-promotion of this key copies back in. The leftovers are
+      // inert (they come from the same base-cell history, so LWW merges them
+      // harmlessly if the key is reused).
+      Row tombstones;
+      tombstones.Apply(store::kViewNextColumn, Cell::Tombstone(older_than));
+      tombstones.Apply(store::kViewInitColumn, Cell::Tombstone(older_than));
+      ApplyToReplicas(cluster, view, fr.row_key, tombstones);
+      family_trimmed = true;
+      ++trimmed;
+    }
+    if (!family_trimmed) continue;
+    // Re-point the anchor straight at the live row, so the chain root stays
+    // valid after its old target was retired. (LWW: a newer deletion or
+    // reassignment pointer on the anchor wins over this.)
     Row repoint;
     repoint.Apply(store::kViewNextColumn,
-                  Cell::Live(live_key_of[base_key], older_than));
-    const Key anchor_row = store::ShardedViewRowKey(
-        anchor_key, base_key,
-        store::ShardOfBaseKey(base_key, view.shard_count), view.shard_count);
-    for (ServerId replica :
-         cluster.server(0).ReplicasOf(view.name, anchor_row)) {
-      cluster.server(replica).EngineFor(view.name).ApplyRow(anchor_row,
-                                                            repoint);
-    }
+                  Cell::Live(live->view_key, older_than));
+    ApplyToReplicas(
+        cluster, view,
+        store::ShardedViewRowKey(
+            store::DeletedSentinelViewKey(base_key), base_key,
+            store::ShardOfBaseKey(base_key, view.shard_count),
+            view.shard_count),
+        repoint);
   }
   return trimmed;
 }

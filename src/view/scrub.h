@@ -1,20 +1,26 @@
 // View scrubber: offline verification and repair of materialized views.
 //
-// Two jobs:
+// One oracle behind every check and every correction. The merged base and
+// view tables (all replicas merged cell-wise: the state they converge to)
+// are grouped into families, one per base key. Each family has:
 //
-//  1. ComputeExpectedView — evaluates Definition 1 (plus selection and the
-//     deletion semantics) against the CURRENT merged state of the base
-//     table, yielding the set of records a fully-propagated, fully-converged
-//     view must expose. Property tests compare the live rows of the real
-//     versioned view against this after quiescing.
+//  - its expected record: Definition 1 (plus selection and the deletion
+//    semantics) evaluated on the merged base row;
+//  - its exposed records: the live, initialized, unhidden view rows;
+//  - an audit: Definition 3 (at most one live row, every stale chain
+//    reaches it, live rows initialized) and Definition 1 (the exposed
+//    records are exactly the expected one, value and timestamp);
+//  - a rewrite: force the expected live row, re-root the sentinel anchor
+//    at it, retire every other row.
 //
-//  2. CheckView / RepairView — audits the versioned view's structural
-//     invariants (Definition 3): at most one live row per base key, every
-//     stale chain reaches the live row, no cycles, live rows initialized —
-//     and that the live rows agree with the expected view. RepairView
-//     force-writes the expected state (the recovery tool for the
-//     failure-window cases DESIGN.md documents, e.g. orphan live rows
-//     created when replicas were unreachable during pre-image collection).
+// Every entry point is a loop over families. ComputeExpectedView and
+// ReadConvergedView list the expected and exposed records, which property
+// tests compare after quiescing. CheckView reports the audit over the whole
+// view, and RepairView rewrites every family: the recovery tool for the
+// failure-window cases DESIGN.md documents (e.g. orphan live rows created
+// when replicas were unreachable during pre-image collection).
+// ScrubOwnedRanges and RepairViewFamilies rewrite only the families their
+// audit finds broken, and TrimStaleViewRows retires old stale rows.
 //
 // The scrubber runs outside simulated time (direct engine access), as an
 // offline maintenance utility would.
@@ -85,15 +91,17 @@ struct ScrubReport {
 /// Audits `view` (structure + content) against the merged base table.
 ScrubReport CheckView(store::Cluster& cluster, const store::ViewDef& view);
 
-/// Rewrites the view's backing table (on every replica) to exactly the
-/// expected state: live rows per Definition 1, no stale rows. Returns the
-/// number of records written. Timestamps are preserved from the base table.
+/// Rewrites every family of the view to exactly the expected state: the
+/// live row per Definition 1 and its sentinel anchor, no other stale rows.
+/// Each family is written one tick above its newest cell; materialized cells
+/// keep their base timestamps. Crashed replicas are skipped, as by the
+/// scrub. Returns the number of families with an expected record.
 std::size_t RepairView(store::Cluster& cluster, const store::ViewDef& view);
 
 /// Incremental, ownership-scoped variant of RepairView for the crash fault
 /// model: audits only the view families whose base key is PRIMARILY owned by
-/// `owner` on the ring, and repairs just the broken ones (one repair per
-/// family, mirroring RepairView's cell layout). A family is broken when the
+/// `owner` on the ring, and rewrites just the broken ones as RepairView
+/// does. A family is broken when the
 /// records it exposes differ from Definition 1 — the signature a propagation
 /// orphaned by a coordinator crash leaves behind — or when a live row is
 /// uninitialized (which would wedge Algorithm-4 readers). Families for which
@@ -123,8 +131,8 @@ std::size_t RepairViewFamilies(store::Cluster& cluster,
                                const std::function<bool(const Key&)>& skip);
 
 /// Retires stale rows whose every cell is older than `older_than` by
-/// tombstoning them on all replicas (the engines' tombstone GC then purges
-/// them at compaction). Returns the number of rows retired.
+/// tombstoning them on the non-crashed replicas (the engines' tombstone GC
+/// then purges them at compaction). Returns the number of rows retired.
 ///
 /// Safety: a stale row is only ever needed by an in-flight propagation
 /// whose view-key guess predates the row's retirement; propagations are

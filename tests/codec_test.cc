@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -31,6 +31,37 @@ TEST(CodecTest, RoundTripWithSeparatorAndEscapeBytes) {
   ASSERT_TRUE(split.has_value());
   EXPECT_EQ(split->first, nasty1);
   EXPECT_EQ(split->second, nasty2);
+
+  // Every escape-relevant shape, in either component, comes back
+  // byte-identical, and the composed key's partition slice routes like its
+  // view key's prefix.
+  const std::string sep(1, kComponentSeparator);
+  const std::string esc(1, kEscape);
+  const std::vector<std::string> components = {
+      "",                       // empty
+      "plain",                  // nothing to escape
+      sep,                      // separator alone
+      esc,                      // escape alone
+      sep + sep + sep,          // runs of separators
+      esc + esc,                // runs of escapes
+      esc + sep,                // escape then separator
+      sep + esc,                // separator then escape
+      "a" + sep + "b" + esc,    // mixed with plain bytes
+      esc + "s",                // bytes that LOOK like an escape sequence
+      esc + "e",
+      std::string(1, kSentinelPrefix),  // sentinel byte is not special here
+      std::string("\x00\x01\x02\x03", 4),
+  };
+  for (const std::string& vk : components) {
+    for (const std::string& bk : components) {
+      const Key key = ComposeViewRowKey(vk, bk);
+      auto parts = SplitViewRowKey(key);
+      ASSERT_TRUE(parts.has_value()) << "vk/bk shape broke the split";
+      EXPECT_EQ(parts->first, vk);
+      EXPECT_EQ(parts->second, bk);
+      EXPECT_EQ(PartitionPrefixViewOf(key), ViewPartitionPrefix(vk));
+    }
+  }
 }
 
 TEST(CodecTest, EmptyComponents) {
@@ -138,74 +169,6 @@ TEST(CodecTest, ComposeToReusesScratchBuffer) {
   EXPECT_EQ(scratch, ComposeViewRowKey("bob", "2"));
   // Same capacity, no reallocation for a smaller second key.
   EXPECT_EQ(scratch.data(), data_before);
-}
-
-TEST(CodecTest, InternedRoundTripEveryEscapeEdgeCase) {
-  // Every escape-relevant shape travels encode -> intern -> view -> decode
-  // and comes back byte-identical.
-  const std::string sep(1, kComponentSeparator);
-  const std::string esc(1, kEscape);
-  const std::vector<std::string> components = {
-      "",                       // empty
-      "plain",                  // nothing to escape
-      sep,                      // separator alone
-      esc,                      // escape alone
-      sep + sep + sep,          // runs of separators
-      esc + esc,                // runs of escapes
-      esc + sep,                // escape then separator
-      sep + esc,                // separator then escape
-      "a" + sep + "b" + esc,    // mixed with plain bytes
-      esc + "s",                // bytes that LOOK like an escape sequence
-      esc + "e",
-      std::string(1, kSentinelPrefix),  // sentinel byte is not special here
-      std::string("\x00\x01\x02\x03", 4),
-  };
-  KeyInterner interner;
-  std::string scratch;
-  for (const std::string& vk : components) {
-    for (const std::string& bk : components) {
-      KeyRef ref = InternViewRowKey(interner, vk, bk, scratch);
-      ASSERT_TRUE(ref.valid());
-      auto split = SplitViewRowKey(interner.View(ref));
-      ASSERT_TRUE(split.has_value()) << "vk/bk shape broke the split";
-      EXPECT_EQ(split->first, vk);
-      EXPECT_EQ(split->second, bk);
-      // The interned bytes equal the plain composed key, and the partition
-      // slice of the interned bytes routes like the uninterned one.
-      EXPECT_EQ(interner.View(ref), ComposeViewRowKey(vk, bk));
-      EXPECT_EQ(PartitionPrefixViewOf(interner.View(ref)),
-                ViewPartitionPrefix(vk));
-    }
-  }
-}
-
-TEST(CodecTest, InternedRefIdentityMatchesPairIdentityFuzz) {
-  // Ref equality must coincide exactly with (view key, base key) equality —
-  // the property that lets consumers dedupe on the 4-byte handle.
-  Rng rng(321);
-  KeyInterner interner;
-  std::string scratch;
-  std::map<std::pair<Key, Key>, KeyRef> model;
-  auto random_component = [&rng]() {
-    std::string s;
-    const int len = static_cast<int>(rng.UniformInt(0, 5));
-    for (int i = 0; i < len; ++i) {
-      s.push_back(static_cast<char>(rng.UniformInt(0, 4)));  // nasty bytes
-    }
-    return s;
-  };
-  for (int i = 0; i < 8000; ++i) {
-    Key vk = random_component();
-    Key bk = random_component();
-    KeyRef ref = InternViewRowKey(interner, vk, bk, scratch);
-    auto [it, fresh] = model.emplace(std::make_pair(vk, bk), ref);
-    if (!fresh) EXPECT_EQ(ref, it->second);
-    auto split = SplitViewRowKey(interner.View(ref));
-    ASSERT_TRUE(split.has_value());
-    EXPECT_EQ(split->first, vk);
-    EXPECT_EQ(split->second, bk);
-  }
-  EXPECT_EQ(interner.size(), model.size());
 }
 
 // ---------------------------------------------------------------------------

@@ -391,6 +391,40 @@ TEST(MembershipTest, CrashedJoinerResumesByShippingOnlyWhatItLacks) {
       << "the resumed join re-shipped rows the joiner already held";
 }
 
+// Anti-entropy pairs serving members only, so a joiner's ranges are
+// bootstrapped once, by its membership syncs: neither the joiner's own
+// rounds nor its peers' pull them a second time. The members start
+// converged, so any row anti-entropy ships before the join completes is a
+// second bootstrap.
+TEST(MembershipTest, JoinerTakesPartInNoAntiEntropyUntilServing) {
+  store::ClusterConfig config = ChurnConfig();
+  config.anti_entropy_interval = Millis(1);  // many rounds during the join
+  config.join_stream_batch = 1;              // one row per sync chunk
+  test::TestCluster t(config, test::TicketSchema(false, false));
+  for (int k = 0; k < 300; ++k) {
+    t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
+                               {{"status", std::string("open")}}, 100 + k);
+  }
+  const store::Metrics& m = t.cluster.metrics();
+  t.cluster.RunFor(Millis(10));
+  ASSERT_EQ(m.anti_entropy_rows_pushed, 0u) << "members did not start equal";
+
+  auto joiner = t.cluster.JoinServer();
+  ASSERT_TRUE(joiner.has_value());
+  const SimTime started = t.cluster.Now();
+  while (t.cluster.Now() - started < Seconds(10)) {
+    t.cluster.RunFor(Micros(100));
+    if (m.member_joins_completed != 0) break;
+    ASSERT_EQ(m.anti_entropy_rows_pushed, 0u)
+        << "anti-entropy shipped rows to the joiner "
+        << (t.cluster.Now() - started) << " us into its join";
+  }
+  ASSERT_EQ(m.member_joins_completed, 1u);
+  EXPECT_GE(t.cluster.Now() - started, 5 * config.anti_entropy_interval)
+      << "the join ended before anti-entropy rounds could reach it";
+  EXPECT_GT(m.member_rows_streamed, 0u);
+}
+
 // A replica write in flight when the ring changed can land on the draining
 // server after its range's first pass. The second pass must carry it to the
 // range's new owner before the server leaves — whatever its timestamp.

@@ -167,6 +167,42 @@ TEST(TracerRing, EvictsOldestBeyondCapacity) {
   EXPECT_TRUE(tracer.IsConnected(rest.back().trace));
 }
 
+TEST(TracerRing, EndAndAnnotateAfterWrapReachOnlyLiveSpans) {
+  // Once the ring wraps, a slot holds the newest of the spans a multiple of
+  // the capacity apart: updates must reach live spans on either side of the
+  // wrap and leave an evicted span's slot (now a newer span's) alone.
+  Tracer tracer(/*capacity=*/4);
+  std::vector<TraceContext> spans;
+  for (int i = 0; i < 6; ++i) {
+    spans.push_back(tracer.StartTrace("s" + std::to_string(i), 0, 10 + i));
+  }
+  ASSERT_EQ(tracer.evicted(), 2u);
+  // The evicted spans[0] and spans[1] share slots with spans[4] and [5].
+  for (int evicted : {0, 1}) {
+    tracer.EndSpan(spans[evicted], 100);
+    tracer.Annotate(spans[evicted], "evicted");
+  }
+  tracer.EndSpan(spans[4], 200);
+  tracer.Annotate(spans[4], "wrapped");
+  tracer.EndSpan(spans[2], 300);
+  tracer.Annotate(spans[2], "unwrapped");
+
+  EXPECT_TRUE(tracer.Collect(spans[0].trace).empty());
+  std::vector<TraceEvent> wrapped = tracer.Collect(spans[4].trace);
+  ASSERT_EQ(wrapped.size(), 1u);
+  EXPECT_EQ(wrapped[0].end, 200);
+  EXPECT_EQ(wrapped[0].note, "wrapped");
+  std::vector<TraceEvent> unwrapped = tracer.Collect(spans[2].trace);
+  ASSERT_EQ(unwrapped.size(), 1u);
+  EXPECT_EQ(unwrapped[0].end, 300);
+  EXPECT_EQ(unwrapped[0].note, "unwrapped");
+  // The updates of the evicted spans[1] did not land on its slot's span.
+  std::vector<TraceEvent> untouched = tracer.Collect(spans[5].trace);
+  ASSERT_EQ(untouched.size(), 1u);
+  EXPECT_EQ(untouched[0].end, 0);
+  EXPECT_EQ(untouched[0].note, "");
+}
+
 TEST(TracerRing, AnnotationsAndOrphansAreTolerated) {
   Tracer tracer(8);
   TraceContext root = tracer.StartTrace("root", 0, 1);

@@ -58,7 +58,7 @@ TEST(ShardPlacementTest, RowKeyEncodingAgreesWithShardOfBaseKey) {
 }
 
 // The freshness tracker filters per-shard blockers with the SAME routing:
-// an unsettled intent for base key B must depress FreshAsOfShard for
+// an unsettled intent for base key B must depress the per-shard FreshAsOf for
 // exactly ShardOfBaseKey(B) and no other shard — otherwise a scatter read
 // would claim freshness for the very shard the pending write lands in.
 TEST(ShardPlacementTest, FreshnessIntentBlocksExactlyTheRoutedShard) {
@@ -77,7 +77,7 @@ TEST(ShardPlacementTest, FreshnessIntentBlocksExactlyTheRoutedShard) {
     const int routed = store::ShardOfBaseKey(base_key, shards);
     for (int shard = 0; shard < shards; ++shard) {
       const Timestamp fresh =
-          tracker.FreshAsOfShard("v", partition, shard, shards, now_ts);
+          tracker.FreshAsOf("v", partition, now_ts, shard, shards);
       if (shard == routed) {
         EXPECT_EQ(fresh, ts - 1) << "trial " << trial;
       } else {
@@ -86,7 +86,7 @@ TEST(ShardPlacementTest, FreshnessIntentBlocksExactlyTheRoutedShard) {
     }
     // Settling the intent releases the routed shard too.
     tracker.MarkApplied(intent);
-    EXPECT_EQ(tracker.FreshAsOfShard("v", partition, routed, shards, now_ts),
+    EXPECT_EQ(tracker.FreshAsOf("v", partition, now_ts, routed, shards),
               now_ts);
   }
 }
