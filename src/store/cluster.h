@@ -73,12 +73,9 @@ class Cluster {
     return servers_;
   }
 
-  /// Endpoint ids beyond the server slots.
+  /// The clients' endpoint id, just past the server slots.
   sim::EndpointId client_endpoint() const {
     return static_cast<sim::EndpointId>(servers_.size());
-  }
-  sim::EndpointId lock_service_endpoint() const {
-    return static_cast<sim::EndpointId>(servers_.size() + 1);
   }
 
   /// Installs the view-maintenance engine on every server.

@@ -48,15 +48,6 @@ void FreshnessTracker::EraseIntent(
   intents_.erase(it);
 }
 
-void FreshnessTracker::Discard(std::uint64_t intent) {
-  if (intent == 0) return;
-  auto it = intents_.find(intent);
-  if (it == intents_.end()) return;
-  const std::string view = it->second.view;
-  EraseIntent(it);
-  FireImprovement(view);
-}
-
 void FreshnessTracker::MarkApplied(std::uint64_t intent) {
   if (intent == 0) return;
   auto it = intents_.find(intent);
@@ -149,23 +140,6 @@ void FreshnessTracker::FireImprovement(const std::string& view) {
   std::vector<std::function<void()>> callbacks = std::move(it->second);
   improvement_.erase(it);
   for (auto& callback : callbacks) callback();
-}
-
-void FreshnessTracker::RecordLag(const std::string& view, SimTime lag,
-                                 double alpha) {
-  LagEwma& ewma = lag_[view];
-  if (!ewma.primed) {
-    ewma.value = static_cast<double>(lag);
-    ewma.primed = true;
-    return;
-  }
-  ewma.value = alpha * static_cast<double>(lag) + (1.0 - alpha) * ewma.value;
-}
-
-SimTime FreshnessTracker::LagEstimate(const std::string& view) const {
-  auto it = lag_.find(view);
-  if (it == lag_.end() || !it->second.primed) return -1;
-  return static_cast<SimTime>(it->second.value);
 }
 
 }  // namespace mvstore::store

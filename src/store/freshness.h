@@ -6,17 +6,17 @@
 // becomes a promise. Every base Put that affects a view registers an
 // *intent* — "a write at timestamp T is on its way into view V" — before
 // the Put is even acknowledged, and the intent settles when the propagation
-// applies (MarkApplied), turns out to be a no-op (Discard), or is cleared
-// by a family audit after it died with a crash or retry-budget exhaustion
-// (MarkWounded, then FamilyAudited). A view read then has an exact question
-// to ask: is there an unsettled intent that can reach my partition and that
-// my read must reflect? A bounded-staleness read at bound B must reflect
-// every writer's intents older than now - B; a read-your-writes read
-// (Section V, Definition 4) must reflect every intent of its own session,
-// whatever its age. If no such blocker exists, the view is provably fresh
-// enough; if one does, the coordinator waits, repairs, or (bounded reads
-// only) routes around the view — one policy ladder for both levels
-// (view/maintenance_engine.cc).
+// applies or the Put turns out not to touch the view (MarkApplied), or is
+// cleared by a family audit after it died with a crash or retry-budget
+// exhaustion (MarkWounded, then FamilyAudited). A view read then has an
+// exact question to ask: is there an unsettled intent that can reach my
+// partition and that my read must reflect? A bounded-staleness read at
+// bound B must reflect every writer's intents older than now - B; a
+// read-your-writes read (Section V, Definition 4) must reflect every intent
+// of its own session, whatever its age. If no such blocker exists, the
+// view is provably fresh enough; if one does, the coordinator waits,
+// repairs, or (bounded reads only) routes around the view — one policy
+// ladder for both levels (view/maintenance_engine.cc).
 //
 // The tracker is engine-central, modeling the per-partition tracker shards
 // a real cluster would colocate with the view partition replicas: intent
@@ -69,6 +69,31 @@ enum class ServedBy {
   kBaseScan,  ///< base-table read (point Get, or match-scan fallback)
 };
 
+/// A server's advisory cache of per-view freshness facts, merged from the
+/// gossip the maintenance engine piggybacks on propagation-completion
+/// replica traffic. Volatile: dies with the process on crash. The bounded-
+/// read router consults it first (a coordinator should not need a tracker
+/// round trip to decide a fallback) and falls through to the tracker's own
+/// estimate when cold.
+struct FreshnessCache {
+  /// Per-view EWMA of the gossiped propagation lag.
+  std::map<std::string, double> lag_ewma;
+
+  void Merge(const std::string& view, SimTime lag, double alpha) {
+    auto [it, inserted] = lag_ewma.try_emplace(view, static_cast<double>(lag));
+    if (!inserted) {
+      it->second =
+          alpha * static_cast<double>(lag) + (1.0 - alpha) * it->second;
+    }
+  }
+
+  /// -1 when no sample has arrived yet.
+  SimTime LagEstimate(const std::string& view) const {
+    auto it = lag_ewma.find(view);
+    return it == lag_ewma.end() ? -1 : static_cast<SimTime>(it->second);
+  }
+};
+
 /// Cluster-wide freshness bookkeeping. One instance per Cluster; see the
 /// file comment for what each piece models.
 class FreshnessTracker {
@@ -100,12 +125,9 @@ class FreshnessTracker {
   /// unreachable-replica window).
   void ResolvePartitions(std::uint64_t intent, std::set<Key> partitions);
 
-  /// The Put turned out not to touch this view: the intent settles with no
-  /// freshness effect. 0 is a no-op.
-  void Discard(std::uint64_t intent);
-
-  /// The propagation applied at its write quorum: the intent stops
-  /// blocking and parked bounded reads are woken.
+  /// The propagation applied at its write quorum, or the Put turned out not
+  /// to touch the view: the intent stops blocking and parked reads are
+  /// woken. 0 is a no-op.
   void MarkApplied(std::uint64_t intent);
 
   /// The propagation died (coordinator crash, orphaning, retry budget):
@@ -150,17 +172,20 @@ class FreshnessTracker {
       std::optional<SessionId> session = std::nullopt) const;
 
   /// One-shot callback fired the next time `view`'s blockers change for the
-  /// better: an intent applied, discarded, audited away, or wounded (which
-  /// turns waiting into repairing). Parked reads use this instead of
-  /// polling.
+  /// better: an intent applied, audited away, or wounded (which turns
+  /// waiting into repairing). Parked reads use this instead of polling.
   void NotifyOnImprovement(const std::string& view,
                            std::function<void()> callback);
 
   /// EWMA of observed propagation lag per view (`alpha` = smoothing
   /// factor), the router's cost-model input. LagEstimate returns -1 until
   /// the first sample.
-  void RecordLag(const std::string& view, SimTime lag, double alpha);
-  SimTime LagEstimate(const std::string& view) const;
+  void RecordLag(const std::string& view, SimTime lag, double alpha) {
+    lag_.Merge(view, lag, alpha);
+  }
+  SimTime LagEstimate(const std::string& view) const {
+    return lag_.LagEstimate(view);
+  }
 
   /// Unsettled intents (introspection for tests).
   std::size_t pending_intents() const { return intents_.size(); }
@@ -192,36 +217,9 @@ class FreshnessTracker {
   /// Intent ids per view (the read path's index).
   std::map<std::string, std::set<std::uint64_t>> by_view_;
   std::map<std::string, std::vector<std::function<void()>>> improvement_;
-  struct LagEwma {
-    double value = 0.0;
-    bool primed = false;
-  };
-  std::map<std::string, LagEwma> lag_;
-};
-
-/// A server's advisory cache of per-view freshness facts, merged from the
-/// gossip the maintenance engine piggybacks on propagation-completion
-/// replica traffic. Volatile: dies with the process on crash. The bounded-
-/// read router consults it first (a coordinator should not need a tracker
-/// round trip to decide a fallback) and falls through to the tracker's own
-/// estimate when cold.
-struct FreshnessCache {
-  /// Per-view EWMA of the gossiped propagation lag.
-  std::map<std::string, double> lag_ewma;
-
-  void Merge(const std::string& view, SimTime lag, double alpha) {
-    auto [it, inserted] = lag_ewma.try_emplace(view, static_cast<double>(lag));
-    if (!inserted) {
-      it->second =
-          alpha * static_cast<double>(lag) + (1.0 - alpha) * it->second;
-    }
-  }
-
-  /// -1 when no sample has arrived yet.
-  SimTime LagEstimate(const std::string& view) const {
-    auto it = lag_ewma.find(view);
-    return it == lag_ewma.end() ? -1 : static_cast<SimTime>(it->second);
-  }
+  /// The tracker's own lag estimate: the same EWMA the servers' advisory
+  /// caches keep, fed by every completion rather than by gossip.
+  FreshnessCache lag_;
 };
 
 }  // namespace mvstore::store

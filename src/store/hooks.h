@@ -41,9 +41,6 @@ struct CollectedViewKeys {
   /// row's replicas before the update applied. Null cells (replica had no
   /// value) appear as default-constructed Cells with kNullTimestamp.
   std::vector<storage::Cell> old_keys;
-  /// True when every replica answered the collection (see
-  /// PropagationTask::full_collection).
-  bool full_collection = false;
 };
 
 /// Everything a view Get carries besides the view and its key: the

@@ -860,8 +860,6 @@ void Server::HandleClientPut(const std::string& table, const Key& key,
 
   auto on_collected = [this, affected, key, cells,
                        put_group](std::vector<storage::Row> pre_images) {
-    const bool full_collection =
-        static_cast<int>(pre_images.size()) == config_->replication_factor;
     // Dedupe the pre-image versions ONCE per distinct view-key column and
     // share the guess list across every view keyed by it — part of the
     // shared change-set (ISSUE 10): a Put touching N same-column views does
@@ -891,7 +889,6 @@ void Server::HandleClientPut(const std::string& table, const Key& key,
     for (const ViewDef* view : affected) {
       CollectedViewKeys entry;
       entry.view = view;
-      entry.full_collection = full_collection;
       entry.old_keys = guesses_by_column[view->view_key_column];
       collected.push_back(std::move(entry));
     }

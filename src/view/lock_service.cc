@@ -7,14 +7,9 @@
 
 namespace mvstore::view {
 
-LockService::LockService(sim::Simulation* sim, sim::Network* network,
-                         sim::EndpointId endpoint, SimTime hop_latency,
+LockService::LockService(sim::Simulation* sim, SimTime hop_latency,
                          SimTime lease_ttl)
-    : sim_(sim),
-      network_(network),
-      endpoint_(endpoint),
-      hop_latency_(hop_latency),
-      lease_ttl_(lease_ttl) {}
+    : sim_(sim), hop_latency_(hop_latency), lease_ttl_(lease_ttl) {}
 
 void LockService::Acquire(sim::EndpointId requester,
                           const std::string& resource, LockMode mode,

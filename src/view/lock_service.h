@@ -40,13 +40,10 @@ enum class LockMode { kShared, kExclusive };
 
 class LockService {
  public:
-  /// `endpoint` is the lock service's address (kept for diagnostics);
   /// `hop_latency` is the one-way cost of each lock message; `lease_ttl` is
   /// the hold expiry window (0 = holds never expire).
-  LockService(sim::Simulation* sim, sim::Network* network,
-              sim::EndpointId endpoint,
-              SimTime hop_latency = Micros(120),
-              SimTime lease_ttl = 0);
+  explicit LockService(sim::Simulation* sim, SimTime hop_latency = Micros(120),
+                       SimTime lease_ttl = 0);
 
   LockService(const LockService&) = delete;
   LockService& operator=(const LockService&) = delete;
@@ -118,9 +115,6 @@ class LockService {
   void EraseIfIdle(const std::string& resource);
 
   sim::Simulation* sim_;
-  sim::Network* network_;  // unused for transport (reliable channel); kept
-                           // for future partition-aware modeling
-  sim::EndpointId endpoint_;
   SimTime hop_latency_;
   SimTime lease_ttl_;
   std::map<std::string, LockState> locks_;

@@ -17,13 +17,41 @@ namespace mvstore::view {
 namespace {
 using storage::Cell;
 using storage::Row;
+
+/// Whether `cell` names a view key: a live, non-empty value.
+bool NamesViewKey(const Cell& cell) {
+  return !cell.IsNull() && !cell.tombstone && !cell.value.empty();
+}
+
+/// Adds `cell` to a task's guesses unless it is one already or is the
+/// task's own view-key write: chasing that write before the task completes
+/// can only land on the task's own partial debris (the case-2c shortcut)
+/// instead of the real live row.
+void AddGuess(std::vector<Cell>& guesses, const Cell& cell,
+              const std::optional<Cell>& own_write) {
+  if (own_write && cell == *own_write) return;
+  if (std::find(guesses.begin(), guesses.end(), cell) == guesses.end()) {
+    guesses.push_back(cell);
+  }
+}
+
+/// Collapses an aggregate view's per-base-key sub-aggregates into the one
+/// record the client sees; the records of other views pass through.
+void FoldIfAggregate(const store::ViewDef& view,
+                     std::vector<store::ViewRecord>& records,
+                     store::Metrics& metrics) {
+  if (!view.IsAggregate()) return;
+  const AggregateFold fold = FoldAggregateRecords(view, records);
+  metrics.view_aggregate_folds++;
+  metrics.view_aggregate_fold_skipped += fold.skipped;
+  records = FoldedAggregateView(view, fold);
+}
 }  // namespace
 
 MaintenanceEngine::MaintenanceEngine(store::Cluster* cluster)
     : cluster_(cluster),
       rng_(cluster->ForkRng()),
-      locks_(&cluster->simulation(), &cluster->network(),
-             cluster->lock_service_endpoint(), Micros(120),
+      locks_(&cluster->simulation(), Micros(120),
              cluster->config().lock_lease_ttl),
       row_queues_(static_cast<std::size_t>(cluster->num_servers())) {
   locks_.set_expired_counter(&cluster->metrics().locks_expired);
@@ -42,10 +70,6 @@ MaintenanceEngine::MaintenanceEngine(store::Cluster* cluster)
   cluster_->set_view_hook(this);
 }
 
-std::string MaintenanceEngine::ResourceOf(const PropagationTask& task) {
-  return ResourceOf(task.view->name, task.base_key);
-}
-
 std::string MaintenanceEngine::ResourceOf(const std::string& view,
                                           const Key& base_key) {
   std::string resource = view;
@@ -56,7 +80,12 @@ std::string MaintenanceEngine::ResourceOf(const std::string& view,
 
 bool MaintenanceEngine::FamilyBusy(const std::string& view,
                                    const Key& base_key) const {
-  return active_per_resource_.count(ResourceOf(view, base_key)) != 0;
+  return families_.count(ResourceOf(view, base_key)) != 0;
+}
+
+bool MaintenanceEngine::Dedicated() const {
+  return cluster_->config().propagation_mode ==
+         store::PropagationMode::kDedicatedPropagators;
 }
 
 SimTime MaintenanceEngine::RetryDelay(const PropagationTask& task) const {
@@ -136,6 +165,7 @@ void MaintenanceEngine::OnBasePutCommitted(
     task->id = ++next_task_id_;
     task->view = view;
     task->base_key = base_key;
+    task->resource = ResourceOf(view->name, base_key);
     if (auto cell = written.Get(view->view_key_column)) {
       task->view_key_update = *cell;
     }
@@ -147,7 +177,7 @@ void MaintenanceEngine::OnBasePutCommitted(
     if (!task->view_key_update && task->materialized_updates.empty()) {
       // Put did not actually touch this view: the intent settles with no
       // freshness effect.
-      cluster_->freshness().Discard(intent);
+      cluster_->freshness().MarkApplied(intent);
       continue;
     }
     if (coordinator->crashed()) {
@@ -167,14 +197,11 @@ void MaintenanceEngine::OnBasePutCommitted(
     // (nothing collected, no key written) keeps blocking the whole view.
     {
       std::set<Key> partitions;
-      if (task->view_key_update && !task->view_key_update->tombstone &&
-          !task->view_key_update->value.empty()) {
+      if (task->view_key_update && NamesViewKey(*task->view_key_update)) {
         partitions.insert(task->view_key_update->value);
       }
       for (const Cell& guess : collected.old_keys) {
-        if (!guess.IsNull() && !guess.tombstone && !guess.value.empty()) {
-          partitions.insert(guess.value);
-        }
+        if (NamesViewKey(guess)) partitions.insert(guess.value);
       }
       cluster_->freshness().ResolvePartitions(intent, std::move(partitions));
     }
@@ -182,16 +209,14 @@ void MaintenanceEngine::OnBasePutCommitted(
     // current live key (the coordinator "is free to try the keys in any
     // order").
     task->guesses = std::move(collected.old_keys);
-    task->full_collection = collected.full_collection;
     std::sort(task->guesses.begin(), task->guesses.end(),
               [](const Cell& a, const Cell& b) { return a.ts > b.ts; });
     task->origin = coordinator->id();
-    task->put_group = put_group;
     task->created_at = cluster_->simulation().Now();
     // The task's lifetime span hangs off the Put's trace (we run inside the
     // collection continuation, which the coordinator scoped to the Put's
     // operation context). It stays open across dispatch delays and retries
-    // until the task completes, is abandoned, or is orphaned.
+    // until the task ends (EndTask).
     {
       Tracer& tracer = cluster_->tracer();
       task->trace = tracer.StartSpan(tracer.current(),
@@ -201,21 +226,17 @@ void MaintenanceEngine::OnBasePutCommitted(
     }
 
     cluster_->metrics().propagations_started++;
-    ++active_;
-    RegisterTask(task);
+    Family& family = RegisterTask(task);
 
     // Propagation coalescing: a pending same-row, same-origin task that has
     // not started writing absorbs this update — both propagate in ONE
     // maintenance round instead of two conflicting ones (the conflicts are
     // exactly what Figure 8's retry storms are made of).
-    const std::string resource = ResourceOf(*task);
-    auto anchor = coalesce_anchor_.find(resource);
-    if (anchor != coalesce_anchor_.end() &&
-        CanAbsorb(*anchor->second, *task)) {
-      AbsorbTask(anchor->second, task);
-      continue;  // no dispatch: the task settles with its winner
+    if (family.anchor && CanAbsorb(*family.anchor, *task)) {
+      AbsorbTask(family.anchor, task);
+      continue;  // no dispatch: the task ends with its winner
     }
-    coalesce_anchor_[resource] = task;
+    family.anchor = task;
 
     group_tasks.push_back(std::move(task));
   }
@@ -231,15 +252,37 @@ void MaintenanceEngine::OnBasePutCommitted(
 }
 
 // ---------------------------------------------------------------------------
-// Attempt outcome handling (shared by both concurrency-control modes).
+// One attempt and its outcome (shared by every concurrency-control mode).
 // ---------------------------------------------------------------------------
+
+void MaintenanceEngine::RunAttempt(std::shared_ptr<PropagationTask> task,
+                                   ServerId executor,
+                                   std::function<void()> release,
+                                   std::function<void(bool)> then) {
+  // Attempts run under the task's span: dispatch arrives via a bare timer, a
+  // lock grant, or the previous row-queue head's completion, none of which
+  // carries this task's context.
+  Tracer::Scope scope(&cluster_->tracer(), task->trace);
+  task->in_attempt = true;
+  task->executed_on = executor;
+  Propagation::Run(
+      &cluster_->server(executor), task, CurrentGuess(*task),
+      [this, task, release = std::move(release),
+       then = std::move(then)](Status status) mutable {
+        task->in_attempt = false;
+        // The executor crashed (or left) mid-attempt: the task already ended
+        // as orphaned, and a lock it held is left to lease expiry.
+        if (task->orphaned) return;
+        if (release) release();
+        OnAttemptDone(task, std::move(status), std::move(then));
+      });
+}
 
 void MaintenanceEngine::OnAttemptDone(
     std::shared_ptr<PropagationTask> task, Status status,
     std::function<void(bool)> then) {
-  if (task->orphaned) return;  // executor crashed; bookkeeping already done
   if (status.ok()) {
-    TaskCompleted(task);
+    EndTask(task, TaskOutcome::kCompleted);
     then(true);
     return;
   }
@@ -250,7 +293,7 @@ void MaintenanceEngine::OnAttemptDone(
     task->infra_failures++;  // same guess: redo the idempotent sequence
   }
   if (task->attempts >= kMaxAttempts || task->infra_failures >= kMaxAttempts) {
-    TaskAbandoned(task);
+    EndTask(task, TaskOutcome::kAbandoned);
     then(true);
     return;
   }
@@ -275,31 +318,11 @@ void MaintenanceEngine::RefreshGuesses(std::shared_ptr<PropagationTask> task,
       task->view->base_table, task->base_key,
       {task->view->view_key_column}, origin.MajorityQuorum(),
       [](StatusOr<storage::Row>) {},
-      [task, then = std::move(then),
-       n = cluster_->config().replication_factor](
-          std::vector<storage::Row> replicas) {
-        if (static_cast<int>(replicas.size()) == n) {
-          task->full_collection = true;
-        }
+      [task, then = std::move(then)](std::vector<storage::Row> replicas) {
         for (const storage::Row& row : replicas) {
           Cell cell;
           if (auto c = row.Get(task->view->view_key_column)) cell = *c;
-          // Never chase our OWN write read back from the base table: before
-          // this task completes, chasing it can only land on this task's
-          // own partial debris (case-2c shortcut) instead of the real live
-          // row.
-          if (task->view_key_update && cell.ts == task->view_key_update->ts &&
-              cell.tombstone == task->view_key_update->tombstone &&
-              cell.value == task->view_key_update->value) {
-            continue;
-          }
-          const bool known =
-              std::any_of(task->guesses.begin(), task->guesses.end(),
-                          [&cell](const Cell& g) {
-                            return g.ts == cell.ts && g.value == cell.value &&
-                                   g.tombstone == cell.tombstone;
-                          });
-          if (!known) task->guesses.push_back(cell);
+          AddGuess(task->guesses, cell, task->view_key_update);
         }
         then();
       });
@@ -330,31 +353,32 @@ void MaintenanceEngine::DispatchTask(std::shared_ptr<PropagationTask> task) {
   }
 }
 
-void MaintenanceEngine::ParkForRetry(const std::string& resource,
-                                     std::shared_ptr<PropagationTask> task) {
+void MaintenanceEngine::ParkForRetry(std::shared_ptr<PropagationTask> task) {
   if (task->orphaned) return;
   task->parked = true;
-  parked_[resource].push_back(task);
-  cluster_->simulation().After(RetryDelay(*task), [this, task, resource] {
-    if (!task->parked) return;  // already woken by a completion
-    task->parked = false;
-    auto it = parked_.find(resource);
-    if (it != parked_.end()) {
-      auto& tasks = it->second;
-      tasks.erase(std::remove(tasks.begin(), tasks.end(), task), tasks.end());
-      if (tasks.empty()) parked_.erase(it);
-    }
-    DispatchTask(task);
+  families_.at(task->resource).parked.push_back(task);
+  cluster_->simulation().After(RetryDelay(*task), [this, task] {
+    // Not parked any more: already woken by a completion, or orphaned.
+    if (Unpark(task)) DispatchTask(task);
   });
 }
 
+bool MaintenanceEngine::Unpark(const std::shared_ptr<PropagationTask>& task) {
+  if (!task->parked) return false;
+  task->parked = false;
+  auto& parked = families_.at(task->resource).parked;
+  parked.erase(std::remove(parked.begin(), parked.end(), task), parked.end());
+  return true;
+}
+
 void MaintenanceEngine::WakeParked(const std::string& resource) {
-  auto it = parked_.find(resource);
-  if (it == parked_.end()) return;
-  std::vector<std::shared_ptr<PropagationTask>> tasks = std::move(it->second);
-  parked_.erase(it);
+  auto it = families_.find(resource);
+  if (it == families_.end()) return;
+  // Dispatch may re-park into (or end) this family: take the lot first.
+  std::vector<std::shared_ptr<PropagationTask>> tasks =
+      std::move(it->second.parked);
+  it->second.parked.clear();
   for (auto& task : tasks) {
-    if (!task->parked) continue;
     task->parked = false;
     DispatchTask(task);
   }
@@ -403,18 +427,7 @@ void MaintenanceEngine::AbsorbTask(
   }
   winner->materialized_updates.MergeFrom(task->materialized_updates);
   for (const Cell& guess : task->guesses) {
-    if (own_write && guess.ts == own_write->ts &&
-        guess.value == own_write->value &&
-        guess.tombstone == own_write->tombstone) {
-      continue;
-    }
-    const bool known = std::any_of(
-        winner->guesses.begin(), winner->guesses.end(),
-        [&guess](const Cell& g) {
-          return g.ts == guess.ts && g.value == guess.value &&
-                 g.tombstone == guess.tombstone;
-        });
-    if (!known) winner->guesses.push_back(guess);
+    AddGuess(winner->guesses, guess, own_write);
   }
   // Mirror the winner's handoff state so a crash dooms or spares them
   // together (dedicated-propagator mode).
@@ -427,64 +440,63 @@ void MaintenanceEngine::AbsorbTask(
   }
 }
 
-void MaintenanceEngine::FinishAbsorbed(
-    const std::shared_ptr<PropagationTask>& winner, bool completed) {
-  for (const auto& task : winner->absorbed) {
-    if (task->orphaned) continue;  // crash bookkeeping already settled it
-    if (completed) {
-      cluster_->metrics().propagations_completed++;
-      cluster_->metrics().propagation_delay.Record(
-          cluster_->simulation().Now() - task->created_at);
-      cluster_->tracer().EndSpan(task->trace, cluster_->simulation().Now());
-    } else {
-      cluster_->metrics().propagations_abandoned++;
-      if (task->trace) {
-        cluster_->tracer().Annotate(task->trace, "abandoned");
-        cluster_->tracer().EndSpan(task->trace, cluster_->simulation().Now());
-      }
+void MaintenanceEngine::EndTask(const std::shared_ptr<PropagationTask>& task,
+                                TaskOutcome outcome) {
+  store::Metrics& metrics = cluster_->metrics();
+  Tracer& tracer = cluster_->tracer();
+  const SimTime now = cluster_->simulation().Now();
+  // The end of one task of the coalesced group: the winner, then each task
+  // it absorbed. False when a crash already ended it.
+  auto end_one = [&](const std::shared_ptr<PropagationTask>& t) {
+    if (t->orphaned) return false;
+    switch (outcome) {
+      case TaskOutcome::kCompleted:
+        metrics.propagations_completed++;
+        metrics.propagation_delay.Record(now - t->created_at);
+        break;
+      case TaskOutcome::kAbandoned:
+        metrics.propagations_abandoned++;
+        tracer.Annotate(t->trace, "abandoned");
+        break;
+      case TaskOutcome::kOrphaned:
+        // Every pending closure that still holds the task bails out on this
+        // flag; only an orphan can still be parked.
+        t->orphaned = true;
+        metrics.propagations_orphaned++;
+        tracer.Annotate(t->trace, "orphaned by crash");
+        Unpark(t);
+        break;
     }
-    --active_;
-    UnregisterTask(task);
-    NotifyOrigin(task, completed);
+    tracer.EndSpan(t->trace, now);
+    UnregisterTask(t);
+    if (outcome == TaskOutcome::kOrphaned) {
+      // The write may or may not be in the view, so reads that must reflect
+      // it stay blocked until a family audit proves convergence — the
+      // ladder's targeted repair, or the owned-range scrub.
+      cluster_->freshness().MarkWounded(t->freshness_intent);
+    } else {
+      NotifyOrigin(t, outcome == TaskOutcome::kCompleted);
+    }
+    return true;
+  };
+  if (!end_one(task)) return;
+  if (outcome == TaskOutcome::kAbandoned) {
+    // Under pathological conflict rates (Figure 8 at range 1) thousands of
+    // tasks can exhaust their budgets; log the first few and then sample.
+    const std::uint64_t n = metrics.propagations_abandoned;
+    if (n <= 3 || n % 1000 == 0) {
+      MVSTORE_LOG(Warning) << "abandoning propagation of base key '"
+                           << task->base_key << "' to view '"
+                           << task->view->name << "' after " << task->attempts
+                           << " guess attempts (+" << task->infra_failures
+                           << " infra retries); " << n
+                           << " abandoned so far (view scrub/repair recovers)";
+    }
   }
-  winner->absorbed.clear();
-}
-
-void MaintenanceEngine::TaskCompleted(
-    const std::shared_ptr<PropagationTask>& task) {
-  cluster_->metrics().propagations_completed++;
-  cluster_->metrics().propagation_delay.Record(
-      cluster_->simulation().Now() - task->created_at);
-  cluster_->tracer().EndSpan(task->trace, cluster_->simulation().Now());
-  --active_;
-  UnregisterTask(task);
-  NotifyOrigin(task, /*completed=*/true);
-  GossipFreshness(task);
-  FinishAbsorbed(task, /*completed=*/true);
-  WakeParked(ResourceOf(*task));
-}
-
-void MaintenanceEngine::TaskAbandoned(
-    const std::shared_ptr<PropagationTask>& task) {
-  // Under pathological conflict rates (Figure 8 at range 1) thousands of
-  // tasks can exhaust their budgets; log the first few and then sample.
-  const std::uint64_t n = ++cluster_->metrics().propagations_abandoned;
-  if (n <= 3 || n % 1000 == 0) {
-    MVSTORE_LOG(Warning) << "abandoning propagation of base key '"
-                         << task->base_key << "' to view '"
-                         << task->view->name << "' after " << task->attempts
-                         << " guess attempts (+" << task->infra_failures
-                         << " infra retries); " << n
-                         << " abandoned so far (view scrub/repair recovers)";
-  }
-  if (task->trace) {
-    cluster_->tracer().Annotate(task->trace, "abandoned");
-    cluster_->tracer().EndSpan(task->trace, cluster_->simulation().Now());
-  }
-  --active_;
-  UnregisterTask(task);
-  NotifyOrigin(task, /*completed=*/false);
-  FinishAbsorbed(task, /*completed=*/false);
+  if (outcome == TaskOutcome::kCompleted) GossipFreshness(task);
+  for (const auto& absorbed : task->absorbed) end_one(absorbed);
+  task->absorbed.clear();
+  if (outcome == TaskOutcome::kCompleted) WakeParked(task->resource);
 }
 
 // ---------------------------------------------------------------------------
@@ -493,67 +505,29 @@ void MaintenanceEngine::TaskAbandoned(
 // ---------------------------------------------------------------------------
 
 ServerId MaintenanceEngine::ExecutorOf(const PropagationTask& task) const {
-  if (cluster_->config().propagation_mode ==
-      store::PropagationMode::kDedicatedPropagators) {
-    return cluster_->ring().PrimaryFor(task.base_key);
-  }
-  return task.origin;
+  return Dedicated() ? cluster_->ring().PrimaryFor(task.base_key)
+                     : task.origin;
 }
 
-void MaintenanceEngine::RegisterTask(
+MaintenanceEngine::Family& MaintenanceEngine::RegisterTask(
     const std::shared_ptr<PropagationTask>& task) {
   live_tasks_.emplace(task->id, task);
-  active_per_resource_[ResourceOf(*task)]++;
+  Family& family = families_[task->resource];
+  family.active++;
+  return family;
 }
 
 void MaintenanceEngine::UnregisterTask(
     const std::shared_ptr<PropagationTask>& task) {
   live_tasks_.erase(task->id);
-  const std::string resource = ResourceOf(*task);
-  auto it = active_per_resource_.find(resource);
-  if (it != active_per_resource_.end() && --it->second <= 0) {
-    active_per_resource_.erase(it);
-  }
-  auto anchor = coalesce_anchor_.find(resource);
-  if (anchor != coalesce_anchor_.end() && anchor->second == task) {
-    coalesce_anchor_.erase(anchor);
-  }
-}
-
-void MaintenanceEngine::OrphanTask(
-    const std::shared_ptr<PropagationTask>& task) {
-  if (task->orphaned) return;
-  task->orphaned = true;
-  cluster_->metrics().propagations_orphaned++;
-  if (task->trace) {
-    cluster_->tracer().Annotate(task->trace, "orphaned by crash");
-    cluster_->tracer().EndSpan(task->trace, cluster_->simulation().Now());
-  }
-  --active_;
-  UnregisterTask(task);
-  if (task->parked) {
-    task->parked = false;
-    auto it = parked_.find(ResourceOf(*task));
-    if (it != parked_.end()) {
-      auto& tasks = it->second;
-      tasks.erase(std::remove(tasks.begin(), tasks.end(), task), tasks.end());
-      if (tasks.empty()) parked_.erase(it);
-    }
-  }
-  // Wound the intent: the write may or may not be in the view, so reads
-  // that must reflect it stay blocked until a family audit proves
-  // convergence — the ladder's targeted repair, or the owned-range scrub.
-  cluster_->freshness().MarkWounded(task->freshness_intent);
-  // Tasks absorbed into this one died with it (the flag guard above makes
-  // this idempotent against OnServerCrash orphaning them directly).
-  for (const auto& absorbed : task->absorbed) OrphanTask(absorbed);
-  task->absorbed.clear();
+  auto it = families_.find(task->resource);
+  if (it->second.anchor == task) it->second.anchor.reset();
+  if (--it->second.active == 0) families_.erase(it);
 }
 
 void MaintenanceEngine::OnServerCrash(store::Server* server) {
   const ServerId id = server->id();
-  const bool dedicated = cluster_->config().propagation_mode ==
-                         store::PropagationMode::kDedicatedPropagators;
+  const bool dedicated = Dedicated();
   // Volatile task state on `id` dies: tasks executing there, and — in
   // dedicated mode — tasks born at `id` that never reached their propagator
   // (the in-flight handoff message is dropped by the incarnation bump).
@@ -564,7 +538,7 @@ void MaintenanceEngine::OnServerCrash(store::Server* server) {
       doomed.push_back(task);
     }
   }
-  for (const auto& task : doomed) OrphanTask(task);
+  for (const auto& task : doomed) EndTask(task, TaskOutcome::kOrphaned);
   DropServerVolatileState(id);
 }
 
@@ -600,8 +574,7 @@ void MaintenanceEngine::OnServerJoin(store::Server* server) {
 
 void MaintenanceEngine::OnServerLeave(store::Server* server) {
   const ServerId id = server->id();
-  const bool dedicated = cluster_->config().propagation_mode ==
-                         store::PropagationMode::kDedicatedPropagators;
+  const bool dedicated = Dedicated();
   // Like a crash, the leaver's volatile share dies — but the ring has
   // ALREADY dropped it, so ExecutorOf points at the ranges' new primaries
   // and cannot name what still physically runs here. Sweep by where work
@@ -624,7 +597,7 @@ void MaintenanceEngine::OnServerLeave(store::Server* server) {
   for (const auto& [resource, queue] : row_queues_[id]) {
     for (const auto& task : queue.tasks) doomed.push_back(task);
   }
-  for (const auto& task : doomed) OrphanTask(task);
+  for (const auto& task : doomed) EndTask(task, TaskOutcome::kOrphaned);
   DropServerVolatileState(id);
   // Recovery of the orphaned families follows the same path as after a
   // crash: every one of them has a (new) primary owner in the ring, whose
@@ -680,8 +653,7 @@ void MaintenanceEngine::NotifyOrigin(
       tracker->MarkWounded(intent);
     }
   };
-  if (cluster_->config().propagation_mode !=
-      store::PropagationMode::kDedicatedPropagators) {
+  if (!Dedicated()) {
     // Lock-service and unsynchronized modes execute on the origin itself.
     settle();
     return;
@@ -700,24 +672,11 @@ void MaintenanceEngine::NotifyOrigin(
 void MaintenanceEngine::RunUnsynchronized(
     std::shared_ptr<PropagationTask> task) {
   if (task->orphaned) return;
-  store::Server* executor = &cluster_->server(task->origin);
-  // Attempts run under the task's span (dispatch arrived via a bare timer,
-  // which carries no ambient context).
-  Tracer::Scope scope(&cluster_->tracer(), task->trace);
-  task->in_attempt = true;
-  task->executed_on = task->origin;
-  Propagation::Run(executor, task, CurrentGuess(*task),
-                   [this, task](Status status) {
-                     task->in_attempt = false;
-                     OnAttemptDone(task, std::move(status),
-                                   [this, task](bool done) {
-                                     if (done) return;
-                                     cluster_->simulation().After(
-                                         RetryDelay(*task), [this, task] {
-                                           RunUnsynchronized(task);
-                                         });
-                                   });
-                   });
+  RunAttempt(task, task->origin, nullptr, [this, task](bool ended) {
+    if (ended) return;
+    cluster_->simulation().After(RetryDelay(*task),
+                                 [this, task] { RunUnsynchronized(task); });
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -726,55 +685,38 @@ void MaintenanceEngine::RunUnsynchronized(
 
 void MaintenanceEngine::RunWithLocks(std::shared_ptr<PropagationTask> task) {
   if (task->orphaned) return;
-  store::Server* executor = &cluster_->server(task->origin);
-  task->executed_on = task->origin;
-  const std::string resource = ResourceOf(*task);
+  const ServerId executor = task->origin;
   const LockMode mode = task->view_key_update.has_value()
                             ? LockMode::kExclusive
                             : LockMode::kShared;
   Tracer::Scope scope(&cluster_->tracer(), task->trace);
   TraceContext lock_wait;
-  if (!locks_.WouldGrantImmediately(resource, mode)) {
+  if (!locks_.WouldGrantImmediately(task->resource, mode)) {
     cluster_->metrics().lock_waits++;
     // The wait span runs from the acquire request to the grant, making the
     // time spent queued behind a rival propagation visible in the trace.
     lock_wait = cluster_->tracer().StartSpan(
-        task->trace, "view.lock_wait", static_cast<int>(executor->id()),
+        task->trace, "view.lock_wait", static_cast<int>(executor),
         cluster_->simulation().Now());
   }
+  // Release between attempts: holding the lock across a retry would
+  // deadlock against the very propagation this one is waiting for.
+  auto release = [this, task, executor, mode] {
+    locks_.Release(executor, task->resource, mode);
+  };
   locks_.Acquire(
-      executor->id(), resource, mode,
-      [this, task, executor, resource, mode, lock_wait] {
-        if (lock_wait) {
-          cluster_->tracer().EndSpan(lock_wait, cluster_->simulation().Now());
-        }
+      executor, task->resource, mode,
+      [this, task, executor, lock_wait, release] {
+        cluster_->tracer().EndSpan(lock_wait, cluster_->simulation().Now());
         if (task->orphaned) {
           // The grant reached a crashed requester: the dead process cannot
           // release, so the hold stays registered at the service until its
           // lease expires (counted in Metrics::locks_expired).
           return;
         }
-        Tracer::Scope attempt_scope(&cluster_->tracer(), task->trace);
-        task->in_attempt = true;
-        Propagation::Run(
-            executor, task, CurrentGuess(*task),
-            [this, task, executor, resource, mode](Status status) {
-              task->in_attempt = false;
-              if (task->orphaned) {
-                // Crashed mid-attempt: the Release below is never sent —
-                // lease expiry reclaims the hold.
-                return;
-              }
-              // Release between attempts: holding the lock across a retry
-              // would deadlock against the very propagation this one is
-              // waiting for.
-              locks_.Release(executor->id(), resource, mode);
-              OnAttemptDone(task, std::move(status),
-                            [this, task, resource](bool done) {
-                              if (done) return;
-                              ParkForRetry(resource, task);
-                            });
-            });
+        RunAttempt(task, executor, release, [this, task](bool ended) {
+          if (!ended) ParkForRetry(task);
+        });
       });
 }
 
@@ -787,15 +729,14 @@ void MaintenanceEngine::EnqueueOnPropagator(
     std::shared_ptr<PropagationTask> task) {
   if (task->orphaned) return;
   const ServerId propagator = cluster_->ring().PrimaryFor(task->base_key);
-  const std::string resource = ResourceOf(*task);
-  auto enqueue = [this, task, propagator, resource] {
+  auto enqueue = [this, task, propagator] {
     if (task->orphaned) return;
     task->handed_off = true;
-    RowQueue& queue = row_queues_[propagator][resource];
+    RowQueue& queue = row_queues_[propagator][task->resource];
     queue.tasks.push_back(task);
     if (!queue.running) {
       queue.running = true;
-      PumpRowQueue(propagator, resource);
+      PumpRowQueue(propagator, task->resource);
     }
   };
   if (task->handed_off) {
@@ -825,33 +766,14 @@ void MaintenanceEngine::PumpRowQueue(ServerId propagator,
   }
   std::shared_ptr<PropagationTask> task = queue.tasks.front();
   queue.tasks.pop_front();
-  store::Server* executor = &cluster_->server(propagator);
-  // The pump may be running under the PREVIOUS task's delivery context;
-  // re-enter the dequeued task's own span.
-  Tracer::Scope scope(&cluster_->tracer(), task->trace);
-  task->in_attempt = true;
-  task->executed_on = propagator;
-  Propagation::Run(
-      executor, task, CurrentGuess(*task),
-      [this, task, propagator, resource](Status status) {
-        task->in_attempt = false;
-        if (task->orphaned) {
-          // Propagator crashed mid-attempt; its queues were cleared and the
-          // owned-range scrub inherits this family.
-          return;
-        }
-        OnAttemptDone(
-            task, std::move(status),
-            [this, task, propagator, resource](bool done) {
-              if (!done) {
-                // The update this one depends on has not propagated yet;
-                // park until a same-row propagation completes (or the
-                // fallback timer fires) and keep the queue moving.
-                ParkForRetry(resource, task);
-              }
-              PumpRowQueue(propagator, resource);
-            });
-      });
+  RunAttempt(task, propagator, nullptr,
+             [this, task, propagator, resource](bool ended) {
+               // The update this one depends on has not propagated yet; park
+               // until a same-row propagation completes (or the fallback
+               // timer fires) and keep the queue moving.
+               if (!ended) ParkForRetry(task);
+               PumpRowQueue(propagator, resource);
+             });
 }
 
 // ---------------------------------------------------------------------------
@@ -970,10 +892,10 @@ void MaintenanceEngine::ProvenViewGet(
     }
   }
 
-  // Park until the blockers change (an intent applies, discards, audits
-  // away, or is wounded) or the wait deadline fires — whichever comes
-  // first. A park dies with its coordinator's incarnation: a crashed
-  // coordinator answers nothing, and the client's request timeout does.
+  // Park until the blockers change (an intent applies, audits away, or is
+  // wounded) or the wait deadline fires — whichever comes first. A park
+  // dies with its coordinator's incarnation: a crashed coordinator answers
+  // nothing, and the client's request timeout does.
   if (req.bound) {
     cluster_->metrics().freshness_bound_waits++;
   } else if (!req.parked) {
@@ -1034,16 +956,8 @@ void MaintenanceEngine::ServeFromView(
               }
               store::ViewReadOutcome outcome;
               outcome.records = std::move(scan->records);
-              if (view_def->IsAggregate()) {
-                // Collapse the per-base-key sub-aggregates into the single
-                // record the client sees (ISSUE 10).
-                const AggregateFold fold =
-                    FoldAggregateRecords(*view_def, outcome.records);
-                cluster_->metrics().view_aggregate_folds++;
-                cluster_->metrics().view_aggregate_fold_skipped +=
-                    fold.skipped;
-                outcome.records = FoldedAggregateView(*view_def, fold);
-              }
+              FoldIfAggregate(*view_def, outcome.records,
+                              cluster_->metrics());
               const Timestamp now_ts = store::kClientTimestampEpoch +
                                        cluster_->simulation().Now();
               if (scan->failed_shards > 0) {
@@ -1105,15 +1019,9 @@ void MaintenanceEngine::FallbackRead(
       record.cells = view_def->Project(kr.row, columns);
       outcome.records.push_back(std::move(record));
     }
-    if (view_def->IsAggregate()) {
-      // Same fold as the view path, over the base rows' freshly evaluated
-      // records — recompute-on-read, the baseline fig10 measures against.
-      const AggregateFold fold =
-          FoldAggregateRecords(*view_def, outcome.records);
-      cluster_->metrics().view_aggregate_folds++;
-      cluster_->metrics().view_aggregate_fold_skipped += fold.skipped;
-      outcome.records = FoldedAggregateView(*view_def, fold);
-    }
+    // Same fold as the view path, over the base rows' freshly evaluated
+    // records — recompute-on-read, the baseline fig10 measures against.
+    FoldIfAggregate(*view_def, outcome.records, cluster_->metrics());
     // Both fallback paths read the base table's CURRENT state (the SI is
     // maintained synchronously with each replica write), so the outcome
     // claims freshness "now": staleness zero by construction.
@@ -1138,12 +1046,11 @@ void MaintenanceEngine::GossipFreshness(
   cluster_->freshness().RecordLag(view_name, lag, alpha);
 
   Key partition;
-  if (task->view_key_update && !task->view_key_update->tombstone &&
-      !task->view_key_update->value.empty()) {
+  if (task->view_key_update && NamesViewKey(*task->view_key_update)) {
     partition = task->view_key_update->value;
   } else {
     for (const Cell& guess : task->guesses) {
-      if (!guess.IsNull() && !guess.tombstone && !guess.value.empty()) {
+      if (NamesViewKey(guess)) {
         partition = guess.value;
         break;
       }
@@ -1262,9 +1169,10 @@ void MaintenanceEngine::DoViewGet(
 // ---------------------------------------------------------------------------
 
 void MaintenanceEngine::Quiesce() {
-  while (active_ > 0) {
+  while (!live_tasks_.empty()) {
     MVSTORE_CHECK(cluster_->simulation().Step())
-        << "simulation ran dry with " << active_ << " propagations pending";
+        << "simulation ran dry with " << live_tasks_.size()
+        << " propagations pending";
   }
 }
 

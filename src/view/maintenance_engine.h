@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -52,10 +53,11 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   void OnServerJoin(store::Server* server) override;
   void OnServerLeave(store::Server* server) override;
 
-  /// Number of propagations registered but not yet completed or abandoned.
-  std::uint64_t active_propagations() const { return active_; }
+  /// Number of propagations started but not yet ended (completed,
+  /// abandoned or orphaned).
+  std::uint64_t active_propagations() const { return live_tasks_.size(); }
 
-  /// Drives the simulation until every registered propagation has completed
+  /// Drives the simulation until every started propagation has ended
   /// (tests and examples; CHECK-fails if the simulation runs dry first).
   void Quiesce();
 
@@ -72,9 +74,27 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
     bool running = false;
   };
 
-  /// Serialization resource name for a task (one lock / one queue per
-  /// (view, base key), Section IV-F).
-  static std::string ResourceOf(const PropagationTask& task);
+  /// What the engine knows about one (view, base key) family while any of
+  /// its tasks is active; the entry is erased when the last one ends, so
+  /// its presence is what FamilyBusy reports.
+  struct Family {
+    int active = 0;  ///< tasks of the family not yet ended
+    /// The most recently created task still pending — the merge target for
+    /// propagation coalescing. Reset when that task ends.
+    std::shared_ptr<PropagationTask> anchor;
+    /// The retry parking lot (Section IV-F modes), in parking order.
+    std::vector<std::shared_ptr<PropagationTask>> parked;
+  };
+
+  /// How a propagation task ends. Every started task ends exactly once.
+  enum class TaskOutcome {
+    kCompleted,  ///< its update is in the view (Definition 3)
+    kAbandoned,  ///< retry budget spent; the scrub inherits the family
+    kOrphaned,   ///< its executor crashed or left; the scrub inherits it
+  };
+
+  /// Serialization resource name of (view, base key): one lock / one row
+  /// queue per family (Section IV-F), and the key of `families_`.
   static std::string ResourceOf(const std::string& view, const Key& base_key);
 
   /// Whether a propagation of (view, base key) is still in flight: the scrub
@@ -88,20 +108,31 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
 
   SimTime SampleDispatchDelay();
 
-  // Lock-service mode.
+  /// Whether attempts run on dedicated propagators (Section IV-F mode 2)
+  /// rather than on the origin coordinator.
+  bool Dedicated() const;
+
+  // Lock-service mode: acquire, one attempt, release.
   void RunWithLocks(std::shared_ptr<PropagationTask> task);
 
-  // Paper-prototype mode: no concurrency control.
+  // Paper-prototype mode: no concurrency control, timer retries.
   void RunUnsynchronized(std::shared_ptr<PropagationTask> task);
 
-  // Dedicated-propagator mode.
+  // Dedicated-propagator mode: per-family FIFO row queues.
   void EnqueueOnPropagator(std::shared_ptr<PropagationTask> task);
   void PumpRowQueue(ServerId propagator, const std::string& resource);
+
+  /// Runs one attempt of `task` on `executor` under the task's span. When
+  /// the attempt returns and the task is still live, `release` (may be
+  /// empty) runs, then OnAttemptDone hands its verdict to `then`.
+  void RunAttempt(std::shared_ptr<PropagationTask> task, ServerId executor,
+                  std::function<void()> release,
+                  std::function<void(bool /*ended*/)> then);
 
   /// Handles one attempt's outcome: completion, retry with the next guess
   /// (optionally refreshing guesses from the base row), or abandonment.
   void OnAttemptDone(std::shared_ptr<PropagationTask> task, Status status,
-                     std::function<void(bool /*completed*/)> then);
+                     std::function<void(bool /*ended*/)> then);
 
   void RefreshGuesses(std::shared_ptr<PropagationTask> task,
                       std::function<void()> then);
@@ -111,16 +142,24 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
 
   /// Parks a failed task until a same-row propagation completes (or a
   /// fallback timer fires); Section IV-F modes only.
-  void ParkForRetry(const std::string& resource,
-                    std::shared_ptr<PropagationTask> task);
+  void ParkForRetry(std::shared_ptr<PropagationTask> task);
+  /// Takes a parked task out of its family's parking lot; false when it was
+  /// not parked (already woken, or orphaned).
+  bool Unpark(const std::shared_ptr<PropagationTask>& task);
   void WakeParked(const std::string& resource);
 
-  void TaskCompleted(const std::shared_ptr<PropagationTask>& task);
-  void TaskAbandoned(const std::shared_ptr<PropagationTask>& task);
+  /// The one end of every task: counts `outcome`, closes the span, leaves
+  /// the active set and settles the freshness intent (NotifyOrigin when
+  /// completed or abandoned, MarkWounded when orphaned), then ends every
+  /// absorbed task the same way. Only the winner logs an abandonment, and
+  /// on completion gossips its lag and wakes its family's parked tasks.
+  /// No-op on a task already orphaned.
+  void EndTask(const std::shared_ptr<PropagationTask>& task,
+               TaskOutcome outcome);
   /// Settles the task's freshness intent: MarkApplied when `completed`,
-  /// MarkWounded otherwise. In
-  /// dedicated-propagator mode the settlement notice crosses the network to
-  /// the tracker shard colocated with the origin.
+  /// MarkWounded otherwise. In dedicated-propagator mode the settlement
+  /// notice crosses the network to the tracker shard colocated with the
+  /// origin.
   void NotifyOrigin(const std::shared_ptr<PropagationTask>& task,
                     bool completed);
 
@@ -132,12 +171,9 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   bool CanAbsorb(const PropagationTask& winner,
                  const PropagationTask& task) const;
   /// LWW-merges `task`'s payload into `winner` and records it for
-  /// settlement when the winner finishes.
+  /// settlement when the winner ends.
   void AbsorbTask(const std::shared_ptr<PropagationTask>& winner,
                   const std::shared_ptr<PropagationTask>& task);
-  /// Settles the bookkeeping of every task the winner absorbed.
-  void FinishAbsorbed(const std::shared_ptr<PropagationTask>& winner,
-                      bool completed);
 
   // --- crash-stop fault model ---
 
@@ -145,12 +181,9 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   /// base key's primary in dedicated-propagator mode.
   ServerId ExecutorOf(const PropagationTask& task) const;
 
-  void RegisterTask(const std::shared_ptr<PropagationTask>& task);
+  /// Adds a new task to the active set; returns its family's record.
+  Family& RegisterTask(const std::shared_ptr<PropagationTask>& task);
   void UnregisterTask(const std::shared_ptr<PropagationTask>& task);
-
-  /// Marks a task lost to a crash: it leaves the active set, every pending
-  /// closure that still holds it bails out, and the scrub inherits recovery.
-  void OrphanTask(const std::shared_ptr<PropagationTask>& task);
 
   /// The rest of a crashed or departed server's volatile share: wounds the
   /// intents of its Puts still in the issue->collection window (they will
@@ -240,21 +273,13 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   Rng rng_;
   LockService locks_;
   std::vector<std::map<std::string, RowQueue>> row_queues_;  // by propagator
-  std::map<std::string, std::vector<std::shared_ptr<PropagationTask>>>
-      parked_;  // retry parking lot, by resource
-  std::uint64_t active_ = 0;
   std::uint64_t next_task_id_ = 0;
 
-  /// Every not-yet-finished task, so OnServerCrash can orphan a crashed
+  /// Every not-yet-ended task, so OnServerCrash can orphan a crashed
   /// server's share eagerly (closures dropped by the network would otherwise
   /// leak them out of the active count).
   std::map<std::uint64_t, std::shared_ptr<PropagationTask>> live_tasks_;
-  /// In-flight tasks per serialization resource; the owned-range scrub skips
-  /// families that propagation is still working on.
-  std::map<std::string, int> active_per_resource_;
-  /// The most recently created still-pending task per resource — the merge
-  /// target for propagation coalescing. Erased when that task finishes.
-  std::map<std::string, std::shared_ptr<PropagationTask>> coalesce_anchor_;
+  std::map<std::string, Family> families_;  // by ResourceOf
 
   /// Freshness intents registered at Put issue but not yet attached to
   /// their propagation tasks (OnBasePutIssued -> OnBasePutCommitted window).

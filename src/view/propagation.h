@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -39,6 +40,10 @@ struct PropagationTask {
   std::uint64_t id = 0;
   const store::ViewDef* view = nullptr;
   Key base_key;
+  /// The (view, base key) family this task belongs to: the Section IV-F
+  /// serialization resource (one lock / one row queue) and the engine's
+  /// per-family record key.
+  std::string resource;
 
   /// The written view-key cell, when the update touched the view key:
   /// a live cell = the key was set; a tombstone = the key was deleted
@@ -83,11 +88,6 @@ struct PropagationTask {
   /// crashes and re-dispatches run locally at the propagator.
   bool handed_off = false;
 
-  /// True when the pre-image collection heard from EVERY replica
-  /// (diagnostics; creation no longer depends on it because every existing
-  /// row family carries its sentinel anchor from birth).
-  bool full_collection = false;
-
   /// True while a Propagation attempt is executing this task — its quorum
   /// writes may be in flight, so coalescing must not mutate the payload.
   bool in_attempt = false;
@@ -110,12 +110,6 @@ struct PropagationTask {
   /// OnBasePutIssued, attached by OnBasePutCommitted, MarkApplied /
   /// MarkWounded when the task completes / dies. 0 = none.
   std::uint64_t freshness_intent = 0;
-
-  /// Change-set group (ISSUE 10): every task fanned out of the same base
-  /// Put shares the put-group id and ONE dispatch delay, so a multi-view
-  /// update is maintained in a single maintenance round instead of one
-  /// independently-timed round per view. 0 = pre-group task (tests).
-  std::uint64_t put_group = 0;
 };
 
 class Propagation : public std::enable_shared_from_this<Propagation> {

@@ -5,8 +5,6 @@
 
 #include <vector>
 
-#include "common/rng.h"
-#include "sim/network.h"
 #include "sim/simulation.h"
 #include "view/lock_service.h"
 
@@ -14,18 +12,8 @@ namespace mvstore::view {
 namespace {
 
 struct Fixture {
-  // Jitter-free network: requests arrive in send order, so the FIFO
-  // assertions below are deterministic. (FIFO is defined over ARRIVAL
-  // order; with jitter, sends may legitimately be reordered in flight.)
-  static sim::NetworkConfig NoJitter() {
-    sim::NetworkConfig config;
-    config.jitter_mean = 0;
-    return config;
-  }
-
-  Fixture() : net(&sim, Rng(1), NoJitter()), locks(&sim, &net, 9) {}
+  Fixture() : locks(&sim) {}
   sim::Simulation sim;
-  sim::Network net;
   LockService locks;
 };
 
