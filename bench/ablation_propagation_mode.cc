@@ -6,8 +6,10 @@
 // range): foreground write throughput, propagation completion within the
 // window, and — the correctness side — whether the converged view survives
 // a scrub. Unsynchronized is expected to burn capacity on retry storms (and
-// can strand anomalies); the two §IV-F designs keep the view clean and shed
-// conflict load, at the cost of propagation backlog.
+// can strand anomalies); the two §IV-F designs shed conflict load, at the
+// cost of propagation backlog. At this conflict rate every mode still
+// abandons propagations at its retry budget, and with no scrub running the
+// final audit reports each view dirty (EXPERIMENTS.md A2).
 
 #include <cmath>
 #include <cstdio>

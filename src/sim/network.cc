@@ -100,8 +100,4 @@ void Network::BumpIncarnation(EndpointId e) {
   ++incarnations_[e];
 }
 
-std::uint64_t Network::incarnation(EndpointId e) const {
-  return e < incarnations_.size() ? incarnations_[e] : 0;
-}
-
 }  // namespace mvstore::sim

@@ -73,7 +73,9 @@ class Network {
   /// down-window because the endpoint restarted quickly — is discarded at
   /// delivery time.
   void BumpIncarnation(EndpointId e);
-  std::uint64_t incarnation(EndpointId e) const;
+  std::uint64_t incarnation(EndpointId e) const {
+    return e < incarnations_.size() ? incarnations_[e] : 0;
+  }
 
   void set_drop_probability(double p) { config_.drop_probability = p; }
   /// Scales sampled latencies (base + jitter); nemesis latency spikes.

@@ -102,28 +102,19 @@ class ViewMaintenanceHook {
       ViewReadSpec spec,
       std::function<void(StatusOr<ViewReadOutcome>)> callback) = 0;
 
-  /// Called synchronously from Server::Crash, BEFORE in-flight coordinator
-  /// ops are aborted: the engine must treat the server's share of its
-  /// volatile state (propagation tasks, unattached freshness intents,
-  /// propagator queues) as lost.
-  virtual void OnServerCrash(Server* server) {}
+  /// Called synchronously when `server`'s process ends — a crash, or the
+  /// end of a decommission — BEFORE its in-flight coordinator ops are
+  /// aborted: the engine must treat the server's share of its volatile
+  /// state (the propagation tasks it holds, unattached freshness intents,
+  /// propagator queues) as lost. A left server never comes back for it.
+  virtual void OnServerDown(Server* server) {}
 
-  /// Called from Server::Restart after commit-log replay: the engine may
-  /// kick recovery work for the ranges the server owns (e.g. a view
-  /// re-scrub that adopts propagations orphaned by the crash).
-  virtual void OnServerRestart(Server* server) {}
-
-  /// Called when `server` finished its join bootstrap (kServing): ownership
-  /// of base-key ranges moved onto it, so the engine should re-derive view
-  /// state for the ranges it now primarily owns (dedicated propagators
-  /// re-home automatically — ExecutorOf follows the ring).
-  virtual void OnServerJoin(Server* server) {}
-
-  /// Called when `server` leaves the ring for good (decommission complete,
-  /// just before its endpoint goes down): like a crash, the engine must
-  /// orphan the server's propagation tasks and volatile state; unlike a
-  /// crash, the server is never coming back for them.
-  virtual void OnServerLeave(Server* server) {}
+  /// Called when `server` comes up — after a restart's commit-log replay,
+  /// or when its join bootstrap completes — right after the catch-up
+  /// anti-entropy round a serving server runs: the engine may kick recovery
+  /// work for the ranges the server now owns (e.g. a view re-scrub that
+  /// adopts propagations orphaned by a crash or an ownership move).
+  virtual void OnServerUp(Server* server) {}
 };
 
 }  // namespace mvstore::store

@@ -981,10 +981,21 @@ void Server::Start() {
 }
 
 void Server::ScheduleBackgroundTicks() {
-  const std::pair<SimTime, bool (Server::*)()> ticks[] = {
-      {config_->anti_entropy_interval, &Server::AntiEntropyTick},
-      {config_->hint_replay_interval, &Server::HintReplayTick},
-      {config_->compaction_interval, &Server::CompactionTick},
+  // Every chain dies with the incarnation that armed it (ArmTick); the
+  // anti-entropy chain also ends at drain.
+  const std::pair<SimTime, bool (*)(Server&)> ticks[] = {
+      {config_->anti_entropy_interval,
+       [](Server& s) { return s.AntiEntropyTick(); }},
+      {config_->hint_replay_interval,
+       [](Server& s) {
+         s.ReplayHints();
+         return true;
+       }},
+      {config_->compaction_interval,
+       [](Server& s) {
+         s.RunCompactionRound();
+         return true;
+       }},
   };
   for (const auto& [interval, tick] : ticks) {
     if (interval <= 0) continue;
@@ -995,25 +1006,21 @@ void Server::ScheduleBackgroundTicks() {
   }
 }
 
-void Server::ArmTick(SimTime delay, SimTime interval, bool (Server::*tick)()) {
-  // Tick chains belong to one process incarnation: when the server crashes,
-  // the pending chain link notices the incarnation changed and dies;
-  // Restart() arms a fresh chain.
-  sim_->After(delay, [this, interval, tick, incarnation = incarnation_] {
-    if (incarnation == incarnation_ && (this->*tick)()) {
+void Server::ArmTick(SimTime delay, SimTime interval, bool (*tick)(Server&)) {
+  // Tick chains belong to one process incarnation: when the server crashes
+  // or leaves, the pending chain link notices the incarnation changed and
+  // dies; Restart() and ActivateForJoin() arm fresh chains.
+  sim_->After(delay, [this, interval, tick, armed_in = incarnation()] {
+    if (armed_in == incarnation() && tick(*this)) {
       ArmTick(interval, interval, tick);
     }
   });
 }
 
 bool Server::AntiEntropyTick() {
-  if (crashed_) return false;
   // A draining server shares no ranges with anyone (it already left the
   // ring); its handoff runs through the decommission syncs instead.
-  if (membership_ == MembershipState::kLeft ||
-      membership_ == MembershipState::kDraining) {
-    return false;
-  }
+  if (membership_ == MembershipState::kDraining) return false;
   // A joiner's membership syncs bootstrap its ranges; its first round runs
   // when they have all settled (FinishJoin).
   if (membership_ == MembershipState::kServing) RunAntiEntropyRound();
@@ -1023,12 +1030,6 @@ bool Server::AntiEntropyTick() {
 // ---------------------------------------------------------------------------
 // Clock-driven compaction (tombstone GC in the service model).
 // ---------------------------------------------------------------------------
-
-bool Server::CompactionTick() {
-  if (crashed_ || membership_ == MembershipState::kLeft) return false;
-  RunCompactionRound();
-  return true;
-}
 
 void Server::RunCompactionRound() {
   for (const auto& [table, engine] : engines_) {
@@ -1318,39 +1319,45 @@ void Server::Crash() {
   MVSTORE_CHECK(!crashed_) << "server " << id_ << " crashed while down";
   crashed_ = true;
   metrics_->server_crashes++;
+  ShutDown();
+  // Beyond what every stop loses, a crash loses the memtables (the commit
+  // logs and flushed runs are durable) and the advisory freshness cache.
+  for (auto& [table, engine] : engines_) engine->LoseVolatileState();
+  freshness_cache_.lag_ewma.clear();
+}
 
+std::size_t Server::ShutDown() {
   // 1. The view engine loses this server's share of its volatile state
   //    (propagation tasks, unattached intents, propagator queues) FIRST, so
   //    the abort callbacks below cannot resurrect work on a dead process.
-  if (view_hook_ != nullptr) view_hook_->OnServerCrash(this);
+  if (view_hook_ != nullptr) view_hook_->OnServerDown(this);
 
   // 2. Abort every in-flight coordinator operation. Internal callers (the
-  //    propagation machines) get their error callbacks synchronously; client
-  //    replies travel through WrapReply -> Enqueue, which is guarded by the
-  //    incarnation bump below, so clients learn of the crash only through
-  //    their own request timeouts — exactly like a real silent crash.
+  //    propagation machines, hint replays) get their error callbacks
+  //    synchronously; client replies travel through WrapReply -> Enqueue,
+  //    which is guarded by the incarnation bump below, so clients learn of
+  //    the stop only through their own request timeouts — exactly like a
+  //    real silent crash.
   auto aborts = std::move(inflight_);
   inflight_.clear();
   for (auto& [op_id, op] : aborts) op.abort();
   metrics_->inflight_ops_aborted += aborts.size();
 
-  // 3. Volatile state dies with the process: memtables (the commit logs and
-  //    flushed runs are durable), stored hints and the run-queue backlog.
-  for (auto& [table, engine] : engines_) engine->LoseVolatileState();
+  // 3. Volatile work dies with the process: stored hints, the run-queue
+  //    backlog and the membership task progress (a restart re-syncs the
+  //    durable join/decommission plan, shipping only what is still missing).
+  const std::size_t hints_dropped = hints_outstanding();
   hints_.clear();
-  freshness_cache_.lag_ewma.clear();
   queue_.Reset();
-  // Membership task progress is volatile too; Restart re-syncs the
-  // (durable) join/decommission plan, shipping only what is still missing.
   stream_tasks_.clear();
   stream_sync_pending_ = false;
 
   // 4. Disappear from the network. Bumping the incarnation (a) drops every
   //    in-flight message to/from the dead process at delivery time and
   //    (b) invalidates every closure the old incarnation enqueued.
-  ++incarnation_;
   network_->BumpIncarnation(id_);
   network_->SetEndpointDown(id_, true);
+  return hints_dropped;
 }
 
 void Server::Restart() {
@@ -1369,14 +1376,10 @@ void Server::Restart() {
   }
 
   // Catch up with the writes this replica missed while down: re-arm the
-  // periodic ticks and, when serving, run one anti-entropy round right away
-  // (a joiner catches up through its resumed membership syncs below).
+  // periodic ticks, then come up (a joiner catches up through its resumed
+  // membership syncs below instead of an anti-entropy round).
   ScheduleBackgroundTicks();
-  if (membership_ == MembershipState::kServing) RunAntiEntropyRound();
-
-  // Let the view engine re-scrub the ranges this server owns, adopting
-  // propagations orphaned by the crash.
-  if (view_hook_ != nullptr) view_hook_->OnServerRestart(this);
+  ComeUp();
 
   // A membership transition interrupted by the crash resumes from its
   // durable plan: every range re-diffs, so the ranges that already landed
@@ -1387,6 +1390,13 @@ void Server::Restart() {
     decommission_phase_ = 1;
     StreamPlan(decommission_plan_);
   }
+}
+
+void Server::ComeUp() {
+  if (membership_ == MembershipState::kServing) RunAntiEntropyRound();
+  // The view engine re-scrubs the ranges this server now owns, adopting
+  // propagations orphaned by a crash or by an ownership move.
+  if (view_hook_ != nullptr) view_hook_->OnServerUp(this);
 }
 
 // ---------------------------------------------------------------------------
@@ -1429,12 +1439,6 @@ void Server::StoreHint(ServerId target, const std::string& table,
 std::size_t Server::pending_hints(ServerId target) const {
   auto it = hints_.find(target);
   return it == hints_.end() ? 0 : it->second.size();
-}
-
-bool Server::HintReplayTick() {
-  if (crashed_ || membership_ == MembershipState::kLeft) return false;
-  ReplayHints();
-  return true;
 }
 
 void Server::ReplayHints() {
@@ -1509,7 +1513,6 @@ void Server::ActivateForJoin() {
   MVSTORE_CHECK(!crashed_) << "crashed server " << id_ << " cannot join";
   // Fresh process generation: stale messages addressed to a previous life of
   // this slot (a decommissioned-then-rejoined server) must not deliver.
-  ++incarnation_;
   network_->BumpIncarnation(id_);
   network_->SetEndpointDown(id_, false);
   membership_ = MembershipState::kJoining;
@@ -1594,9 +1597,9 @@ void Server::PumpStream() {
   // Arm the silence probe: a sync that has not settled by then is retried
   // after a linearly growing backoff, against the next candidate source.
   // The retry re-diffs, so it ships only what the peer still lacks.
-  const std::uint64_t incarnation = incarnation_;
+  const std::uint64_t incarnation = this->incarnation();
   sim_->After(config_->rpc_timeout, [this, incarnation, seq] {
-    if (incarnation != incarnation_ || seq != stream_seq_ ||
+    if (incarnation != this->incarnation() || seq != stream_seq_ ||
         !stream_sync_pending_) {
       return;
     }
@@ -1621,7 +1624,7 @@ void Server::PumpStream() {
     const SimTime backoff =
         kStreamRetryBackoff * static_cast<SimTime>(std::min(next_attempt, 8));
     sim_->After(backoff, [this, incarnation] {
-      if (incarnation == incarnation_) PumpStream();
+      if (incarnation == this->incarnation()) PumpStream();
     });
   });
 }
@@ -1651,10 +1654,9 @@ void Server::FinishJoin() {
     tracer_->EndSpan(member_trace_, sim_->Now());
     member_trace_ = {};
   }
-  // Each range sync settled on a snapshot; one immediate anti-entropy round
+  // Each range sync settled on a snapshot; the first anti-entropy round
   // closes any gap with writes replicated while the bootstrap was in flight.
-  RunAntiEntropyRound();
-  if (view_hook_ != nullptr) view_hook_->OnServerJoin(this);
+  ComeUp();
 }
 
 void Server::ContinueDecommission() {
@@ -1680,53 +1682,27 @@ void Server::DrainHintsThenLeave() {
     // The deadline expired with hints still owed: the data must not leave
     // with this server, so re-send every queued write to the keys' current
     // replicas and go.
-    ForceRerouteOwnHints();
+    metrics_->member_drains_forced++;
+    for (const auto& [target, queue] : hints_) RerouteHintsFor(target);
     FinishLeave(/*forced=*/true);
     return;
   }
   ReplayHints();
-  const std::uint64_t incarnation = incarnation_;
+  const std::uint64_t incarnation = this->incarnation();
   sim_->After(Millis(100), [this, incarnation] {
-    if (incarnation == incarnation_) DrainHintsThenLeave();
+    if (incarnation == this->incarnation()) DrainHintsThenLeave();
   });
-}
-
-void Server::ForceRerouteOwnHints() {
-  metrics_->member_drains_forced++;
-  for (auto& [target, queue] : hints_) {
-    std::deque<Hint> moved;
-    moved.swap(queue);
-    for (const Hint& hint : moved) {
-      metrics_->member_hints_rerouted++;
-      RerouteWriteToCurrentReplicas(hint.table, hint.key, hint.cells);
-    }
-  }
 }
 
 void Server::FinishLeave(bool forced) {
   MVSTORE_CHECK(membership_ == MembershipState::kDraining);
   EmitMemberSpan("member.leave",
                  forced ? std::string("forced") : std::string("drained"));
-
-  // Same shutdown order as Crash: the view engine sheds this server's share
-  // of volatile maintenance state first, then in-flight coordinator ops
-  // (internal ones — hint replays, view maintenance — may still be open;
-  // drain already rejected new client coordination) get their error
-  // callbacks.
-  if (view_hook_ != nullptr) view_hook_->OnServerLeave(this);
-  auto aborts = std::move(inflight_);
-  inflight_.clear();
-  for (auto& [op_id, op] : aborts) op.abort();
-  metrics_->inflight_ops_aborted += aborts.size();
-
-  if (!forced) {
-    MVSTORE_CHECK_EQ(hints_outstanding(), std::size_t{0})
-        << "server " << id_ << " left with hints still owed";
-  }
-  hints_.clear();
-  queue_.Reset();
-  stream_tasks_.clear();
-  stream_sync_pending_ = false;
+  // Drain already rejected new client coordination; the internal ops still
+  // open (hint replays, view maintenance) abort like at a crash.
+  const std::size_t hints_dropped = ShutDown();
+  MVSTORE_CHECK(forced || hints_dropped == 0)
+      << "server " << id_ << " left with hints still owed";
   decommission_plan_.clear();
   decommission_phase_ = 0;
   membership_ = MembershipState::kLeft;
@@ -1735,10 +1711,6 @@ void Server::FinishLeave(bool forced) {
     tracer_->EndSpan(member_trace_, sim_->Now());
     member_trace_ = {};
   }
-  // Gone: stale in-flight messages to/from this life drop at delivery.
-  ++incarnation_;
-  network_->BumpIncarnation(id_);
-  network_->SetEndpointDown(id_, true);
 }
 
 void Server::RerouteWriteToCurrentReplicas(const std::string& table,

@@ -94,26 +94,23 @@ class Server {
   // Crash-stop fault model.
   // ---------------------------------------------------------------------
 
-  /// Crash-stops this server: the view hook is told first (it orphans the
-  /// server's propagation tasks and wounds their freshness intents), every
-  /// in-flight coordinator operation is aborted with an error callback,
-  /// stored hints are dropped, the endpoint disappears from the network
-  /// (in-flight messages to/from this incarnation are lost), and all
-  /// volatile storage (memtables) is discarded. Durable commit logs and
-  /// flushed runs survive.
+  /// Crash-stops this server: the stop every process end shares (ShutDown)
+  /// plus the loss of all volatile storage (memtables) and the freshness
+  /// cache. Durable commit logs and flushed runs survive.
   void Crash();
 
   /// Restarts a crashed server: replays the per-table commit logs into fresh
   /// memtables, rejoins the ring (endpoint back up, new incarnation already
-  /// in effect), re-arms background tasks, kicks one anti-entropy round to
-  /// catch up with peers, and lets the view hook re-scrub owned ranges.
+  /// in effect), re-arms background tasks and comes up (ComeUp), then
+  /// resumes an interrupted membership transition.
   void Restart();
 
   bool crashed() const { return crashed_; }
 
-  /// Monotonic process generation: bumped on every crash. Closures created
-  /// by one incarnation refuse to run under a later one.
-  std::uint64_t incarnation() const { return incarnation_; }
+  /// Monotonic process generation: the network endpoint's incarnation,
+  /// bumped on every crash, leave and join. Closures created by one
+  /// incarnation refuse to run under a later one.
+  std::uint64_t incarnation() const { return network_->incarnation(id_); }
 
   // ---------------------------------------------------------------------
   // Elastic membership (ISSUE 6). The Cluster drives the transitions: it
@@ -355,9 +352,9 @@ class Server {
   /// server has crashed (or crashed and restarted) in between: work queued
   /// by one process incarnation dies with it.
   void Enqueue(SimTime service, UniqueFn<void()> fn) {
-    queue_.Submit(service, [this, incarnation = incarnation_,
+    queue_.Submit(service, [this, born = incarnation(),
                             fn = std::move(fn)]() mutable {
-      if (incarnation != incarnation_ || crashed_) return;
+      if (born != incarnation() || crashed_) return;
       fn();
     });
   }
@@ -447,11 +444,9 @@ class Server {
   std::function<void(ResultT)> WrapReply(
       std::function<void(ResultT)> callback);
 
-  /// One round of a periodic background task; false (the server crashed
-  /// or no longer takes part) ends the tick chain.
+  /// One anti-entropy round when serving; false (the server is draining)
+  /// ends the tick chain.
   bool AntiEntropyTick();
-  bool HintReplayTick();
-  bool CompactionTick();
 
   // --- range sync steps ---
 
@@ -517,10 +512,20 @@ class Server {
   void ScheduleBackgroundTicks();
   /// Runs `tick` after `delay`, then every `interval` while it returns true
   /// and this incarnation lives.
-  void ArmTick(SimTime delay, SimTime interval, bool (Server::*tick)());
+  void ArmTick(SimTime delay, SimTime interval, bool (*tick)(Server&));
+
+  /// The stop every process end shares, crash or leave, in this order: the
+  /// view hook's OnServerDown, aborts of the in-flight coordinator ops,
+  /// dropping the hints, the service-queue backlog and the stream tasks,
+  /// the incarnation bump (so replies the aborts enqueued die with the old
+  /// incarnation), endpoint down. Returns the number of hints dropped.
+  std::size_t ShutDown();
+  /// The start every serving life shares, restart or finished join: one
+  /// anti-entropy round when serving, then the view hook's OnServerUp.
+  void ComeUp();
 
   /// Registers an abort closure for an in-flight coordinator operation;
-  /// Crash() invokes every registered closure. `retarget` (optional) is
+  /// ShutDown() invokes every registered closure. `retarget` (optional) is
   /// invoked with the id of a server that left the ring mid-operation so
   /// the op can move unanswered slots onto a live replica. Returns the
   /// registration id the op passes to DeregisterInflightOp when it
@@ -571,9 +576,6 @@ class Server {
   /// Polls the hint queues; leaves when empty, force-reroutes at the drain
   /// deadline.
   void DrainHintsThenLeave();
-  /// Sends every still-queued hint directly to its key's current replicas
-  /// (drain deadline expired; the data must not leave with this server).
-  void ForceRerouteOwnHints();
   /// Re-coordinates one write to the key's CURRENT ring replicas: local
   /// apply when this server is one, replica-write (hinting on silence)
   /// otherwise. The common leg of every hint-reroute path.
@@ -604,7 +606,6 @@ class Server {
   FreshnessCache freshness_cache_;
 
   bool crashed_ = false;
-  std::uint64_t incarnation_ = 0;
   std::uint64_t next_op_id_ = 0;
   /// An in-flight coordinator op's abort closure, and its retarget closure
   /// (optional; invoked when a server departs the ring so unanswered slots
@@ -613,7 +614,7 @@ class Server {
     std::function<void()> abort;
     std::function<void(ServerId)> retarget;
   };
-  /// In-flight coordinator ops by registration id (ordered map: Crash()
+  /// In-flight coordinator ops by registration id (ordered map: ShutDown()
   /// aborts and departures retarget in deterministic id order).
   std::map<std::uint64_t, InflightOp> inflight_;
 

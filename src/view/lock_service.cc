@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/logging.h"
-
 namespace mvstore::view {
 
 LockService::LockService(sim::Simulation* sim, SimTime hop_latency,
@@ -30,9 +28,11 @@ void LockService::Release(sim::EndpointId requester,
 }
 
 bool LockService::Compatible(const LockState& state, LockMode mode) const {
-  if (state.exclusive_held) return false;
-  if (mode == LockMode::kExclusive) return state.shared_held == 0;
-  return true;
+  // An exclusive hold admits nobody; an exclusive request needs no holds.
+  if (mode == LockMode::kExclusive) return state.holds.empty();
+  return std::none_of(
+      state.holds.begin(), state.holds.end(),
+      [](const Hold& h) { return h.mode == LockMode::kExclusive; });
 }
 
 void LockService::Grant(Waiter waiter) {
@@ -43,11 +43,6 @@ void LockService::Grant(Waiter waiter) {
 
 void LockService::GrantHold(const std::string& resource, LockState& state,
                             Waiter waiter) {
-  if (waiter.mode == LockMode::kExclusive) {
-    state.exclusive_held = true;
-  } else {
-    ++state.shared_held;
-  }
   Hold hold;
   hold.id = ++next_hold_id_;
   hold.requester = waiter.requester;
@@ -86,13 +81,6 @@ void LockService::DoRelease(const std::string& resource,
   if (hold == state.holds.end()) return;  // already reclaimed
   hold->expiry.Cancel();
   state.holds.erase(hold);
-  if (mode == LockMode::kExclusive) {
-    MVSTORE_CHECK(state.exclusive_held);
-    state.exclusive_held = false;
-  } else {
-    MVSTORE_CHECK_GT(state.shared_held, 0);
-    --state.shared_held;
-  }
   PumpWaiters(resource);
   EraseIfIdle(resource);
 }
@@ -105,11 +93,6 @@ void LockService::ExpireHold(const std::string& resource,
   auto hold = std::find_if(state.holds.begin(), state.holds.end(),
                            [hold_id](const Hold& h) { return h.id == hold_id; });
   if (hold == state.holds.end()) return;  // released in the same tick
-  if (hold->mode == LockMode::kExclusive) {
-    state.exclusive_held = false;
-  } else {
-    --state.shared_held;
-  }
   state.holds.erase(hold);
   ++expirations_;
   if (expired_counter_ != nullptr) ++*expired_counter_;
@@ -120,8 +103,7 @@ void LockService::ExpireHold(const std::string& resource,
 void LockService::EraseIfIdle(const std::string& resource) {
   auto it = locks_.find(resource);
   if (it != locks_.end() && it->second.waiters.empty() &&
-      it->second.holds.empty() && it->second.shared_held == 0 &&
-      !it->second.exclusive_held) {
+      it->second.holds.empty()) {
     locks_.erase(it);
   }
 }

@@ -97,8 +97,6 @@ class LockService {
     sim::EventHandle expiry;
   };
   struct LockState {
-    int shared_held = 0;
-    bool exclusive_held = false;
     std::vector<Hold> holds;
     std::deque<Waiter> waiters;
   };

@@ -184,10 +184,12 @@ void MaintenanceEngine::OnBasePutCommitted(
       // The coordinator died between committing the Put and scheduling the
       // propagation (the abort path still delivers the collected pre-images).
       // The base update is durable on its replicas but nobody will propagate
-      // it — orphaned until the owned-range scrub re-derives the view row.
-      // (The intent was already wounded by OnServerCrash's group cleanup,
-      // so the MarkWounded here is a no-op on the usual path.)
+      // it — a propagation started and orphaned at once, until the
+      // owned-range scrub re-derives the view row. (The intent was already
+      // wounded by OnServerDown's group cleanup, so the MarkWounded here is
+      // a no-op on the usual path.)
       cluster_->freshness().MarkWounded(intent);
+      cluster_->metrics().propagations_started++;
       cluster_->metrics().propagations_orphaned++;
       continue;
     }
@@ -212,6 +214,7 @@ void MaintenanceEngine::OnBasePutCommitted(
     std::sort(task->guesses.begin(), task->guesses.end(),
               [](const Cell& a, const Cell& b) { return a.ts > b.ts; });
     task->origin = coordinator->id();
+    task->home = task->origin;
     task->created_at = cluster_->simulation().Now();
     // The task's lifetime span hangs off the Put's trace (we run inside the
     // collection continuation, which the coordinator scoped to the Put's
@@ -256,7 +259,6 @@ void MaintenanceEngine::OnBasePutCommitted(
 // ---------------------------------------------------------------------------
 
 void MaintenanceEngine::RunAttempt(std::shared_ptr<PropagationTask> task,
-                                   ServerId executor,
                                    std::function<void()> release,
                                    std::function<void(bool)> then) {
   // Attempts run under the task's span: dispatch arrives via a bare timer, a
@@ -264,14 +266,13 @@ void MaintenanceEngine::RunAttempt(std::shared_ptr<PropagationTask> task,
   // carries this task's context.
   Tracer::Scope scope(&cluster_->tracer(), task->trace);
   task->in_attempt = true;
-  task->executed_on = executor;
   Propagation::Run(
-      &cluster_->server(executor), task, CurrentGuess(*task),
+      &cluster_->server(task->home), task, CurrentGuess(*task),
       [this, task, release = std::move(release),
        then = std::move(then)](Status status) mutable {
         task->in_attempt = false;
-        // The executor crashed (or left) mid-attempt: the task already ended
-        // as orphaned, and a lock it held is left to lease expiry.
+        // The task's home crashed (or left) mid-attempt: the task already
+        // ended as orphaned, and a lock it held is left to lease expiry.
         if (task->orphaned) return;
         if (release) release();
         OnAttemptDone(task, std::move(status), std::move(then));
@@ -310,13 +311,13 @@ void MaintenanceEngine::OnAttemptDone(
 
 void MaintenanceEngine::RefreshGuesses(std::shared_ptr<PropagationTask> task,
                                        std::function<void()> then) {
-  // Read from the executing server (== the origin except in dedicated-
-  // propagator mode, where a handed-off task outlives its origin).
+  // Read from the task's home (the origin except in dedicated-propagator
+  // mode, where a handed-off task outlives its origin).
   Tracer::Scope scope(&cluster_->tracer(), task->trace);
-  store::Server& origin = cluster_->server(ExecutorOf(*task));
-  origin.CoordinateRead(
+  store::Server& home = cluster_->server(task->home);
+  home.CoordinateRead(
       task->view->base_table, task->base_key,
-      {task->view->view_key_column}, origin.MajorityQuorum(),
+      {task->view->view_key_column}, home.MajorityQuorum(),
       [](StatusOr<storage::Row>) {},
       [task, then = std::move(then)](std::vector<storage::Row> replicas) {
         for (const storage::Row& row : replicas) {
@@ -395,7 +396,7 @@ bool MaintenanceEngine::CanAbsorb(const PropagationTask& winner,
   // atomically), no timed-out attempt in limbo (an infra failure may have
   // landed partial writes derived from the pre-merge payload — those must
   // be redone verbatim, see PropagationTask::infra_failures). The origin
-  // must match so executor placement and crash semantics stay aligned;
+  // must match so the two share one home (placement and crash semantics);
   // and a shared-lock (materialized-only) round
   // must not silently grow a view-key update it requested no exclusive
   // lock for.
@@ -429,9 +430,8 @@ void MaintenanceEngine::AbsorbTask(
   for (const Cell& guess : task->guesses) {
     AddGuess(winner->guesses, guess, own_write);
   }
-  // Mirror the winner's handoff state so a crash dooms or spares them
-  // together (dedicated-propagator mode).
-  task->handed_off = winner->handed_off;
+  // The task follows its winner, so a crash dooms or spares them together.
+  task->home = winner->home;
   winner->absorbed.push_back(task);
   if (task->trace) {
     cluster_->tracer().Annotate(
@@ -500,14 +500,9 @@ void MaintenanceEngine::EndTask(const std::shared_ptr<PropagationTask>& task,
 }
 
 // ---------------------------------------------------------------------------
-// Crash-stop fault model: eager orphaning of a crashed server's tasks, and
+// Crash-stop fault model: eager orphaning of a downed server's tasks, and
 // owned-range scrub as the recovery path.
 // ---------------------------------------------------------------------------
-
-ServerId MaintenanceEngine::ExecutorOf(const PropagationTask& task) const {
-  return Dedicated() ? cluster_->ring().PrimaryFor(task.base_key)
-                     : task.origin;
-}
 
 MaintenanceEngine::Family& MaintenanceEngine::RegisterTask(
     const std::shared_ptr<PropagationTask>& task) {
@@ -525,24 +520,19 @@ void MaintenanceEngine::UnregisterTask(
   if (--it->second.active == 0) families_.erase(it);
 }
 
-void MaintenanceEngine::OnServerCrash(store::Server* server) {
+void MaintenanceEngine::OnServerDown(store::Server* server) {
   const ServerId id = server->id();
-  const bool dedicated = Dedicated();
-  // Volatile task state on `id` dies: tasks executing there, and — in
-  // dedicated mode — tasks born at `id` that never reached their propagator
-  // (the in-flight handoff message is dropped by the incarnation bump).
+  // A crash and a leave end the process alike: the tasks it holds die with
+  // it, whatever the ring now says. Handed-off tasks of this ORIGIN keep
+  // running at their propagators — their completion notice to the dead
+  // origin just drops. Recovery of the orphaned families is the (new)
+  // primary owner's periodic owned-range scrub, so clusters that crash or
+  // churn servers run with view_scrub_interval > 0.
   std::vector<std::shared_ptr<PropagationTask>> doomed;
   for (const auto& [task_id, task] : live_tasks_) {
-    if (ExecutorOf(*task) == id ||
-        (dedicated && !task->handed_off && task->origin == id)) {
-      doomed.push_back(task);
-    }
+    if (task->home == id) doomed.push_back(task);
   }
   for (const auto& task : doomed) EndTask(task, TaskOutcome::kOrphaned);
-  DropServerVolatileState(id);
-}
-
-void MaintenanceEngine::DropServerVolatileState(ServerId id) {
   // Intents registered at Put issue on `id` but not yet attached to a task
   // (the issue->collection window) die with the coordinator: wound them so
   // bounded reads stay honest until the families are audited.
@@ -559,51 +549,9 @@ void MaintenanceEngine::DropServerVolatileState(ServerId id) {
   row_queues_[id].clear();
 }
 
-void MaintenanceEngine::OnServerRestart(store::Server* server) {
+void MaintenanceEngine::OnServerUp(store::Server* server) {
   cluster_->metrics().orphaned_propagations_recovered +=
       RunOwnedRangeScrub(server->id());
-}
-
-void MaintenanceEngine::OnServerJoin(store::Server* server) {
-  // Ownership of base-key ranges moved onto the joiner: re-derive view
-  // state for what it now primarily owns, adopting any family orphaned by
-  // the ownership move (a dedicated task that re-homed mid-flight).
-  cluster_->metrics().orphaned_propagations_recovered +=
-      RunOwnedRangeScrub(server->id());
-}
-
-void MaintenanceEngine::OnServerLeave(store::Server* server) {
-  const ServerId id = server->id();
-  const bool dedicated = Dedicated();
-  // Like a crash, the leaver's volatile share dies — but the ring has
-  // ALREADY dropped it, so ExecutorOf points at the ranges' new primaries
-  // and cannot name what still physically runs here. Sweep by where work
-  // actually is: tasks originated here that never handed off (the handoff
-  // message dies with this endpoint's incarnation), attempts pumped on this
-  // propagator (executed_on), and its still-queued row queues. Handed-off
-  // tasks of this ORIGIN keep running elsewhere — their completion notice
-  // to the dead origin just drops, like after an origin crash.
-  std::vector<std::shared_ptr<PropagationTask>> doomed;
-  for (const auto& [task_id, task] : live_tasks_) {
-    if (dedicated) {
-      if ((!task->handed_off && task->origin == id) ||
-          (task->in_attempt && task->executed_on == id)) {
-        doomed.push_back(task);
-      }
-    } else if (task->origin == id) {
-      doomed.push_back(task);
-    }
-  }
-  for (const auto& [resource, queue] : row_queues_[id]) {
-    for (const auto& task : queue.tasks) doomed.push_back(task);
-  }
-  for (const auto& task : doomed) EndTask(task, TaskOutcome::kOrphaned);
-  DropServerVolatileState(id);
-  // Recovery of the orphaned families follows the same path as after a
-  // crash: every one of them has a (new) primary owner in the ring, whose
-  // periodic owned-range scrub re-derives the view rows. Clusters that
-  // churn membership should therefore run with view_scrub_interval > 0,
-  // exactly like clusters that crash servers.
 }
 
 std::size_t MaintenanceEngine::RunOwnedRangeScrub(ServerId server) {
@@ -658,8 +606,7 @@ void MaintenanceEngine::NotifyOrigin(
     settle();
     return;
   }
-  cluster_->network().Send(cluster_->ring().PrimaryFor(task->base_key),
-                           task->origin, std::move(settle));
+  cluster_->network().Send(task->home, task->origin, std::move(settle));
 }
 
 // ---------------------------------------------------------------------------
@@ -672,7 +619,7 @@ void MaintenanceEngine::NotifyOrigin(
 void MaintenanceEngine::RunUnsynchronized(
     std::shared_ptr<PropagationTask> task) {
   if (task->orphaned) return;
-  RunAttempt(task, task->origin, nullptr, [this, task](bool ended) {
+  RunAttempt(task, nullptr, [this, task](bool ended) {
     if (ended) return;
     cluster_->simulation().After(RetryDelay(*task),
                                  [this, task] { RunUnsynchronized(task); });
@@ -714,7 +661,7 @@ void MaintenanceEngine::RunWithLocks(std::shared_ptr<PropagationTask> task) {
           // lease expires (counted in Metrics::locks_expired).
           return;
         }
-        RunAttempt(task, executor, release, [this, task](bool ended) {
+        RunAttempt(task, release, [this, task](bool ended) {
           if (!ended) ParkForRetry(task);
         });
       });
@@ -730,8 +677,10 @@ void MaintenanceEngine::EnqueueOnPropagator(
   if (task->orphaned) return;
   const ServerId propagator = cluster_->ring().PrimaryFor(task->base_key);
   auto enqueue = [this, task, propagator] {
-    if (task->orphaned) return;
-    task->handed_off = true;
+    // The task's volatile state lives at the propagator from here on, and
+    // so does that of the tasks it absorbed.
+    task->home = propagator;
+    for (const auto& absorbed : task->absorbed) absorbed->home = propagator;
     RowQueue& queue = row_queues_[propagator][task->resource];
     queue.tasks.push_back(task);
     if (!queue.running) {
@@ -746,9 +695,19 @@ void MaintenanceEngine::EnqueueOnPropagator(
     return;
   }
   // Hand the task over the network (no-op hop when origin == propagator),
-  // under the task's span so the handoff hop shows up in its trace.
+  // under the task's span so the handoff hop shows up in its trace. A
+  // handoff lost at a dead or partitioned propagator is re-sent to the
+  // then-current primary after rpc_timeout; the first copy to land wins.
   Tracer::Scope scope(&cluster_->tracer(), task->trace);
-  cluster_->network().Send(task->origin, propagator, std::move(enqueue));
+  cluster_->network().Send(task->origin, propagator,
+                           [task, enqueue = std::move(enqueue)] {
+                             if (task->orphaned || task->handed_off) return;
+                             task->handed_off = true;
+                             enqueue();
+                           });
+  cluster_->simulation().After(cluster_->config().rpc_timeout, [this, task] {
+    if (!task->handed_off) EnqueueOnPropagator(task);
+  });
 }
 
 void MaintenanceEngine::PumpRowQueue(ServerId propagator,
@@ -766,7 +725,7 @@ void MaintenanceEngine::PumpRowQueue(ServerId propagator,
   }
   std::shared_ptr<PropagationTask> task = queue.tasks.front();
   queue.tasks.pop_front();
-  RunAttempt(task, propagator, nullptr,
+  RunAttempt(task, nullptr,
              [this, task, propagator, resource](bool ended) {
                // The update this one depends on has not propagated yet; park
                // until a same-row propagation completes (or the fallback
@@ -1058,7 +1017,7 @@ void MaintenanceEngine::GossipFreshness(
   }
   if (partition.empty()) return;
 
-  const ServerId from = ExecutorOf(*task);
+  const ServerId from = task->home;
   // Gossip to the replicas of the sub-shard this task actually wrote — the
   // servers a scatter-gather read of that shard will scan.
   const int shard_count = task->view->shard_count;

@@ -48,10 +48,11 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
       store::Server* coordinator, const store::ViewDef& view,
       const Key& view_key, store::ViewReadSpec spec,
       std::function<void(StatusOr<store::ViewReadOutcome>)> callback) override;
-  void OnServerCrash(store::Server* server) override;
-  void OnServerRestart(store::Server* server) override;
-  void OnServerJoin(store::Server* server) override;
-  void OnServerLeave(store::Server* server) override;
+  /// The down rule: orphans exactly the tasks whose `home` is `server`,
+  /// wounds its unattached put groups and drops its row queues.
+  void OnServerDown(store::Server* server) override;
+  /// Scrubs the ranges `server` now primarily owns.
+  void OnServerUp(store::Server* server) override;
 
   /// Number of propagations started but not yet ended (completed,
   /// abandoned or orphaned).
@@ -90,7 +91,7 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   enum class TaskOutcome {
     kCompleted,  ///< its update is in the view (Definition 3)
     kAbandoned,  ///< retry budget spent; the scrub inherits the family
-    kOrphaned,   ///< its executor crashed or left; the scrub inherits it
+    kOrphaned,   ///< its home crashed or left; the scrub inherits it
   };
 
   /// Serialization resource name of (view, base key): one lock / one row
@@ -122,10 +123,10 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   void EnqueueOnPropagator(std::shared_ptr<PropagationTask> task);
   void PumpRowQueue(ServerId propagator, const std::string& resource);
 
-  /// Runs one attempt of `task` on `executor` under the task's span. When
+  /// Runs one attempt of `task` on its home under the task's span. When
   /// the attempt returns and the task is still live, `release` (may be
   /// empty) runs, then OnAttemptDone hands its verdict to `then`.
-  void RunAttempt(std::shared_ptr<PropagationTask> task, ServerId executor,
+  void RunAttempt(std::shared_ptr<PropagationTask> task,
                   std::function<void()> release,
                   std::function<void(bool /*ended*/)> then);
 
@@ -177,18 +178,9 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
 
   // --- crash-stop fault model ---
 
-  /// The server a task's attempts execute on: the origin coordinator, or the
-  /// base key's primary in dedicated-propagator mode.
-  ServerId ExecutorOf(const PropagationTask& task) const;
-
   /// Adds a new task to the active set; returns its family's record.
   Family& RegisterTask(const std::shared_ptr<PropagationTask>& task);
   void UnregisterTask(const std::shared_ptr<PropagationTask>& task);
-
-  /// The rest of a crashed or departed server's volatile share: wounds the
-  /// intents of its Puts still in the issue->collection window (they will
-  /// never attach to a task) and drops its row queues.
-  void DropServerVolatileState(ServerId id);
 
   /// Scrubs the view families whose base key is primarily owned by `server`
   /// (skipping families with a propagation still in flight); returns the
@@ -275,7 +267,7 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   std::vector<std::map<std::string, RowQueue>> row_queues_;  // by propagator
   std::uint64_t next_task_id_ = 0;
 
-  /// Every not-yet-ended task, so OnServerCrash can orphan a crashed
+  /// Every not-yet-ended task, so OnServerDown can orphan a downed
   /// server's share eagerly (closures dropped by the network would otherwise
   /// leak them out of the active count).
   std::map<std::uint64_t, std::shared_ptr<PropagationTask>> live_tasks_;

@@ -76,29 +76,27 @@ struct PropagationTask {
   /// a same-row propagation to complete (or for its fallback timer).
   bool parked = false;
 
-  /// Set by the engine when the server executing this task crashes: the
-  /// task's volatile state died with the process, every pending closure that
-  /// still holds the task bails out, and recovery is left to the view scrub
-  /// (which counts it as an orphaned propagation).
+  /// The server that holds this task's volatile state, and on which its
+  /// attempts run: the origin, until a dedicated-propagator handoff lands;
+  /// then the propagator that queued it. A task absorbed by coalescing
+  /// follows its winner. When this server crashes or leaves, the task dies
+  /// with it (MaintenanceEngine::OnServerDown).
+  ServerId home = 0;
+
+  /// Set by the engine when the task's home goes down: the task's volatile
+  /// state died with the process, every pending closure that still holds the
+  /// task bails out, and recovery is left to the view scrub (which counts it
+  /// as an orphaned propagation).
   bool orphaned = false;
 
-  /// Dedicated-propagator mode only: true once the task has reached its
-  /// propagator's row queue. Before the handoff the task still lives at the
-  /// origin (an origin crash orphans it); afterwards it survives origin
-  /// crashes and re-dispatches run locally at the propagator.
+  /// Dedicated-propagator mode only: true once the handoff has landed in a
+  /// propagator's row queue. Until then the origin re-sends it every
+  /// `rpc_timeout`; afterwards re-dispatches run locally at the propagator.
   bool handed_off = false;
 
   /// True while a Propagation attempt is executing this task — its quorum
   /// writes may be in flight, so coalescing must not mutate the payload.
   bool in_attempt = false;
-
-  /// The server the current (or most recent) attempt executes on: the
-  /// origin in lock-service/unsynchronized modes, the row's dedicated
-  /// propagator AT THE TIME the attempt was pumped otherwise. A membership
-  /// change re-homes ExecutorOf immediately, so this is the only record of
-  /// where an already-running attempt actually lives — what OnServerLeave
-  /// needs to orphan a departing executor's mid-attempt tasks.
-  ServerId executed_on = -1;
 
   /// Tasks coalesced into this one (same view + base key + origin): their
   /// updates were LWW-merged into this task's payload, and their lifecycle

@@ -1,7 +1,7 @@
 // The propagation-task lifecycle: every started propagation ends exactly
 // once — completed, abandoned, or orphaned by a crash — in every
-// propagation mode, and the tasks coalescing absorbed into a winner end
-// (and settle their freshness intents) together with it.
+// propagation mode and crash window, and the tasks coalescing absorbed into
+// a winner end (and settle their freshness intents) together with it.
 
 #include <gtest/gtest.h>
 
@@ -112,6 +112,37 @@ TEST_P(PropagationLifecycleTest, CrashOrphansAndScrubSettlesEveryIntent) {
     ASSERT_TRUE(t.cluster.simulation().Step()) << "the burst never started";
   }
   ASSERT_GT(t.views->active_propagations(), 0u);
+  ASSERT_TRUE(t.cluster.CrashServer(0));
+  EXPECT_GT(m.propagations_orphaned, 0u);
+
+  t.cluster.RunFor(Millis(100));
+  ASSERT_TRUE(t.cluster.RestartServer(0));
+  t.Quiesce();
+  t.cluster.RunFor(Millis(800));  // > 2 scrub periods on every server
+
+  EXPECT_EQ(t.views->active_propagations(), 0u);
+  EXPECT_EQ(m.propagations_started, m.propagations_completed +
+                                        m.propagations_abandoned +
+                                        m.propagations_orphaned);
+  EXPECT_EQ(t.cluster.freshness().pending_intents(), 0u);
+}
+
+TEST_P(PropagationLifecycleTest, CrashBeforeCollectionCountsOrphansAsStarted) {
+  TestCluster t(Config());
+  LoadRows(t.cluster);
+  auto client = t.cluster.NewClient(/*coordinator=*/0);
+  client->set_request_timeout(Millis(100));
+  const int puts = IssueBurst(*client);
+
+  // Crash the origin at the first coalescing, while most of the burst's
+  // Puts are still in the issue->collection window: the crash delivers
+  // their collected pre-images to a dead coordinator, whose propagations
+  // start and are orphaned at once.
+  const store::Metrics& m = t.cluster.metrics();
+  while (m.prop_batched == 0) {
+    ASSERT_TRUE(t.cluster.simulation().Step()) << "the burst never coalesced";
+  }
+  ASSERT_LT(m.propagations_started, static_cast<std::uint64_t>(puts));
   ASSERT_TRUE(t.cluster.CrashServer(0));
   EXPECT_GT(m.propagations_orphaned, 0u);
 
