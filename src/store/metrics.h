@@ -107,7 +107,10 @@ struct Metrics {
   Counter& member_stream_retries;    ///< membership syncs retried on silence
   Counter& member_hints_rerouted;    ///< hints re-sent to a range's new owners
   Counter& member_ops_retargeted;    ///< in-flight quorum slots moved off a leaver
-  Counter& member_drains_forced;     ///< drain timeouts that force-rerouted hints
+  /// Decommissions whose drain deadline expired before they were done:
+  /// stream tasks abandoned or hints force-rerouted. At most one per
+  /// decommission, however many tasks and hints it gave up on.
+  Counter& member_drains_forced;
 
   // Freshness contract (ISSUE 7): intent tracking, bound enforcement, and
   // the adaptive MV/SI router.

@@ -1350,7 +1350,6 @@ std::size_t Server::ShutDown() {
   hints_.clear();
   queue_.Reset();
   stream_tasks_.clear();
-  stream_sync_pending_ = false;
 
   // 4. Disappear from the network. Bumping the incarnation (a) drops every
   //    in-flight message to/from the dead process at delivery time and
@@ -1542,13 +1541,13 @@ void Server::BeginDecommission(std::vector<Ring::RangeTransfer> plan) {
                                         sim_->Now());
   }
   drain_deadline_ = sim_->Now() + config_->decommission_drain_timeout;
+  drain_forced_ = false;
   decommission_phase_ = 1;
   StreamPlan(decommission_plan_);
 }
 
 void Server::StreamPlan(const std::vector<Ring::RangeTransfer>& plan) {
   stream_tasks_.clear();
-  stream_sync_pending_ = false;
   for (const Ring::RangeTransfer& transfer : plan) {
     // No peers: the remaining members already replicate the range (leave at
     // low replication pressure) — nothing to move.
@@ -1557,93 +1556,115 @@ void Server::StreamPlan(const std::vector<Ring::RangeTransfer>& plan) {
       if (membership_ == MembershipState::kDraining) {
         // One task per NEW owner — each must receive its own copy.
         for (ServerId owner : transfer.peers) {
-          stream_tasks_.push_back(StreamTask{table, transfer.range, {owner}});
+          stream_tasks_.emplace(++last_stream_task_,
+                                StreamTask{table, transfer.range, {owner}});
         }
       } else {
         // One task per range, rotating through the sources on retry.
-        stream_tasks_.push_back(
-            StreamTask{table, transfer.range, transfer.peers});
+        stream_tasks_.emplace(++last_stream_task_,
+                              StreamTask{table, transfer.range,
+                                         transfer.peers});
       }
     }
   }
-  PumpStream();
+  if (stream_tasks_.empty()) {
+    EndStreamPlan();
+    return;
+  }
+  // Every task starts now. A sync settles only on a later message, so
+  // none of them ends while this loop walks the map.
+  for (const auto& [id, task] : stream_tasks_) StartStreamSync(id);
 }
 
-void Server::PumpStream() {
-  if (crashed_ || stream_sync_pending_) return;
-  if (membership_ != MembershipState::kJoining &&
-      membership_ != MembershipState::kDraining) {
-    return;
-  }
-  if (stream_tasks_.empty()) {
-    if (membership_ == MembershipState::kJoining) {
-      FinishJoin();
-    } else {
-      ContinueDecommission();
-    }
-    return;
-  }
-
-  const StreamTask& task = stream_tasks_.front();
-  const std::uint64_t seq = ++stream_seq_;
-  stream_sync_pending_ = true;
+void Server::StartStreamSync(std::uint64_t id) {
+  StreamTask& task = stream_tasks_.at(id);
+  const std::uint64_t seq = ++task.seq;
   const ServerId peer =
       task.peers[static_cast<std::size_t>(task.attempt) % task.peers.size()];
-  SyncTableWithPeer(task.table, peer, SyncScope{task.range},
-                    [this, seq](std::uint64_t rows) {
-                      StreamSyncSettled(seq, rows);
-                    });
-
-  // Arm the silence probe: a sync that has not settled by then is retried
-  // after a linearly growing backoff, against the next candidate source.
-  // The retry re-diffs, so it ships only what the peer still lacks.
+  if (tracer_ != nullptr && member_trace_) {
+    task.span = tracer_->StartSpan(member_trace_, "member.stream_range",
+                                   static_cast<int>(id_), sim_->Now());
+    tracer_->Annotate(task.span,
+                      task.table + " peer=" + std::to_string(peer));
+  }
+  {
+    Tracer::Scope scope(tracer_, task.span);
+    SyncTableWithPeer(task.table, peer, SyncScope{task.range},
+                      [this, id, seq](std::uint64_t rows) {
+                        StreamSyncSettled(id, seq, rows);
+                      });
+  }
   const std::uint64_t incarnation = this->incarnation();
-  sim_->After(config_->rpc_timeout, [this, incarnation, seq] {
-    if (incarnation != this->incarnation() || seq != stream_seq_ ||
-        !stream_sync_pending_) {
-      return;
-    }
-    stream_sync_pending_ = false;
-    metrics_->member_stream_retries++;
-    // A draining server cannot wait forever on an unreachable new owner:
-    // past the drain deadline the task is abandoned (counted as a forced
-    // drain) and the surviving replicas' anti-entropy covers the gap once
-    // the owner returns. A joiner has no such deadline — it keeps rotating
-    // sources until one answers.
-    if (membership_ == MembershipState::kDraining &&
-        sim_->Now() >= drain_deadline_ && !stream_tasks_.empty()) {
-      metrics_->member_drains_forced++;
-      FinishStreamTask(0);
-      PumpStream();
-      return;
-    }
-    int next_attempt = 1;
-    if (!stream_tasks_.empty()) {
-      next_attempt = ++stream_tasks_.front().attempt;
-    }
-    const SimTime backoff =
-        kStreamRetryBackoff * static_cast<SimTime>(std::min(next_attempt, 8));
-    sim_->After(backoff, [this, incarnation] {
-      if (incarnation == this->incarnation()) PumpStream();
-    });
+  sim_->After(config_->rpc_timeout, [this, incarnation, id, seq] {
+    if (incarnation == this->incarnation()) StreamSyncSilent(id, seq);
   });
 }
 
-void Server::StreamSyncSettled(std::uint64_t seq, std::uint64_t rows) {
-  if (seq != stream_seq_) return;  // a retry superseded this sync
-  stream_sync_pending_ = false;
-  if (stream_tasks_.empty()) return;
-  FinishStreamTask(rows);
-  PumpStream();
+void Server::StreamSyncSettled(std::uint64_t id, std::uint64_t seq,
+                               std::uint64_t rows) {
+  auto it = stream_tasks_.find(id);
+  // Gone (abandoned, or its plan was replaced) or superseded by a retry.
+  if (it == stream_tasks_.end() || it->second.seq != seq) return;
+  if (tracer_ != nullptr) {
+    tracer_->Annotate(it->second.span, "rows=" + std::to_string(rows));
+    tracer_->EndSpan(it->second.span, sim_->Now());
+  }
+  EndStreamTask(it);
 }
 
-void Server::FinishStreamTask(std::uint64_t rows) {
-  const StreamTask& task = stream_tasks_.front();
+void Server::StreamSyncSilent(std::uint64_t id, std::uint64_t seq) {
+  auto it = stream_tasks_.find(id);
+  // The sync settled (the task is gone) or a retry superseded it.
+  if (it == stream_tasks_.end() || it->second.seq != seq) return;
+  StreamTask& task = it->second;
+  if (tracer_ != nullptr) {
+    tracer_->Annotate(task.span, "silent");
+    tracer_->EndSpan(task.span, sim_->Now());
+  }
+  metrics_->member_stream_retries++;
+  // A draining server cannot wait forever on an unreachable new owner:
+  // past the drain deadline the task is abandoned (the decommission counts
+  // as forced) and the surviving replicas' anti-entropy covers the gap once
+  // the owner returns. A joiner has no such deadline — it keeps rotating
+  // sources until one answers.
+  if (membership_ == MembershipState::kDraining &&
+      sim_->Now() >= drain_deadline_) {
+    CountForcedDrain();
+    EndStreamTask(it);
+    return;
+  }
+  // Retry after a linearly growing backoff, against the next candidate
+  // source. The retry re-diffs, so it ships only what the peer still lacks;
+  // a late settlement of this attempt still ends the task meanwhile.
+  const int attempt = ++task.attempt;
+  const SimTime backoff =
+      kStreamRetryBackoff * static_cast<SimTime>(std::min(attempt, 8));
+  const std::uint64_t incarnation = this->incarnation();
+  sim_->After(backoff, [this, incarnation, id] {
+    if (incarnation == this->incarnation() && stream_tasks_.count(id) != 0) {
+      StartStreamSync(id);
+    }
+  });
+}
+
+void Server::EndStreamTask(StreamTasks::iterator task) {
   metrics_->member_ranges_streamed++;
-  EmitMemberSpan("member.stream_range",
-                 task.table + " rows=" + std::to_string(rows) +
-                     " peer=" + std::to_string(task.peers.front()));
-  stream_tasks_.pop_front();
+  stream_tasks_.erase(task);
+  if (stream_tasks_.empty()) EndStreamPlan();
+}
+
+void Server::EndStreamPlan() {
+  if (membership_ == MembershipState::kJoining) {
+    FinishJoin();
+  } else {
+    ContinueDecommission();
+  }
+}
+
+void Server::CountForcedDrain() {
+  if (drain_forced_) return;
+  drain_forced_ = true;
+  metrics_->member_drains_forced++;
 }
 
 void Server::FinishJoin() {
@@ -1682,7 +1703,7 @@ void Server::DrainHintsThenLeave() {
     // The deadline expired with hints still owed: the data must not leave
     // with this server, so re-send every queued write to the keys' current
     // replicas and go.
-    metrics_->member_drains_forced++;
+    CountForcedDrain();
     for (const auto& [target, queue] : hints_) RerouteHintsFor(target);
     FinishLeave(/*forced=*/true);
     return;

@@ -140,9 +140,10 @@ class Server {
   /// this BEFORE adding the server to the ring.
   void ActivateForJoin();
 
-  /// Starts the bootstrap: one range sync per (range, table) in `plan`
-  /// against one of the range's current replicas, rotating through them
-  /// when a sync falls silent. Flips to kServing when the last sync settles.
+  /// Starts the bootstrap: one range sync per (range, table) in `plan`, all
+  /// at once, each against one of the range's current replicas and rotating
+  /// through them when it falls silent. Flips to kServing when the last sync
+  /// settles.
   void BeginJoinStream(std::vector<Ring::RangeTransfer> plan);
 
   /// Starts the decommission. The Cluster has already removed this server
@@ -551,24 +552,44 @@ class Server {
   // --- elastic membership internals ---
 
   /// One (range, table) unit of a membership transfer, settled by one range
-  /// sync. Join tasks sync with `peers` (rotating on retry); decommission
-  /// tasks with the single new owner in `peers`. A retried task re-diffs,
-  /// so it ships only what the peer still lacks.
+  /// sync. Every task of a plan is in flight at once, each on its own
+  /// attempts: its own silence probe, backoff and (join) source rotation.
+  /// Join tasks sync with `peers` (rotating on retry); decommission tasks
+  /// with the single new owner in `peers`. A retried task re-diffs, so it
+  /// ships only what the peer still lacks.
   struct StreamTask {
     std::string table;
     Ring::TokenRange range;
     std::vector<ServerId> peers;
     int attempt = 0;
+    /// Matches a sync's settlement and silence probe to this task's current
+    /// attempt; a stale one (superseded by a retry) is ignored.
+    std::uint64_t seq = 0;
+    /// The in-flight sync's "member.stream_range" span; the sync's RPCs
+    /// nest beneath it.
+    TraceContext span = {};
   };
+  using StreamTasks = std::map<std::uint64_t, StreamTask>;
 
   /// Expands a transfer plan into stream tasks (join: one per range+table;
-  /// decommission: one per range+table+new owner) and starts the first.
+  /// decommission: one per range+table+new owner) and starts them all.
   void StreamPlan(const std::vector<Ring::RangeTransfer>& plan);
-  /// Drives the front stream task: starts its sync with a silence probe
-  /// that retries it, with backoff and the next source, at `rpc_timeout`.
-  void PumpStream();
-  void StreamSyncSettled(std::uint64_t seq, std::uint64_t rows);
-  void FinishStreamTask(std::uint64_t rows);
+  /// Starts one attempt of task `id`: its sync, under a
+  /// "member.stream_range" span, and a silence probe at `rpc_timeout`.
+  void StartStreamSync(std::uint64_t id);
+  void StreamSyncSettled(std::uint64_t id, std::uint64_t seq,
+                         std::uint64_t rows);
+  /// The silence probe: a sync that has not settled is retried after a
+  /// linear backoff, against the next source; past a decommission's drain
+  /// deadline the task is abandoned instead.
+  void StreamSyncSilent(std::uint64_t id, std::uint64_t seq);
+  /// Ends a task (settled or abandoned); the last one ends the plan.
+  void EndStreamTask(StreamTasks::iterator task);
+  /// The plan is done: finishes the join or advances the decommission.
+  void EndStreamPlan();
+  /// Counts the decommission as forced, once however many of its tasks or
+  /// hints the expired drain deadline gives up on.
+  void CountForcedDrain();
   void FinishJoin();
   /// Advances the decommission phase machine once the current pass's
   /// stream tasks have settled.
@@ -620,11 +641,10 @@ class Server {
 
   // --- elastic membership state ---
   MembershipState membership_ = MembershipState::kServing;
-  std::deque<StreamTask> stream_tasks_;
-  /// Matches sync settlements and their silence probes to the CURRENT
-  /// attempt; a stale one (superseded by a retry) is ignored.
-  std::uint64_t stream_seq_ = 0;
-  bool stream_sync_pending_ = false;
+  /// The current plan's unsettled tasks by id. Ids are never reused, so a
+  /// late settlement of an abandoned task cannot match a later pass's task.
+  StreamTasks stream_tasks_;
+  std::uint64_t last_stream_task_ = 0;
   /// The plans outlive a crash (modeled as durable intent records): a
   /// joining or draining server that crashes re-syncs them after Restart.
   std::vector<Ring::RangeTransfer> decommission_plan_;
@@ -632,8 +652,10 @@ class Server {
   /// 0 = idle, 1 = first pass, 2 = second pass, 3 = hint drain.
   int decommission_phase_ = 0;
   SimTime drain_deadline_ = 0;
+  /// Whether the drain deadline already forced this decommission.
+  bool drain_forced_ = false;
   /// Root span of the in-progress join or drain ("member.join" /
-  /// "member.drain"); child spans mark each streamed range.
+  /// "member.drain"); each sync attempt of a stream task is a child span.
   TraceContext member_trace_;
 };
 

@@ -688,18 +688,21 @@ void MaintenanceEngine::EnqueueOnPropagator(
       PumpRowQueue(propagator, task->resource);
     }
   };
-  if (task->handed_off) {
-    // Re-dispatch of a task already at the propagator (retry wake-up): no
+  if (task->handed_off && task->home == propagator) {
+    // Re-dispatch of a task already at its propagator (retry wake-up): no
     // network hop — responsibility was transferred once.
     enqueue();
     return;
   }
-  // Hand the task over the network (no-op hop when origin == propagator),
-  // under the task's span so the handoff hop shows up in its trace. A
-  // handoff lost at a dead or partitioned propagator is re-sent to the
-  // then-current primary after rpc_timeout; the first copy to land wins.
+  // Hand the task over the network from its home: the origin at first
+  // dispatch (a no-op hop when it is the propagator), the old propagator
+  // when a join or leave has moved the key's primary since. Under the
+  // task's span, so the handoff hop shows up in its trace. A handoff lost
+  // at a dead or partitioned propagator is re-sent to the then-current
+  // primary after rpc_timeout; the first copy to land wins.
+  task->handed_off = false;
   Tracer::Scope scope(&cluster_->tracer(), task->trace);
-  cluster_->network().Send(task->origin, propagator,
+  cluster_->network().Send(task->home, propagator,
                            [task, enqueue = std::move(enqueue)] {
                              if (task->orphaned || task->handed_off) return;
                              task->handed_off = true;

@@ -90,8 +90,10 @@ struct PropagationTask {
   bool orphaned = false;
 
   /// Dedicated-propagator mode only: true once the handoff has landed in a
-  /// propagator's row queue. Until then the origin re-sends it every
-  /// `rpc_timeout`; afterwards re-dispatches run locally at the propagator.
+  /// propagator's row queue. Until then the home re-sends it every
+  /// `rpc_timeout`; afterwards re-dispatches run locally at the propagator,
+  /// unless a join or leave moved the key's primary, which hands the task
+  /// over again.
   bool handed_off = false;
 
   /// True while a Propagation attempt is executing this task — its quorum

@@ -2,10 +2,12 @@
 // holds its volatile state (its home) — the origin, until a dedicated
 // handoff lands; then the propagator that queued it — whether that server
 // crashes or leaves, in every propagation mode. And in dedicated-propagator
-// mode a handoff lost at a dead propagator is re-sent until it lands.
+// mode a handoff lost at a dead propagator is re-sent until it lands, and a
+// task whose primary moved is handed over the network again.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,8 +49,10 @@ class DownRuleTest : public ::testing::TestWithParam<PropagationMode> {
   /// queued behind it (at kPropagator, in dedicated-propagator mode). Then
   /// kPropagator loses two of its three peers for longer than rpc_timeout,
   /// so the attempts it runs fail and park, and its row queues back up.
-  /// Returns once the partition's hints have replayed.
-  static void BuildBacklogAtPropagator(TestCluster& t) {
+  /// Returns once the partition's hints have replayed; `loaded`, if set,
+  /// receives the keys.
+  static void BuildBacklogAtPropagator(TestCluster& t,
+                                       std::vector<Key>* loaded = nullptr) {
     std::vector<Key> keys;
     for (int k = 0; keys.size() < static_cast<std::size_t>(kRows); ++k) {
       const Key key = "t" + std::to_string(k);
@@ -85,6 +89,7 @@ class DownRuleTest : public ::testing::TestWithParam<PropagationMode> {
     ASSERT_EQ(t.cluster.server(kPropagator).hints_outstanding(), 0u);
     ASSERT_GT(m.propagation_failures, 0u) << "no attempt failed and parked";
     ASSERT_GT(t.views->active_propagations(), 0u);
+    if (loaded != nullptr) *loaded = std::move(keys);
   }
 
   /// After scrubs: nothing active, every started propagation ended once,
@@ -141,6 +146,46 @@ TEST_P(DownRuleTest, CrashedPropagatorOrphansWhatItHolds) {
   EXPECT_GT(t.cluster.metrics().propagations_orphaned, 0u);
   t.cluster.RunFor(Millis(100));
   ASSERT_TRUE(t.cluster.RestartServer(kPropagator));
+  ExpectSettled(t);
+}
+
+// Dedicated-propagator mode only: the one mode whose tasks move between
+// servers once dispatched.
+class DedicatedDownRuleTest : public DownRuleTest {};
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, DedicatedDownRuleTest,
+    ::testing::Values(PropagationMode::kDedicatedPropagators),
+    [](const auto&) { return "DedicatedPropagators"; });
+
+// A join moves some of kPropagator's keys to a joiner that crashes at once,
+// and their parked tasks wake while it is down. A task whose primary moved
+// is handed over the network from kPropagator, which holds it, so the dead
+// joiner receives none: when kPropagator crashes too, every task dies with
+// it. Once both are back, every family is recovered.
+TEST_P(DedicatedDownRuleTest, TaskMovesToANewPrimaryOverTheNetwork) {
+  store::ClusterConfig config = Config();
+  config.max_servers = 5;        // a spare slot for the joiner
+  config.vnodes_per_server = 8;  // so the joiner takes some of the keys
+  TestCluster t(config);
+  std::vector<Key> keys;
+  BuildBacklogAtPropagator(t, &keys);
+  const std::optional<ServerId> joiner = t.cluster.JoinServer();
+  ASSERT_TRUE(joiner.has_value());
+  ASSERT_TRUE(t.cluster.CrashServer(*joiner));
+  std::size_t moved = 0;
+  for (const Key& key : keys) {
+    if (t.cluster.ring().PrimaryFor(key) == *joiner) ++moved;
+  }
+  ASSERT_GT(moved, 0u) << "the join moved none of the backlog's keys";
+  t.cluster.RunFor(Millis(100));  // > propagation_retry_delay: tasks wake
+
+  ASSERT_TRUE(t.cluster.CrashServer(kPropagator));
+  EXPECT_EQ(t.views->active_propagations(), 0u)
+      << "a task moved to the crashed joiner without a network hop";
+  t.cluster.RunFor(Millis(100));
+  ASSERT_TRUE(t.cluster.RestartServer(kPropagator));
+  ASSERT_TRUE(t.cluster.RestartServer(*joiner));
   ExpectSettled(t);
 }
 

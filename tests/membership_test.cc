@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -264,6 +265,34 @@ TEST(MembershipTest, ForcedDrainReroutesHintsAtDeadline) {
   }
 }
 
+// Every stream task bound for a dead new owner falls silent, and each one
+// past the drain deadline is abandoned; the decommission still counts as
+// forced once.
+TEST(MembershipTest, ExpiredDrainDeadlineCountsOneForcedDrain) {
+  store::ClusterConfig config = ChurnConfig();
+  config.decommission_drain_timeout = Millis(400);
+  test::TestCluster t(config, test::TicketSchema(false, false));
+  for (int k = 0; k < 120; ++k) {
+    t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
+                               {{"status", std::string("open")}}, 100 + k);
+  }
+  constexpr ServerId kLeaver = 0;
+  constexpr ServerId kDeadOwner = 1;
+  store::Ring ring = t.cluster.ring();
+  std::size_t to_dead_owner = 0;
+  for (const store::Ring::RangeTransfer& transfer :
+       ring.RemoveServer(kLeaver, config.replication_factor)) {
+    to_dead_owner += static_cast<std::size_t>(std::count(
+        transfer.peers.begin(), transfer.peers.end(), kDeadOwner));
+  }
+  ASSERT_GE(to_dead_owner, 2u) << "the dead owner gains too few ranges";
+
+  ASSERT_TRUE(t.cluster.CrashServer(kDeadOwner));
+  ASSERT_TRUE(t.cluster.DecommissionServer(kLeaver));
+  AwaitMembership(t.cluster, kLeaver, MembershipState::kLeft);
+  EXPECT_EQ(t.cluster.metrics().member_drains_forced, 1u);
+}
+
 TEST(MembershipTest, InflightWriteRetargetsWhenReplicaLeaves) {
   store::ClusterConfig config = ChurnConfig();
   config.network.base_latency = Millis(5);  // widen the in-flight window
@@ -307,7 +336,10 @@ TEST(MembershipTest, CrashDuringJoinResumesStreamingAfterRestart) {
   store::ClusterConfig config = ChurnConfig();
   config.join_stream_batch = 4;  // many slices: the crash lands mid-stream
   test::TestCluster t(config, test::TicketSchema(false, false));
-  for (int k = 0; k < 150; ++k) {
+  // Enough rows that the join, whose range syncs all run at once, is still
+  // streaming when the crash lands.
+  constexpr int kRows = 1000;
+  for (int k = 0; k < kRows; ++k) {
     t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
                                {{"status", std::string("open")}}, 100 + k);
   }
@@ -317,6 +349,8 @@ TEST(MembershipTest, CrashDuringJoinResumesStreamingAfterRestart) {
   t.cluster.RunFor(Millis(2));  // a few slices in, far from done
   ASSERT_EQ(t.cluster.server(*joiner).membership(),
             MembershipState::kJoining);
+  ASSERT_GT(t.cluster.metrics().member_rows_streamed, 0u)
+      << "the crash must land mid-stream";
   ASSERT_TRUE(t.cluster.CrashServer(*joiner));
   t.cluster.RunFor(Millis(50));
   ASSERT_TRUE(t.cluster.RestartServer(*joiner));
@@ -324,7 +358,7 @@ TEST(MembershipTest, CrashDuringJoinResumesStreamingAfterRestart) {
   AwaitMembership(t.cluster, *joiner, MembershipState::kServing);
   EXPECT_EQ(t.cluster.metrics().member_joins_completed, 1u);
   const std::set<Key> local = LocalKeys(t.cluster, *joiner, "ticket");
-  for (int k = 0; k < 150; ++k) {
+  for (int k = 0; k < kRows; ++k) {
     const Key key = "t" + std::to_string(k);
     const auto replicas = t.cluster.ring().ReplicasFor(key, 3);
     if (std::find(replicas.begin(), replicas.end(), *joiner) !=
@@ -401,7 +435,9 @@ TEST(MembershipTest, JoinerTakesPartInNoAntiEntropyUntilServing) {
   config.anti_entropy_interval = Millis(1);  // many rounds during the join
   config.join_stream_batch = 1;              // one row per sync chunk
   test::TestCluster t(config, test::TicketSchema(false, false));
-  for (int k = 0; k < 300; ++k) {
+  // Enough rows that the join, whose range syncs all run at once, spans
+  // many rounds.
+  for (int k = 0; k < 1500; ++k) {
     t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
                                {{"status", std::string("open")}}, 100 + k);
   }
@@ -423,6 +459,56 @@ TEST(MembershipTest, JoinerTakesPartInNoAntiEntropyUntilServing) {
   EXPECT_GE(t.cluster.Now() - started, 5 * config.anti_entropy_interval)
       << "the join ended before anti-entropy rounds could reach it";
   EXPECT_GT(m.member_rows_streamed, 0u);
+}
+
+// A join's range syncs all run at once, so a source that crashed just
+// before the join holds up only the ranges that picked it first: every other
+// range settles before that source's silence probe fires at `rpc_timeout`,
+// and the held-up ranges then rotate to a live source.
+TEST(MembershipTest, JoinRangeSyncsDoNotWaitOnASilentSource) {
+  store::ClusterConfig config = ChurnConfig();
+  test::TestCluster t(config, test::TicketSchema(false, false));
+  constexpr int kRows = 120;
+  for (int k = 0; k < kRows; ++k) {
+    t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
+                               {{"status", std::string("open")}}, 100 + k);
+  }
+  constexpr ServerId kSilent = 0;
+  constexpr ServerId kJoiner = 4;
+
+  // The join plan, read off a copy of the ring (placement is a pure
+  // function of the member set): one task per (range, table), whose first
+  // source is the range's first listed pre-join replica.
+  const std::uint64_t tables = t.cluster.schema().TableNames().size();
+  std::uint64_t live_first = 0;
+  std::uint64_t silent_first = 0;
+  store::Ring ring = t.cluster.ring();
+  for (const store::Ring::RangeTransfer& transfer :
+       ring.AddServer(kJoiner, config.replication_factor)) {
+    (transfer.peers.front() == kSilent ? silent_first : live_first) += tables;
+  }
+  ASSERT_GT(silent_first, 0u) << "no range syncs with the crashed source first";
+  ASSERT_GT(live_first, 0u);
+
+  ASSERT_TRUE(t.cluster.CrashServer(kSilent));
+  ASSERT_EQ(t.cluster.JoinServer(), std::optional<ServerId>(kJoiner));
+  t.cluster.RunFor(config.rpc_timeout - Millis(1));
+  const store::Metrics& m = t.cluster.metrics();
+  EXPECT_EQ(m.member_ranges_streamed, live_first)
+      << "ranges with a live first source waited on the silent one";
+
+  AwaitMembership(t.cluster, kJoiner, MembershipState::kServing);
+  EXPECT_EQ(m.member_joins_completed, 1u);
+  EXPECT_EQ(m.member_ranges_streamed, live_first + silent_first);
+  const std::set<Key> local = LocalKeys(t.cluster, kJoiner, "ticket");
+  for (int k = 0; k < kRows; ++k) {
+    const Key key = "t" + std::to_string(k);
+    const auto replicas = t.cluster.ring().ReplicasFor(key, 3);
+    if (std::find(replicas.begin(), replicas.end(), kJoiner) !=
+        replicas.end()) {
+      EXPECT_TRUE(local.count(key) != 0) << "joiner missing " << key;
+    }
+  }
 }
 
 // A replica write in flight when the ring changed can land on the draining
