@@ -88,7 +88,7 @@ Engine::Engine(EngineOptions options, LocalClock clock)
 void Engine::Apply(const Key& key, const ColumnName& col, Cell cell) {
   if (row_cache_ != nullptr) row_cache_->Invalidate(cache_tag_, key);
   if (cell.tombstone) cell.StampLocalDeletion(clock_());
-  AppendToLog(key, col, cell);
+  log_.push_back(LogRecord{key, col, cell});
   memtable_.Apply(key, col, cell);
   MaybeFlushAndCompact();
 }
@@ -100,21 +100,10 @@ void Engine::ApplyRow(const Key& key, Row row) {
   // The log keeps the stamped cells, so a replay restores them unchanged.
   row.StampLocalDeletions(clock_());
   for (const auto& [col, cell] : row.cells()) {
-    AppendToLog(key, col, cell);
+    log_.push_back(LogRecord{key, col, cell});
   }
   memtable_.ApplyRow(key, std::move(row));
   MaybeFlushAndCompact();
-}
-
-void Engine::AppendToLog(const Key& key, const ColumnName& col,
-                         const Cell& cell) {
-  if (!options_.commit_log_enabled) return;
-  if (options_.commit_log_max_cells > 0 &&
-      log_.size() >= options_.commit_log_max_cells) {
-    log_.pop_front();
-    ++log_dropped_;
-  }
-  log_.push_back(LogRecord{key, col, cell});
 }
 
 void Engine::LoseVolatileState() {

@@ -13,8 +13,7 @@
 // commit log; sealing the memtable into a run checkpoints (truncates) the
 // log, so the log always holds exactly the cells that would be lost with
 // the memtable. LoseVolatileState() models the crash, RecoverFromLog()
-// the restart replay. The log can be capped or disabled to model real
-// data loss (a replica that forgets acknowledged writes).
+// the restart replay: an acknowledged write is never lost to a crash.
 
 #ifndef MVSTORE_STORAGE_ENGINE_H_
 #define MVSTORE_STORAGE_ENGINE_H_
@@ -45,14 +44,6 @@ struct EngineOptions {
   /// purged during compaction. Mirrors Cassandra's gc_grace_seconds, which
   /// Cassandra likewise measures from localDeletionTime.
   SimTime tombstone_gc_grace = Seconds(600);
-  /// Append every applied cell to the commit log (replayed after a crash).
-  /// Off = a crash loses the whole memtable, as in a store running with
-  /// fsync disabled.
-  bool commit_log_enabled = true;
-  /// Cap on logged cells; once full the OLDEST records are discarded, so a
-  /// recovery replays only a suffix of the unflushed writes (models a
-  /// bounded WAL device losing data). 0 = unbounded.
-  std::size_t commit_log_max_cells = 0;
 };
 
 /// The replica-local clock (simulated microseconds since start).
@@ -141,7 +132,6 @@ class Engine {
   std::size_t RecoverFromLog();
 
   std::size_t commit_log_cells() const { return log_.size(); }
-  std::uint64_t commit_log_cells_dropped() const { return log_dropped_; }
 
  private:
   struct LogRecord {
@@ -151,7 +141,6 @@ class Engine {
   };
 
   void MaybeFlushAndCompact();
-  void AppendToLog(const Key& key, const ColumnName& col, const Cell& cell);
 
   EngineOptions options_;
   LocalClock clock_;
@@ -159,7 +148,6 @@ class Engine {
   std::vector<std::shared_ptr<const Run>> runs_;  // oldest first
   std::uint64_t compactions_ = 0;
   std::deque<LogRecord> log_;  // cells applied since the last flush
-  std::uint64_t log_dropped_ = 0;
   RowCache* row_cache_ = nullptr;  // not owned; nullptr = standalone engine
   std::string cache_tag_;
   /// Pooled scratch for multi-source keys in merged scans: cleared per key,

@@ -32,13 +32,12 @@
 //
 //  * kBoundedStaleness — ViewGet only (Get/IndexGet read the base table
 //    directly and are bounded by construction). The returned rows are
-//    guaranteed to reflect every base write older than
-//    `max_staleness` (0 = the cluster's `max_staleness_default`). The
-//    coordinator proves the bound from the cluster-wide FreshnessTracker;
-//    when it cannot, it briefly parks the read (up to `freshness_wait_max`),
-//    fires a targeted repair of wounded view families, or — when the
-//    tracker's propagation-lag estimate says the view cannot catch up in
-//    time — routes the read to the secondary index or a base-table scan
+//    guaranteed to reflect every base write older than `max_staleness`
+//    (0 = 500 ms). The coordinator proves the bound from the cluster-wide
+//    FreshnessTracker; when it cannot, it briefly parks the read (up to
+//    100 ms), fires a targeted repair of wounded view families, or — when
+//    the tracker's propagation-lag estimate says the view cannot catch up
+//    in time — routes the read to the secondary index or a base-table scan
 //    (`served_by` = kSiPath / kBaseScan), which trade freshness-by-
 //    construction for a costlier scan.
 //
@@ -101,7 +100,7 @@ struct ReadOptions {
   /// Consistency level (see the freshness-contract comment above).
   ReadConsistency consistency = ReadConsistency::kEventual;
   /// kBoundedStaleness only: the staleness bound, in simulated time units.
-  /// 0 uses the cluster's `max_staleness_default`.
+  /// 0 uses 500 ms.
   SimTime max_staleness = 0;
 };
 

@@ -6,6 +6,8 @@
 // require). The PerfModel service times are the calibration knobs described
 // in DESIGN.md section 4: they set absolute magnitudes; the figures' shapes
 // come from how many servers and round trips each access path consumes.
+// Values that no workload varies are constants in the code that uses them
+// (DESIGN.md §14 lists what stays settable and why).
 
 #ifndef MVSTORE_STORE_CONFIG_H_
 #define MVSTORE_STORE_CONFIG_H_
@@ -110,41 +112,27 @@ struct ClusterConfig {
   PerfModel perf;
   storage::EngineOptions engine;
 
-  /// Coordinator gives up on replicas that have not answered by then.
+  /// Coordinator gives up on replicas that have not answered by then. A
+  /// replica still silent 100 ms into an operation is re-sent the request
+  /// once, and a read sent to one replica contacts the others once it has
+  /// been silent for min(100 ms, rpc_timeout / 2) (store/quorum_op.cc).
   SimTime rpc_timeout = Millis(250);
-
-  /// Per-replica silence handling inside a coordinator operation: a target
-  /// that has not answered within `replica_retry_timeout` is re-sent the
-  /// request (idempotent; slot dedupe absorbs duplicate replies), up to
-  /// `replica_retry_max` times, each probe backed off by another
-  /// `replica_retry_backoff`. 0 retries (or a 0 timeout) disables. A read
-  /// sent to one replica contacts the others once it has been silent for
-  /// min(`replica_retry_timeout`, `rpc_timeout` / 2), whatever the retry
-  /// settings.
-  int replica_retry_max = 1;
-  SimTime replica_retry_timeout = Millis(100);
-  SimTime replica_retry_backoff = Millis(50);
 
   /// Period of the background replica-synchronization task; 0 disables it.
   /// Off by default: quorum paths plus read repair carry the experiments;
   /// tests enable it to demonstrate convergence under message loss.
-  /// Each round is Merkle-style: per-peer bucket digests are exchanged
-  /// first; the peer answers with its mismatched buckets and the per-key
-  /// row digests inside them, and only the rows that differ, or that one
-  /// side lacks, ship (both ways, `join_stream_batch` rows per message).
+  /// Each round is Merkle-style: per-peer digests of 64 key-hash buckets
+  /// are exchanged first; the peer answers with its mismatched buckets and
+  /// the per-key row digests inside them, and only the rows that differ, or
+  /// that one side lacks, ship (both ways, `join_stream_batch` rows per
+  /// message).
   SimTime anti_entropy_interval = 0;
-  /// Digest buckets per (table, peer) comparison. More buckets make the
-  /// key list in a digest answer shorter, not the rows shipped fewer:
-  /// those are exactly the rows that differ.
-  int anti_entropy_buckets = 64;
 
   /// Hinted handoff: when a write's replica fails to acknowledge before the
   /// rpc timeout, the coordinator stores a hint and replays it periodically
-  /// until the replica acks. 0 disables.
+  /// until the replica acks. At most 4096 hints are kept per target, the
+  /// oldest dropped first (anti-entropy is the backstop). 0 disables.
   SimTime hint_replay_interval = Seconds(2);
-  /// Cap on stored hints per target server (oldest dropped beyond this;
-  /// anti-entropy remains the backstop).
-  std::size_t max_hints_per_target = 4096;
 
   /// Capacity (rows) of each server's replica-local row cache shared across
   /// its engines. A zero-capacity cache stores nothing and counts no probes.
@@ -194,19 +182,6 @@ struct ClusterConfig {
   /// over that many ring partitions and serves ViewGets by scatter-gather
   /// (see DESIGN.md §12).
   int view_shard_count = 1;
-
-  // --- freshness contract (ISSUE 7): bounded-staleness reads ---
-
-  /// Bound applied to a kBoundedStaleness read whose ReadOptions left
-  /// `max_staleness` at 0.
-  SimTime max_staleness_default = Millis(500);
-  /// How long a bounded read may stay parked waiting for in-flight
-  /// propagations before the router gives up on the view and falls back to
-  /// the SI/base-table path.
-  SimTime freshness_wait_max = Millis(100);
-  /// EWMA smoothing factor for the per-view propagation-lag estimate that
-  /// feeds the router's cost model.
-  double freshness_lag_alpha = 0.2;
 
   // --- elastic membership (ISSUE 6) ---
 

@@ -8,6 +8,13 @@
 
 namespace mvstore::store {
 
+namespace {
+
+/// Weight of the newest sample in the per-view propagation-lag EWMA.
+constexpr double kLagAlpha = 0.2;
+
+}  // namespace
+
 FreshnessTracker::FreshnessTracker(Metrics* metrics) : metrics_(metrics) {}
 
 // ---------------------------------------------------------------------------
@@ -127,6 +134,19 @@ FreshnessTracker::BlockerSummary FreshnessTracker::BlockersBefore(
     }
   }
   return summary;
+}
+
+void FreshnessTracker::RecordLag(const std::string& view, SimTime lag) {
+  auto [it, inserted] = lag_ewma_.try_emplace(view, static_cast<double>(lag));
+  if (!inserted) {
+    it->second =
+        kLagAlpha * static_cast<double>(lag) + (1.0 - kLagAlpha) * it->second;
+  }
+}
+
+SimTime FreshnessTracker::LagEstimate(const std::string& view) const {
+  auto it = lag_ewma_.find(view);
+  return it == lag_ewma_.end() ? -1 : static_cast<SimTime>(it->second);
 }
 
 void FreshnessTracker::NotifyOnImprovement(const std::string& view,

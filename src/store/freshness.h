@@ -22,10 +22,10 @@
 // a real cluster would colocate with the view partition replicas: intent
 // registration rides the Put's coordinator work, settlement rides the
 // propagation's own quorum traffic (plus one network hop in dedicated-
-// propagator mode), and the advisory lag estimates ride piggyback on the
-// propagation completion's replica traffic (FreshnessCache). Session ids are
-// cluster-unique (Cluster::NewSession), so a session's "my own writes" set
-// is simply the intents registered under its id.
+// propagator mode), and every completion feeds the per-view lag estimate
+// the bounded-read router reads. Session ids are cluster-unique
+// (Cluster::NewSession), so a session's "my own writes" set is simply the
+// intents registered under its id.
 
 #ifndef MVSTORE_STORE_FRESHNESS_H_
 #define MVSTORE_STORE_FRESHNESS_H_
@@ -67,31 +67,6 @@ enum class ServedBy {
   kView,      ///< materialized-view partition scan (Algorithm 4)
   kSiPath,    ///< secondary-index broadcast probe
   kBaseScan,  ///< base-table read (point Get, or match-scan fallback)
-};
-
-/// A server's advisory cache of per-view freshness facts, merged from the
-/// gossip the maintenance engine piggybacks on propagation-completion
-/// replica traffic. Volatile: dies with the process on crash. The bounded-
-/// read router consults it first (a coordinator should not need a tracker
-/// round trip to decide a fallback) and falls through to the tracker's own
-/// estimate when cold.
-struct FreshnessCache {
-  /// Per-view EWMA of the gossiped propagation lag.
-  std::map<std::string, double> lag_ewma;
-
-  void Merge(const std::string& view, SimTime lag, double alpha) {
-    auto [it, inserted] = lag_ewma.try_emplace(view, static_cast<double>(lag));
-    if (!inserted) {
-      it->second =
-          alpha * static_cast<double>(lag) + (1.0 - alpha) * it->second;
-    }
-  }
-
-  /// -1 when no sample has arrived yet.
-  SimTime LagEstimate(const std::string& view) const {
-    auto it = lag_ewma.find(view);
-    return it == lag_ewma.end() ? -1 : static_cast<SimTime>(it->second);
-  }
 };
 
 /// Cluster-wide freshness bookkeeping. One instance per Cluster; see the
@@ -177,15 +152,11 @@ class FreshnessTracker {
   void NotifyOnImprovement(const std::string& view,
                            std::function<void()> callback);
 
-  /// EWMA of observed propagation lag per view (`alpha` = smoothing
-  /// factor), the router's cost-model input. LagEstimate returns -1 until
-  /// the first sample.
-  void RecordLag(const std::string& view, SimTime lag, double alpha) {
-    lag_.Merge(view, lag, alpha);
-  }
-  SimTime LagEstimate(const std::string& view) const {
-    return lag_.LagEstimate(view);
-  }
+  /// EWMA (weight 0.2 on the newest sample) of the lag of every completed
+  /// propagation per view, the router's cost-model input. LagEstimate
+  /// returns -1 until the first sample.
+  void RecordLag(const std::string& view, SimTime lag);
+  SimTime LagEstimate(const std::string& view) const;
 
   /// Unsettled intents (introspection for tests).
   std::size_t pending_intents() const { return intents_.size(); }
@@ -217,9 +188,8 @@ class FreshnessTracker {
   /// Intent ids per view (the read path's index).
   std::map<std::string, std::set<std::uint64_t>> by_view_;
   std::map<std::string, std::vector<std::function<void()>>> improvement_;
-  /// The tracker's own lag estimate: the same EWMA the servers' advisory
-  /// caches keep, fed by every completion rather than by gossip.
-  FreshnessCache lag_;
+  /// Per-view EWMA of the propagation lag, in simulated microseconds.
+  std::map<std::string, double> lag_ewma_;
 };
 
 }  // namespace mvstore::store

@@ -51,8 +51,7 @@ struct ViewReadSpec {
   int read_quorum = 1;
   SessionId session = 0;
   ReadConsistency consistency = ReadConsistency::kEventual;
-  /// kBoundedStaleness only: the staleness bound; 0 uses the cluster's
-  /// `max_staleness_default`.
+  /// kBoundedStaleness only: the staleness bound; 0 uses 500 ms.
   SimTime max_staleness = 0;
 };
 

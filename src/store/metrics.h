@@ -121,7 +121,6 @@ struct Metrics {
   Counter& freshness_targeted_repairs;    ///< partition repairs fired by reads
   Counter& freshness_fallback_si;         ///< bounded reads routed to the SI
   Counter& freshness_fallback_base;       ///< bounded reads routed to base scan
-  Counter& freshness_gossip_updates;      ///< advisory cache merges shipped
   Counter& freshness_wounds_cleared;      ///< wounded intents audited away
 
   // End-to-end latency recorders (simulated microseconds).

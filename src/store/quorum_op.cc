@@ -1,7 +1,6 @@
 #include "store/quorum_op.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -12,16 +11,9 @@ namespace mvstore::store {
 
 namespace {
 
-/// How long a read's lone target may stay silent before its spares are
-/// contacted: the retry timeout, but never past half the rpc timeout, so the
-/// spares always have time left to answer.
-SimTime SpareDelay(const ClusterConfig& config) {
-  SimTime delay = config.rpc_timeout / 2;
-  if (config.replica_retry_timeout > 0) {
-    delay = std::min(delay, config.replica_retry_timeout);
-  }
-  return delay;
-}
+/// A slot still silent this long into the op is re-sent its request, once.
+/// A probe that would fall past the rpc timeout never runs.
+constexpr SimTime kProbeDelay = Millis(100);
 
 }  // namespace
 
@@ -61,14 +53,14 @@ void QuorumOp<Response>::Launch() {
   // Fan out under the op's span so every request hop nests beneath it.
   Tracer::Scope scope(tracer, trace_);
   for (std::size_t i = 0; i < spec_.targets.size(); ++i) SendTo(i);
-  const ClusterConfig& config = coord_->config();
+  const SimTime rpc_timeout = coord_->config().rpc_timeout;
   const SimTime now = coord_->simulation()->Now();
-  deadline_ = now + config.rpc_timeout;
-  spare_at_ = now + SpareDelay(config);
-  probe_at_ = std::numeric_limits<SimTime>::max();
-  if (config.replica_retry_max > 0 && config.replica_retry_timeout > 0) {
-    probe_at_ = now + config.replica_retry_timeout;
-  }
+  deadline_ = now + rpc_timeout;
+  // A read's lone target may stay silent for the probe delay before its
+  // spares are contacted, but never past half the rpc timeout, so the
+  // spares always have time left to answer.
+  spare_at_ = now + std::min(rpc_timeout / 2, kProbeDelay);
+  probe_at_ = now + kProbeDelay;
   ArmTimer();
 }
 
@@ -124,13 +116,7 @@ void QuorumOp<Response>::OnTimer() {
 
 template <typename Response>
 void QuorumOp<Response>::ProbeSilentSlots() {
-  ++probes_;
-  const ClusterConfig& config = coord_->config();
-  probe_at_ = std::numeric_limits<SimTime>::max();
-  if (probes_ < config.replica_retry_max) {
-    probe_at_ = coord_->simulation()->Now() + config.replica_retry_timeout +
-                config.replica_retry_backoff * static_cast<SimTime>(probes_);
-  }
+  probe_at_ = kSimTimeMax;
   // Iterate by index: a synchronous reply may finalize the op mid-loop.
   for (std::size_t slot = 0; slot < spec_.targets.size() && !finalized_;
        ++slot) {
@@ -138,8 +124,7 @@ void QuorumOp<Response>::ProbeSilentSlots() {
     coord_->metrics()->coordinator_retries++;
     if (trace_) {
       coord_->tracer()->Annotate(
-          trace_, "retry #" + std::to_string(probes_) + " -> " +
-                      std::to_string(spec_.targets[slot]));
+          trace_, "retry -> " + std::to_string(spec_.targets[slot]));
     }
     SendTo(slot);
   }

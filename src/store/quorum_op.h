@@ -1,12 +1,12 @@
-// The generic coordinator state machine (ISSUE 3).
+// The generic coordinator state machine.
 //
 // Every coordinator operation in the store is the same pattern — fan a
 // request out to a set of replica targets, track responses by slot, reply
 // to the caller once a quorum has answered, and settle the stragglers when
 // everyone answered or the rpc timeout expired. QuorumOp owns that pattern
 // once: slot-deduplicated response tracking (a replayed ack can never
-// satisfy a quorum twice), reply-once semantics, the overall timeout, the
-// per-replica silence timeout with bounded retry/backoff, crash-abort via
+// satisfy a quorum twice), reply-once semantics, the overall timeout, one
+// re-send to every replica still silent 100 ms into the op, crash-abort via
 // the coordinator's in-flight registry, hint scheduling for unresponsive
 // write targets, and uniform metrics/trace emission.
 //
@@ -17,12 +17,11 @@
 //
 // An op contacts only its `targets`. A read that needs one answer names one
 // target and keeps the key's other replicas as `spares`. If that target is
-// still silent at the spare delay — min(replica_retry_timeout,
-// rpc_timeout / 2), so it always falls inside the rpc timeout — every spare
-// is contacted at once, each in a slot of its own: the read degrades to the
-// full fan-out, so losing the one replica never fails a read that another
-// live replica could answer. The op settles once every contacted slot has
-// answered.
+// still silent at the spare delay — min(100 ms, rpc_timeout / 2), so it
+// always falls inside the rpc timeout — every spare is contacted at once,
+// each in a slot of its own: the read degrades to the full fan-out, so
+// losing the one replica never fails a read that another live replica could
+// answer. The op settles once every contacted slot has answered.
 //
 //   on_quorum(op)            exactly once, when the quorum-th response
 //                            lands: deliver the success reply.
@@ -124,16 +123,15 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
   void Launch();
   void SendTo(std::size_t slot);
   /// Arms the op's one timer at its next due event: the spare delay while
-  /// spares are held back, the next silence probe (bounded by
-  /// `replica_retry_max`, backed off per probe) while it falls at or before
-  /// the rpc timeout, else the rpc timeout itself.
+  /// spares are held back, the silence probe until it has run (if it falls
+  /// at or before the rpc timeout), else the rpc timeout itself.
   void ArmTimer();
   /// Runs every event due now, in that order: re-sends to silent slots,
   /// the spares' fan-out, finalization at the rpc timeout.
   void OnTimer();
   /// Re-sends to every still-silent slot (the request is idempotent — LWW
   /// applies absorb duplicates and the slot dedupe absorbs a duplicate
-  /// reply) and schedules the next probe.
+  /// reply). Runs at most once per op.
   void ProbeSilentSlots();
   /// Gives every held-back spare a slot and sends it the request.
   void ContactSpares();
@@ -158,8 +156,7 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
   bool finalized_ = false;
   SimTime deadline_ = 0;  ///< launch + rpc_timeout: the op finalizes here
   SimTime spare_at_ = 0;  ///< launch + the spare delay
-  int probes_ = 0;        ///< silence probes run so far
-  SimTime probe_at_ = 0;  ///< the next probe, or past the deadline if none
+  SimTime probe_at_ = 0;  ///< launch + the probe delay; never once it ran
   std::uint64_t op_id_ = 0;
   /// The op's own span (child of the ambient context at creation);
   /// finalization re-enters it so read repair, hints, and collection

@@ -20,6 +20,15 @@ namespace {
 /// that target the entry-hash function directly).
 constexpr std::uint64_t kSyncDigestSalt = 0x9e3779b97f4a7c15ULL;
 
+/// Key-hash buckets per (table, peer) range sync. More buckets make the key
+/// list in a digest answer shorter, not the rows shipped fewer: those are
+/// exactly the rows that differ.
+constexpr int kSyncBuckets = 64;
+
+/// Hints kept per target server; beyond this the oldest is dropped
+/// (anti-entropy is the backstop).
+constexpr std::size_t kMaxHintsPerTarget = 4096;
+
 /// Base backoff before retrying a membership sync that fell silent; grows
 /// linearly with the attempt count, capped at 8x.
 constexpr SimTime kStreamRetryBackoff = Millis(50);
@@ -1066,9 +1075,8 @@ bool Server::InSyncScope(const std::string& table, const Key& key,
 }
 
 std::vector<std::uint64_t> Server::ComputeSyncDigests(
-    const std::string& table, ServerId peer, int buckets,
-    const SyncScope& scope) const {
-  std::vector<std::uint64_t> digests(static_cast<std::size_t>(buckets), 0);
+    const std::string& table, ServerId peer, const SyncScope& scope) const {
+  std::vector<std::uint64_t> digests(kSyncBuckets, 0);
   auto it = engines_.find(table);
   if (it == engines_.end()) return digests;
   // Sum (mod 2^64) of salted entry hashes, folded with the bucket's row
@@ -1078,12 +1086,11 @@ std::vector<std::uint64_t> Server::ComputeSyncDigests(
   // (guaranteed once a bucket holds > 64 rows, and constructible with far
   // fewer) could cancel to the same digest on two replicas holding
   // DIFFERENT rows, silently skipping the bucket forever.
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(buckets), 0);
+  std::vector<std::uint64_t> counts(kSyncBuckets, 0);
   it->second->ForEach([&](const Key& key, const storage::Row& row) {
     if (!InSyncScope(table, key, peer, scope)) return;
     const std::uint64_t key_hash = Hash64(key);
-    const std::size_t bucket =
-        key_hash % static_cast<std::uint64_t>(buckets);
+    const std::size_t bucket = key_hash % kSyncBuckets;
     digests[bucket] +=
         HashCombine(HashCombine(key_hash, storage::RowDigest(row)),
                     kSyncDigestSalt);
@@ -1100,15 +1107,14 @@ std::vector<std::uint64_t> Server::ComputeSyncDigests(
 
 void Server::ForEachRowInBuckets(
     const std::string& table, ServerId peer, const SyncScope& scope,
-    const std::vector<int>& buckets, int total_buckets,
+    const std::vector<int>& buckets,
     const std::function<void(const Key&, const storage::Row&)>& fn) const {
   auto it = engines_.find(table);
   if (it == engines_.end()) return;
-  std::vector<bool> wanted(static_cast<std::size_t>(total_buckets), false);
+  std::vector<bool> wanted(kSyncBuckets, false);
   for (int bucket : buckets) wanted[static_cast<std::size_t>(bucket)] = true;
   it->second->ForEach([&](const Key& key, const storage::Row& row) {
-    const std::size_t bucket =
-        Hash64(key) % static_cast<std::uint64_t>(total_buckets);
+    const std::size_t bucket = Hash64(key) % kSyncBuckets;
     if (wanted[bucket] && InSyncScope(table, key, peer, scope)) fn(key, row);
   });
 }
@@ -1133,18 +1139,16 @@ void Server::ForEachRowInBuckets(
 void Server::SyncTableWithPeer(const std::string& table, ServerId peer,
                                const SyncScope& scope,
                                SyncSettled on_settled) {
-  const int buckets = config_->anti_entropy_buckets;
-  std::vector<std::uint64_t> mine =
-      ComputeSyncDigests(table, peer, buckets, scope);
+  std::vector<std::uint64_t> mine = ComputeSyncDigests(table, peer, scope);
   if (!scope.range) metrics_->anti_entropy_digest_exchanges++;
   const ServerId self_id = id_;
   CallPeer<BucketKeyDigests>(
       peer, config_->perf.read_local,
-      [table, self_id, buckets, scope, mine = std::move(mine)](Server& s) {
+      [table, self_id, scope, mine = std::move(mine)](Server& s) {
         const std::vector<std::uint64_t> theirs =
-            s.ComputeSyncDigests(table, self_id, buckets, scope);
+            s.ComputeSyncDigests(table, self_id, scope);
         BucketKeyDigests reply;
-        for (int b = 0; b < buckets; ++b) {
+        for (int b = 0; b < kSyncBuckets; ++b) {
           if (mine[static_cast<std::size_t>(b)] !=
               theirs[static_cast<std::size_t>(b)]) {
             reply.buckets.push_back(b);
@@ -1152,13 +1156,13 @@ void Server::SyncTableWithPeer(const std::string& table, ServerId peer,
         }
         if (reply.buckets.empty()) return reply;
         s.ForEachRowInBuckets(
-            table, self_id, scope, reply.buckets, buckets,
+            table, self_id, scope, reply.buckets,
             [&reply](const Key& key, const storage::Row& row) {
               reply.keys.emplace_back(key, storage::RowDigest(row));
             });
         return reply;
       },
-      [this, table, peer, buckets, scope,
+      [this, table, peer, scope,
        on_settled = std::move(on_settled)](BucketKeyDigests theirs) mutable {
         if (theirs.buckets.empty()) {
           if (on_settled) on_settled(0);
@@ -1168,16 +1172,16 @@ void Server::SyncTableWithPeer(const std::string& table, ServerId peer,
           metrics_->anti_entropy_buckets_synced += theirs.buckets.size();
         }
         Enqueue(config_->perf.read_local,
-                [this, table, peer, buckets, scope, theirs = std::move(theirs),
+                [this, table, peer, scope, theirs = std::move(theirs),
                  on_settled = std::move(on_settled)]() mutable {
-                  PushDifferingRows(table, peer, buckets, scope, theirs,
+                  PushDifferingRows(table, peer, scope, theirs,
                                     std::move(on_settled));
                 });
       });
 }
 
 void Server::PushDifferingRows(const std::string& table, ServerId peer,
-                               int buckets, const SyncScope& scope,
+                               const SyncScope& scope,
                                const BucketKeyDigests& theirs,
                                SyncSettled on_settled) {
   const std::size_t cap =
@@ -1193,7 +1197,7 @@ void Server::PushDifferingRows(const std::string& table, ServerId peer,
   // every key into ours only, the peer's only, or on both sides.
   auto peer_it = theirs.keys.begin();
   ForEachRowInBuckets(
-      table, peer, scope, theirs.buckets, buckets,
+      table, peer, scope, theirs.buckets,
       [&](const Key& key, const storage::Row& row) {
         for (; peer_it != theirs.keys.end() && peer_it->first < key;
              ++peer_it) {
@@ -1321,9 +1325,8 @@ void Server::Crash() {
   metrics_->server_crashes++;
   ShutDown();
   // Beyond what every stop loses, a crash loses the memtables (the commit
-  // logs and flushed runs are durable) and the advisory freshness cache.
+  // logs and flushed runs are durable).
   for (auto& [table, engine] : engines_) engine->LoseVolatileState();
-  freshness_cache_.lag_ewma.clear();
 }
 
 std::size_t Server::ShutDown() {
@@ -1417,7 +1420,7 @@ void Server::StoreHint(ServerId target, const std::string& table,
     }
   }
   std::deque<Hint>& queue = hints_[target];
-  if (queue.size() >= config_->max_hints_per_target) {
+  if (queue.size() >= kMaxHintsPerTarget) {
     queue.pop_front();  // oldest first; anti-entropy is the backstop
     metrics_->hints_dropped++;
   }

@@ -329,11 +329,6 @@ class Server {
   /// when this server's row cache holds the key, the full rate otherwise.
   SimTime ReadServiceFor(const std::string& table, const Key& key) const;
 
-  /// This server's advisory freshness cache (ISSUE 7), merged from gossip
-  /// the maintenance engine piggybacks on propagation-completion traffic.
-  /// Volatile: cleared on crash.
-  FreshnessCache& freshness_cache() { return freshness_cache_; }
-
   /// Populates the row cache for a bootstrap-loaded key (loading applies
   /// rows, and applies invalidate — warming restores the "hot replica"
   /// steady state the benches measure from).
@@ -417,13 +412,13 @@ class Server {
     std::optional<Ring::TokenRange> range;
   };
 
-  /// Digest of this server's rows of `table` in `scope` with `peer`,
-  /// bucketed by key hash. Per bucket: sum (mod 2^64) of salted entry
+  /// Digest of this server's rows of `table` in `scope` with `peer`, in 64
+  /// buckets by key hash. Per bucket: sum (mod 2^64) of salted entry
   /// hashes folded with the row count — commutative (order-insensitive) but,
   /// unlike an XOR fold, not a GF(2) linear map that dependent entry sets can
   /// cancel to a false match.
   std::vector<std::uint64_t> ComputeSyncDigests(
-      const std::string& table, ServerId peer, int buckets,
+      const std::string& table, ServerId peer,
       const SyncScope& scope = {}) const;
 
   /// Ships one replica mutation to `to` as its own message and acks
@@ -488,7 +483,7 @@ class Server {
   /// Diffs `theirs` against this server's rows in the same buckets and
   /// sends the differing rows and the peer-only keys as SyncChunks.
   void PushDifferingRows(const std::string& table, ServerId peer,
-                         int buckets, const SyncScope& scope,
+                         const SyncScope& scope,
                          const BucketKeyDigests& theirs,
                          SyncSettled on_settled);
   void SendSyncChunk(const std::string& table, ServerId peer,
@@ -506,7 +501,7 @@ class Server {
   /// `peer` whose key hashes into one of `buckets`.
   void ForEachRowInBuckets(
       const std::string& table, ServerId peer, const SyncScope& scope,
-      const std::vector<int>& buckets, int total_buckets,
+      const std::vector<int>& buckets,
       const std::function<void(const Key&, const storage::Row&)>& fn) const;
 
   /// (Re-)arms the periodic background ticks for the current incarnation.
@@ -622,9 +617,6 @@ class Server {
   std::map<std::string, std::unique_ptr<storage::Engine>> engines_;
   std::vector<std::unique_ptr<index::LocalIndex>> indexes_;
   std::map<ServerId, std::deque<Hint>> hints_;
-  /// Advisory per-view freshness facts gossiped by the maintenance engine;
-  /// volatile (cleared on crash).
-  FreshnessCache freshness_cache_;
 
   bool crashed_ = false;
   std::uint64_t next_op_id_ = 0;

@@ -493,7 +493,11 @@ void MaintenanceEngine::EndTask(const std::shared_ptr<PropagationTask>& task,
                            << " abandoned so far (view scrub/repair recovers)";
     }
   }
-  if (outcome == TaskOutcome::kCompleted) GossipFreshness(task);
+  if (outcome == TaskOutcome::kCompleted) {
+    cluster_->freshness().RecordLag(task->view->name,
+                                    cluster_->simulation().Now() -
+                                        task->created_at);
+  }
   for (const auto& absorbed : task->absorbed) end_one(absorbed);
   task->absorbed.clear();
   if (outcome == TaskOutcome::kCompleted) WakeParked(task->resource);
@@ -742,6 +746,18 @@ void MaintenanceEngine::PumpRowQueue(ServerId propagator,
 // Algorithm 4: reading from a versioned view.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/// Bound of a kBoundedStaleness read whose ReadOptions left `max_staleness`
+/// at 0.
+constexpr SimTime kDefaultMaxStaleness = Millis(500);
+/// How long a bounded read may stay parked waiting for in-flight
+/// propagations before the router gives up on the view and falls back to
+/// the SI/base-table path.
+constexpr SimTime kMaxFreshnessWait = Millis(100);
+
+}  // namespace
+
 void MaintenanceEngine::HandleViewGet(
     store::Server* coordinator, const store::ViewDef& view,
     const Key& view_key, store::ViewReadSpec spec,
@@ -761,11 +777,9 @@ void MaintenanceEngine::HandleViewGet(
   }
   ReadRequirement req;
   if (spec.consistency == store::ReadConsistency::kBoundedStaleness) {
-    req.bound = spec.max_staleness > 0
-                    ? spec.max_staleness
-                    : cluster_->config().max_staleness_default;
-    req.deadline =
-        cluster_->simulation().Now() + cluster_->config().freshness_wait_max;
+    req.bound =
+        spec.max_staleness > 0 ? spec.max_staleness : kDefaultMaxStaleness;
+    req.deadline = cluster_->simulation().Now() + kMaxFreshnessWait;
   } else {
     // Definition 4: the session's own writes, whatever their age, with no
     // deadline and no way around the view.
@@ -787,16 +801,24 @@ void MaintenanceEngine::ProvenViewGet(
     std::function<void(StatusOr<store::ViewReadOutcome>)> callback) {
   const store::ViewDef* view_def = &view;
   store::FreshnessTracker& tracker = cluster_->freshness();
-  const Timestamp now_ts =
-      store::kClientTimestampEpoch + cluster_->simulation().Now();
+  const SimTime now = cluster_->simulation().Now();
+  const Timestamp now_ts = store::kClientTimestampEpoch + now;
   const Timestamp need =
       req.bound ? std::max<Timestamp>(0, now_ts - *req.bound)
                 : std::numeric_limits<Timestamp>::max();
 
   const store::FreshnessTracker::BlockerSummary blockers =
       tracker.BlockersBefore(view.name, view_key, need, req.session);
+  // A bounded read's wait runs from its first park to its serve or
+  // fallback, however many wake-ups re-parked it in between.
+  auto end_wait = [&] {
+    if (req.bound && req.parked_at >= 0) {
+      cluster_->metrics().freshness_wait.Record(now - req.parked_at);
+    }
+  };
 
   if (blockers.live == 0 && blockers.wounded == 0) {
+    end_wait();
     // The requirement is proven: no unsettled intent the read must reflect
     // can reach this partition. Serve from the view — at a quorum that
     // intersects propagation's majority write quorum, so the scan cannot
@@ -839,16 +861,13 @@ void MaintenanceEngine::ProvenViewGet(
   }
 
   // Live propagations block. With a bound, ask the router: will they
-  // plausibly settle within the bound/wait budget? The coordinator's
-  // advisory cache answers without a tracker round trip; fall through to
-  // the tracker's own estimate when the cache is cold.
-  const SimTime now = cluster_->simulation().Now();
+  // plausibly settle within the bound/wait budget?
   if (req.bound) {
-    SimTime lag = coordinator->freshness_cache().LagEstimate(view.name);
-    if (lag < 0) lag = tracker.LagEstimate(view.name);
+    const SimTime lag = tracker.LagEstimate(view.name);
     if (now >= req.deadline || (lag >= 0 && lag > *req.bound)) {
       // Waiting is hopeless (deadline spent) or pointless (typical
       // propagation lag exceeds the bound): route around the view.
+      end_wait();
       FallbackRead(coordinator, view, view_key, spec, std::move(callback));
       return;
     }
@@ -858,12 +877,14 @@ void MaintenanceEngine::ProvenViewGet(
   // wounded) or the wait deadline fires — whichever comes first. A park
   // dies with its coordinator's incarnation: a crashed coordinator answers
   // nothing, and the client's request timeout does.
-  if (req.bound) {
-    cluster_->metrics().freshness_bound_waits++;
-  } else if (!req.parked) {
-    cluster_->metrics().view_get_deferrals++;
+  if (req.parked_at < 0) {
+    req.parked_at = now;
+    if (req.bound) {
+      cluster_->metrics().freshness_bound_waits++;
+    } else {
+      cluster_->metrics().view_get_deferrals++;
+    }
   }
-  req.parked = true;
   // The wake fires from the tracker or a bare timer, under whatever
   // context THAT runs in — carry this read's context over it explicitly and
   // span the parked interval (Definition 4's wait, Fig 7).
@@ -875,17 +896,13 @@ void MaintenanceEngine::ProvenViewGet(
   auto wake = std::make_shared<std::function<void()>>(
       [this, coordinator, incarnation = coordinator->incarnation(), view_def,
        view_key, spec = std::move(spec), req, attempt, ctx, park, fired,
-       parked_at = now, callback = std::move(callback)]() mutable {
+       callback = std::move(callback)]() mutable {
         if (*fired) return;
         *fired = true;
-        const SimTime woke = cluster_->simulation().Now();
-        cluster_->tracer().EndSpan(park, woke);
+        cluster_->tracer().EndSpan(park, cluster_->simulation().Now());
         if (coordinator->crashed() ||
             coordinator->incarnation() != incarnation) {
           return;
-        }
-        if (req.bound) {
-          cluster_->metrics().freshness_wait.Record(woke - parked_at);
         }
         Tracer::Scope scope(&cluster_->tracer(), ctx);
         ProvenViewGet(coordinator, *view_def, view_key, std::move(spec), req,
@@ -995,47 +1012,6 @@ void MaintenanceEngine::FallbackRead(
   };
   coordinator->CoordinateMatchScan(view.base_table, view.view_key_column,
                                    view_key, std::move(on_rows));
-}
-
-void MaintenanceEngine::GossipFreshness(
-    const std::shared_ptr<PropagationTask>& task) {
-  // Piggyback the observed lag for this view onto traffic toward the view
-  // partition's replicas — the servers a future read of this partition will
-  // coordinate scans against.
-  const std::string view_name = task->view->name;
-  const SimTime lag = cluster_->simulation().Now() - task->created_at;
-  const double alpha = cluster_->config().freshness_lag_alpha;
-  cluster_->freshness().RecordLag(view_name, lag, alpha);
-
-  Key partition;
-  if (task->view_key_update && NamesViewKey(*task->view_key_update)) {
-    partition = task->view_key_update->value;
-  } else {
-    for (const Cell& guess : task->guesses) {
-      if (NamesViewKey(guess)) {
-        partition = guess.value;
-        break;
-      }
-    }
-  }
-  if (partition.empty()) return;
-
-  const ServerId from = task->home;
-  // Gossip to the replicas of the sub-shard this task actually wrote — the
-  // servers a scatter-gather read of that shard will scan.
-  const int shard_count = task->view->shard_count;
-  for (ServerId replica : cluster_->server(0).ReplicasOf(
-           view_name,
-           store::ShardedViewPartitionPrefix(
-               partition, store::ShardOfBaseKey(task->base_key, shard_count),
-               shard_count))) {
-    cluster_->metrics().freshness_gossip_updates++;
-    store::Server* target = &cluster_->server(replica);
-    cluster_->network().Send(
-        from, replica, [target, view_name, lag, alpha] {
-          target->freshness_cache().Merge(view_name, lag, alpha);
-        });
-  }
 }
 
 void MaintenanceEngine::DoViewGet(

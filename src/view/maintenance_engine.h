@@ -153,7 +153,7 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   /// the active set and settles the freshness intent (NotifyOrigin when
   /// completed or abandoned, MarkWounded when orphaned), then ends every
   /// absorbed task the same way. Only the winner logs an abandonment, and
-  /// on completion gossips its lag and wakes its family's parked tasks.
+  /// on completion records its lag and wakes its family's parked tasks.
   /// No-op on a task already orphaned.
   void EndTask(const std::shared_ptr<PropagationTask>& task,
                TaskOutcome outcome);
@@ -221,9 +221,11 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
     /// Parked time ends here with a fallback read; kSimTimeMax = no
     /// deadline (the client's own request timeout still answers).
     SimTime deadline = kSimTimeMax;
-    /// Whether this read has parked before (read-your-writes reads count
-    /// once in view_get_deferrals).
-    bool parked = false;
+    /// When this read first parked; -1 = not yet. A read counts its wait
+    /// once (freshness_bound_waits, or view_get_deferrals for
+    /// read-your-writes), and a bounded read records in freshness_wait the
+    /// time from here to its serve or fallback.
+    SimTime parked_at = -1;
   };
 
   /// The freshness policy ladder for every consistency level but eventual:
@@ -252,11 +254,6 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
       store::Server* coordinator, const store::ViewDef& view,
       const Key& view_key, const store::ViewReadSpec& spec,
       std::function<void(StatusOr<store::ViewReadOutcome>)> callback);
-
-  /// Piggybacks the observed propagation lag for the task's view onto
-  /// replica traffic toward the view partition's replicas, feeding their
-  /// advisory FreshnessCaches.
-  void GossipFreshness(const std::shared_ptr<PropagationTask>& task);
 
   static constexpr int kMaxReadSpins = 64;
   static constexpr SimTime kReadSpinDelay = Millis(1);

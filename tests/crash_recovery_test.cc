@@ -67,33 +67,6 @@ TEST(EngineWalTest, FlushCheckpointsTheLog) {
   EXPECT_EQ(engine.GetRow("k2")->GetValue("c"), "v2");
 }
 
-TEST(EngineWalTest, CappedLogDropsOldestCells) {
-  storage::EngineOptions options;
-  options.commit_log_max_cells = 2;
-  storage::Engine engine(options);
-  for (int i = 0; i < 5; ++i) {
-    engine.Apply("k" + std::to_string(i), "c",
-                 Cell::Live("v" + std::to_string(i), 10 + i));
-  }
-  EXPECT_EQ(engine.commit_log_cells(), 2u);
-  EXPECT_EQ(engine.commit_log_cells_dropped(), 3u);
-
-  engine.LoseVolatileState();
-  EXPECT_EQ(engine.RecoverFromLog(), 2u);
-  EXPECT_FALSE(engine.GetRow("k0").has_value()) << "dropped from the log";
-  EXPECT_EQ(engine.GetRow("k4")->GetValue("c"), "v4");
-}
-
-TEST(EngineWalTest, DisabledLogLosesAcknowledgedWrites) {
-  storage::EngineOptions options;
-  options.commit_log_enabled = false;
-  storage::Engine engine(options);
-  engine.Apply("k1", "c", Cell::Live("v1", 10));
-  engine.LoseVolatileState();
-  EXPECT_EQ(engine.RecoverFromLog(), 0u);
-  EXPECT_FALSE(engine.GetRow("k1").has_value());
-}
-
 // --------------------------------------------------------------------------
 // Server crash/restart.
 // --------------------------------------------------------------------------
@@ -377,8 +350,9 @@ TEST(AntiEntropyRegressionTest, XorCancellingRowSetIsCaughtByCountedDigest) {
   store::ClusterConfig config = test::DefaultTestConfig();
   config.replication_factor = 2;
   config.anti_entropy_interval = 0;  // manual rounds only
-  const int kBuckets = config.anti_entropy_buckets;
   test::TestCluster t(config, PlainSchema());
+  const std::size_t kBuckets =
+      t.cluster.server(0).ComputeSyncDigests("t", 1).size();
 
   // Candidate keys that share one replica pair AND one digest bucket; 65+
   // 64-bit hashes in one bucket guarantee a linearly dependent subset.
@@ -395,7 +369,7 @@ TEST(AntiEntropyRegressionTest, XorCancellingRowSetIsCaughtByCountedDigest) {
     const std::pair<ServerId, ServerId> pair{
         std::min(replicas[0], replicas[1]),
         std::max(replicas[0], replicas[1])};
-    const std::size_t b = Hash64(key) % static_cast<std::uint64_t>(kBuckets);
+    const std::size_t b = Hash64(key) % kBuckets;
     auto& group = groups[{pair, b}];
     group.push_back(key);
     if (group.size() >= 80) {
@@ -460,10 +434,8 @@ TEST(AntiEntropyRegressionTest, XorCancellingRowSetIsCaughtByCountedDigest) {
   // digest 0 for this bucket — rows on one side, nothing on the other.
   ASSERT_EQ(xor_fold, 0u);
 
-  const auto mine = t.cluster.server(holder).ComputeSyncDigests(
-      "t", peer, kBuckets);
-  const auto theirs = t.cluster.server(peer).ComputeSyncDigests(
-      "t", holder, kBuckets);
+  const auto mine = t.cluster.server(holder).ComputeSyncDigests("t", peer);
+  const auto theirs = t.cluster.server(peer).ComputeSyncDigests("t", holder);
   EXPECT_NE(mine[bucket], theirs[bucket])
       << "counted digest must distinguish " << subset_size
       << " rows from an empty bucket";
@@ -515,21 +487,19 @@ storage::Row LiveRow(const Value& value, Timestamp ts) {
 }
 
 TEST(AntiEntropyTest, OneDivergentRowInABusyBucketIsTheOnlyRowPushed) {
-  store::ClusterConfig config = ManualAntiEntropyConfig();
-  config.anti_entropy_buckets = 4;
-  test::TestCluster t(config, PlainSchema());
+  test::TestCluster t(ManualAntiEntropyConfig(), PlainSchema());
   constexpr ServerId kHolder = 0;
   constexpr ServerId kPeer = 1;
   const std::vector<Key> keys =
-      KeysReplicatedOn(t.cluster.server(0), kHolder, kPeer, "k", 80);
+      KeysReplicatedOn(t.cluster.server(0), kHolder, kPeer, "k", 1280);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     t.cluster.BootstrapLoadRow("t", keys[i], {{"a", std::string("v")}},
                                static_cast<Timestamp>(100 + i));
   }
   const Key& key = keys[0];
-  const auto bucket_of = [&](const Key& k) {
-    return Hash64(k) % static_cast<std::uint64_t>(config.anti_entropy_buckets);
-  };
+  const std::size_t buckets =
+      t.cluster.server(kHolder).ComputeSyncDigests("t", kPeer).size();
+  const auto bucket_of = [&](const Key& k) { return Hash64(k) % buckets; };
   const auto bucket_mates =
       std::count_if(keys.begin(), keys.end(),
                     [&](const Key& k) { return bucket_of(k) == bucket_of(key); });
@@ -550,10 +520,8 @@ TEST(AntiEntropyTest, OneDivergentRowInABusyBucketIsTheOnlyRowPushed) {
               "new")
         << "server " << s;
   }
-  EXPECT_EQ(t.cluster.server(kHolder).ComputeSyncDigests(
-                "t", kPeer, config.anti_entropy_buckets),
-            t.cluster.server(kPeer).ComputeSyncDigests(
-                "t", kHolder, config.anti_entropy_buckets));
+  EXPECT_EQ(t.cluster.server(kHolder).ComputeSyncDigests("t", kPeer),
+            t.cluster.server(kPeer).ComputeSyncDigests("t", kHolder));
 }
 
 TEST(AntiEntropyTest, KeyHeldByOneSideIsPushedOrPulled) {
@@ -650,7 +618,7 @@ TEST(AntiEntropyTest, MoreDivergentRowsThanTheBatchCapShipInCappedMessages) {
 TEST(AntiEntropyTest, OnlyAntiEntropyRepairsAReplicaPartitionedThroughWrites) {
   store::ClusterConfig config = test::DefaultTestConfig();
   config.anti_entropy_interval = 0;  // manual rounds from the fresh replicas
-  config.hint_replay_interval = 0;   // hints are stored, never replayed
+  config.hint_replay_interval = 0;   // no hints are stored at all
   config.view_scrub_interval = 0;
   test::TestCluster t(config, PlainSchema());
   constexpr ServerId kLagging = 3;

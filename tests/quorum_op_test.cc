@@ -140,15 +140,11 @@ TEST(QuorumOpTest, DuplicateRepliesForOneSlotNeverSatisfyTheQuorum) {
 }
 
 // --------------------------------------------------------------------------
-// Per-replica silence timeout: retry with backoff, then hint the target.
+// Per-replica silence: one re-send at 100 ms, then hint the target.
 // --------------------------------------------------------------------------
 
 TEST(QuorumOpTest, SilentReplicaIsRetriedAndAnswersOnTheSecondProbe) {
-  store::ClusterConfig config = test::DefaultTestConfig();
-  config.replica_retry_timeout = Millis(5);
-  config.replica_retry_backoff = Millis(1);
-  config.replica_retry_max = 2;
-  test::TestCluster t(config, SchemaWithPlainTable());
+  test::TestCluster t(test::DefaultTestConfig(), SchemaWithPlainTable());
   sim::Simulation& sim = t.cluster.simulation();
   const auto retries_before = t.cluster.metrics().coordinator_retries.value();
 
@@ -173,7 +169,9 @@ TEST(QuorumOpTest, SilentReplicaIsRetriedAndAnswersOnTheSecondProbe) {
   };
   QuorumOp<bool>::Start(&t.cluster.server(0), spec);
 
-  t.cluster.RunFor(Millis(50));
+  t.cluster.RunFor(Millis(99));
+  EXPECT_EQ(quorum_calls, 0) << "no re-send before the 100 ms probe";
+  t.cluster.RunFor(Millis(51));
   EXPECT_EQ(quorum_calls, 1);
   EXPECT_EQ(attempts_to_1, 2) << "exactly one re-send to the silent replica";
   EXPECT_GT(t.cluster.metrics().coordinator_retries.value(), retries_before);
@@ -274,12 +272,10 @@ TEST(QuorumOpTest, AnsweringLoneTargetSettlesTheOpWithoutItsSpares) {
 }
 
 TEST(QuorumOpTest, SilentLoneTargetFansOutToEverySpareInsideTheRpcTimeout) {
-  // Silence probes disabled and a retry timeout past the rpc timeout: the
-  // spares must still be contacted, at half the rpc timeout.
+  // A silence probe past the rpc timeout never runs: the spares must still
+  // be contacted, at half the rpc timeout.
   store::ClusterConfig config = test::DefaultTestConfig();
   config.rpc_timeout = Millis(50);
-  config.replica_retry_timeout = Millis(100);
-  config.replica_retry_max = 0;
   test::TestCluster t(config, SchemaWithPlainTable());
   const SpareProbe probe = RunSpareProbe(t, /*target_delay=*/-1);
   EXPECT_EQ(probe.sent_to, (std::vector<ServerId>{1, 2, 3}));
@@ -293,14 +289,12 @@ TEST(QuorumOpTest, SilentLoneTargetFansOutToEverySpareInsideTheRpcTimeout) {
 }
 
 TEST(QuorumOpTest, SparesJoinTheFirstSilenceProbe) {
-  // Default probe settings: the spares go out with the first re-send to
-  // the silent target, at replica_retry_timeout.
-  store::ClusterConfig config = test::DefaultTestConfig();
-  config.replica_retry_timeout = Millis(5);
-  test::TestCluster t(config, SchemaWithPlainTable());
+  // At the default 250 ms rpc timeout the spares go out with the re-send
+  // to the silent target, at 100 ms.
+  test::TestCluster t(test::DefaultTestConfig(), SchemaWithPlainTable());
   const SpareProbe probe = RunSpareProbe(t, /*target_delay=*/-1);
   EXPECT_EQ(probe.sent_to, (std::vector<ServerId>{1, 1, 2, 3}));
-  EXPECT_EQ(probe.replied_at, Millis(5) + Micros(100));
+  EXPECT_EQ(probe.replied_at, Millis(100) + Micros(100));
   EXPECT_EQ(t.cluster.metrics().spares_contacted.value(), 2u);
   EXPECT_EQ(t.cluster.metrics().coordinator_retries.value(), 1u);
 }
@@ -568,11 +562,11 @@ TEST(ReadRoutingTest, StalledOwnReplicaIsCoveredByASpareWithinTheTimeout) {
 }
 
 TEST(ReadRoutingTest, StalledOwnReplicaAndACrashedSpareLeaveOneToAnswer) {
-  // A short rpc timeout and no silence probes, as the sharding and
-  // membership tests run: the spares still go out at half the timeout.
+  // A short rpc timeout, as the sharding and membership tests run: the
+  // silence probe falls past it, and the spares still go out at half the
+  // timeout.
   store::ClusterConfig config = test::DefaultTestConfig();
   config.rpc_timeout = Millis(50);
-  config.replica_retry_max = 0;
   ExpectStalledOwnReplicaIsCovered(config, /*crashed_spares=*/1);
 }
 
@@ -620,7 +614,6 @@ TEST(ReadRoutingTest, CrashedSubScanReplicaIsCoveredByASpareWithoutPartial) {
 TEST(ReadRoutingTest, ScatterReadWithTwoOfThreeReplicasDownIsComplete) {
   store::ClusterConfig config = test::DefaultTestConfig();
   config.rpc_timeout = Millis(50);
-  config.replica_retry_max = 0;
   ExpectCompleteScatterReadWithServersDown(config, /*down=*/2);
 }
 

@@ -137,7 +137,6 @@ TEST(HintedHandoffTest, NoHintsWhenAllReplicasAck) {
 TEST(HintedHandoffTest, QueueCapDropsOldest) {
   store::ClusterConfig config = test::DefaultTestConfig();
   config.rpc_timeout = Millis(20);
-  config.max_hints_per_target = 5;
   config.hint_replay_interval = Seconds(100);  // effectively off
   TestCluster t(config, PlainSchema());
 
@@ -147,15 +146,15 @@ TEST(HintedHandoffTest, QueueCapDropsOldest) {
   ServerId coordinator = 0;
   while (coordinator == down) ++coordinator;
   auto client = t.cluster.NewClient(coordinator);
-  for (int i = 0; i < 10; ++i) {
+  // One hint per write, past the cap of 4096 per target.
+  for (int i = 0; i < 4200; ++i) {
     ASSERT_TRUE(client
                     ->PutSync("t", "k", {{"a", std::to_string(i)}},
                               {.quorum = 1})
                     .ok());
-    t.cluster.RunFor(Millis(50));
   }
   t.cluster.RunFor(Millis(100));
-  EXPECT_LE(t.cluster.server(coordinator).pending_hints(down), 5u);
+  EXPECT_LE(t.cluster.server(coordinator).pending_hints(down), 4096u);
   EXPECT_GT(t.cluster.metrics().hints_dropped, 0u);
 }
 
@@ -225,8 +224,8 @@ TEST(AntiEntropyTest, DigestsCoverOnlySharedKeys) {
   for (ServerId a = 0; a < 4; ++a) {
     for (ServerId b = 0; b < 4; ++b) {
       if (a == b) continue;
-      EXPECT_EQ(t.cluster.server(a).ComputeSyncDigests("t", b, 32),
-                t.cluster.server(b).ComputeSyncDigests("t", a, 32))
+      EXPECT_EQ(t.cluster.server(a).ComputeSyncDigests("t", b),
+                t.cluster.server(b).ComputeSyncDigests("t", a))
           << a << " vs " << b;
     }
   }
