@@ -72,6 +72,14 @@ void Tracer::Annotate(const TraceContext& ctx, const std::string& note) {
   event->note += note;
 }
 
+void Tracer::Mark(const TraceContext& parent, const std::string& name,
+                  int where, SimTime now, const std::string& note) {
+  const TraceContext span = StartSpan(parent, name, where, now);
+  if (!span) return;
+  if (!note.empty()) Annotate(span, note);
+  EndSpan(span, now);
+}
+
 std::vector<TraceEvent> Tracer::Collect(TraceId trace) const {
   std::vector<TraceEvent> events;
   if (trace == 0) return events;

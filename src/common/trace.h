@@ -77,6 +77,11 @@ class Tracer {
   /// Appends a note to the span's annotation string ("; "-separated).
   void Annotate(const TraceContext& ctx, const std::string& note);
 
+  /// An instant marker: a child span of `parent` opened and ended at `now`,
+  /// annotated with `note` unless it is empty. No-op for a null parent.
+  void Mark(const TraceContext& parent, const std::string& name, int where,
+            SimTime now, const std::string& note);
+
   /// The ambient context new hops inherit (see file comment).
   const TraceContext& current() const { return current_; }
 

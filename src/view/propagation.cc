@@ -145,14 +145,10 @@ void Propagation::GetLiveKeyStep(Key kv, int hops) {
                     tracer != nullptr && self->task_->trace) {
                   // Instant marker: one per Next-pointer followed, so a
                   // trace shows how long the stale chain was (Algorithm 3).
-                  TraceContext hop_span = tracer->StartSpan(
-                      self->task_->trace, "view.chain_hop",
-                      static_cast<int>(self->executor_->id()),
-                      self->executor_->simulation()->Now());
-                  tracer->Annotate(hop_span,
-                                   "hop=" + std::to_string(hops + 1));
-                  tracer->EndSpan(hop_span,
-                                  self->executor_->simulation()->Now());
+                  tracer->Mark(self->task_->trace, "view.chain_hop",
+                               static_cast<int>(self->executor_->id()),
+                               self->executor_->simulation()->Now(),
+                               "hop=" + std::to_string(hops + 1));
                 }
                 self->GetLiveKeyStep(next->value, hops + 1);
               });

@@ -74,11 +74,12 @@ TEST(ViewFailureTest, PropagationSurvivesMessageLoss) {
 }
 
 // A known defect, recorded rather than hidden: the scenario above fails the
-// audit on 36 of cluster seeds 1-200. In 28 of them a propagation was
-// abandoned and LossyConfig runs no scrub to recover it; in the other 8
-// (seeds 1, 80, 134, 142, 157, 168, 172, 174) two view rows of the ticket
-// stay live with no propagation abandoned. Run with
-// --gtest_also_run_disabled_tests to list the failing seeds.
+// audit on 38 of cluster seeds 1-200. In 28 of them a propagation was
+// abandoned and LossyConfig runs no scrub to recover it. With no
+// propagation abandoned, two view rows of the ticket stay live on 9 seeds
+// (48, 99, 134, 157, 168, 172, 174, 188, 189), and on seed 80 one live row
+// keeps the wrong content. Run with --gtest_also_run_disabled_tests to list
+// the failing seeds.
 TEST(ViewFailureTest, DISABLED_PropagationSurvivesMessageLossAcrossSeeds) {
   std::vector<std::uint64_t> after_abandonment;
   std::vector<std::uint64_t> without_abandonment;
