@@ -1,7 +1,5 @@
 #include "common/metrics_registry.h"
 
-#include <utility>
-
 #include "common/json_writer.h"
 
 namespace mvstore {
@@ -108,41 +106,6 @@ MetricsSnapshot Delta(const MetricsSnapshot& before,
     delta.histograms.emplace(name, d);
   }
   return delta;
-}
-
-void MetricsTimeSeries::Sample(SimTime now, const MetricsRegistry& registry) {
-  MetricsSnapshot snap = registry.Snapshot();
-  if (has_baseline_) {
-    points_.push_back(Point{now, Delta(baseline_, snap)});
-  }
-  baseline_ = std::move(snap);
-  has_baseline_ = true;
-}
-
-std::string MetricsTimeSeries::ToJson() const {
-  JsonWriter json;
-  json.BeginArray();
-  for (const Point& point : points_) {
-    json.BeginObject();
-    json.Key("t_us").Value(point.at);
-    json.Key("counters").BeginObject();
-    for (const auto& [name, value] : point.delta.counters) {
-      if (value != 0) json.Key(name).Value(value);
-    }
-    json.EndObject();
-    json.Key("histograms").BeginObject();
-    for (const auto& [name, stats] : point.delta.histograms) {
-      if (stats.count == 0) continue;
-      json.Key(name).BeginObject();
-      json.Key("count").Value(stats.count);
-      json.Key("mean").Value(stats.mean);
-      json.EndObject();
-    }
-    json.EndObject();
-    json.EndObject();
-  }
-  json.EndArray();
-  return json.str();
 }
 
 }  // namespace mvstore

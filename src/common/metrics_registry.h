@@ -17,10 +17,8 @@
 #include <memory>
 #include <ostream>
 #include <string>
-#include <vector>
 
 #include "common/histogram.h"
-#include "common/types.h"
 
 namespace mvstore {
 
@@ -104,33 +102,6 @@ class MetricsRegistry {
  private:
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
-};
-
-/// Per-interval deltas of a registry, sampled on a caller-driven clock (the
-/// cluster ticks it on simulated time). Each point holds the delta since the
-/// previous sample, so a run exports as a time series of rates.
-class MetricsTimeSeries {
- public:
-  struct Point {
-    SimTime at = 0;
-    MetricsSnapshot delta;
-  };
-
-  /// Records the delta since the previous Sample call (the first call only
-  /// establishes the baseline).
-  void Sample(SimTime now, const MetricsRegistry& registry);
-
-  const std::vector<Point>& points() const { return points_; }
-
-  /// JSON array of {"t_us", "counters", "histograms"}; zero-valued entries
-  /// are omitted to keep exports small (deterministically — omission depends
-  /// only on the data).
-  std::string ToJson() const;
-
- private:
-  bool has_baseline_ = false;
-  MetricsSnapshot baseline_;
-  std::vector<Point> points_;
 };
 
 }  // namespace mvstore

@@ -50,6 +50,7 @@ class StatusOr {
 
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 

@@ -239,7 +239,7 @@ GcStats Engine::Compact(SimTime now, Timestamp purge_floor) {
   Flush();
   if (runs_.empty()) return stats;
   const SimTime deleted_before =
-      now == kNullTimestamp ? kNullTimestamp : now - options_.tombstone_gc_grace;
+      now == kNullTimestamp ? kNullTimestamp : now - kTombstoneGcGrace;
   // The purge floor vetoes a past-grace purge: a tombstone whose delete is
   // still owed to some replica (a stored hint) must survive, otherwise the
   // lagging replica's stale live cell resurrects the row.

@@ -39,12 +39,13 @@ struct EngineOptions {
   std::size_t memtable_flush_entries = 8192;
   /// Trigger compaction when more than this many runs exist.
   std::size_t max_runs = 6;
-  /// Tombstones this replica first applied more than this long before the
-  /// compaction call's `now` (local time, not the write timestamp) are
-  /// purged during compaction. Mirrors Cassandra's gc_grace_seconds, which
-  /// Cassandra likewise measures from localDeletionTime.
-  SimTime tombstone_gc_grace = Seconds(600);
 };
+
+/// Tombstones this replica first applied more than this long before the
+/// compaction call's `now` (local time, not the write timestamp) are purged
+/// during compaction. Cassandra's default gc_grace_seconds, which Cassandra
+/// likewise measures from localDeletionTime.
+inline constexpr SimTime kTombstoneGcGrace = Seconds(600);
 
 /// The replica-local clock (simulated microseconds since start).
 using LocalClock = std::function<SimTime()>;

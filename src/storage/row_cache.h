@@ -3,9 +3,9 @@
 // An LRU cache over (table, key) -> merged Row, shared by every Engine of
 // one server. A point read that hits the cache skips the memtable/run merge
 // entirely — in the service model that is the difference between
-// `perf.read_local` and `perf.read_cached_local`. The cache is invalidated
-// on every local apply (client write, replica write, hint replay,
-// read-repair push, anti-entropy row install), cleared by
+// `perf.read_local` and `store::Server::kReadCachedLocal`. The cache is
+// invalidated on every local apply (client write, replica write, hint
+// replay, read-repair push, anti-entropy row install), cleared by
 // tombstone-purging compactions (a cached row could otherwise resurface
 // purged cells), and cleared on crash — it is volatile state.
 //

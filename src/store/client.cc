@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <optional>
-#include <type_traits>
 #include <utility>
 
 #include "common/logging.h"
@@ -10,8 +9,8 @@
 
 namespace mvstore::store {
 
-Client::Client(Cluster* cluster, ServerId coordinator, std::uint64_t id)
-    : cluster_(cluster), coordinator_(coordinator), id_(id) {}
+Client::Client(Cluster* cluster, ServerId coordinator)
+    : cluster_(cluster), coordinator_(coordinator) {}
 
 Timestamp Client::NextTimestamp() {
   const Timestamp now = kClientTimestampEpoch + cluster_->simulation().Now();
@@ -49,33 +48,6 @@ void Client::SendToCoordinator(std::function<void(Server&)> fn) {
                            [server, fn = std::move(fn)] { fn(*server); });
 }
 
-namespace {
-
-// The error delivered when a client-side request deadline expires.
-template <typename ResultT>
-ResultT TimeoutResult() {
-  if constexpr (std::is_same_v<ResultT, Status>) {
-    return Status::TimedOut("client request deadline expired");
-  } else if constexpr (std::is_constructible_v<ResultT, Status>) {
-    return ResultT(Status::TimedOut("client request deadline expired"));
-  } else {
-    ResultT result;
-    result.status = Status::TimedOut("client request deadline expired");
-    return result;
-  }
-}
-
-// Stamps the operation's trace id into result types that carry one
-// (ReadResult/WriteResult); no-op for the legacy Status/StatusOr shapes.
-template <typename ResultT>
-void SetResultTrace(ResultT& result, TraceId trace) {
-  if constexpr (requires { result.trace = trace; }) {
-    result.trace = trace;
-  }
-}
-
-}  // namespace
-
 template <typename ResultT>
 std::function<void(ResultT)> Client::ReturnToClient(
     std::function<void(ResultT)> callback, Histogram* latency, TraceContext op,
@@ -101,8 +73,9 @@ std::function<void(ResultT)> Client::ReturnToClient(
         tracer->Annotate(op, "client deadline expired");
         tracer->EndSpan(op, cluster->simulation().Now());
       }
-      ResultT result = TimeoutResult<ResultT>();
-      SetResultTrace(result, op.trace);
+      ResultT result;
+      result.status = Status::TimedOut("client request deadline expired");
+      result.trace = op.trace;
       deliver(std::move(result));
     });
   }
@@ -118,7 +91,7 @@ std::function<void(ResultT)> Client::ReturnToClient(
             latency->Record(cluster->simulation().Now() - start);
           }
           if (op) tracer->EndSpan(op, cluster->simulation().Now());
-          SetResultTrace(result, op.trace);
+          result.trace = op.trace;
           deliver(std::move(result));
         });
   };

@@ -314,7 +314,7 @@ class Client {
 
  private:
   friend class Cluster;
-  Client(Cluster* cluster, ServerId coordinator, std::uint64_t id);
+  Client(Cluster* cluster, ServerId coordinator);
 
   int ReadQuorum(int requested) const;
   int WriteQuorum(int requested) const;
@@ -348,7 +348,6 @@ class Client {
 
   Cluster* cluster_;
   ServerId coordinator_;
-  std::uint64_t id_;
   SessionId session_ = 0;
   Timestamp last_ts_ = 0;
   SimTime request_timeout_ = 0;

@@ -10,12 +10,19 @@
 
 namespace mvstore::store {
 
+namespace {
+
+/// Virtual nodes each server places on the hash ring.
+constexpr int kVnodesPerServer = 32;
+
+}  // namespace
+
 Cluster::Cluster(ClusterConfig config, Schema schema)
     : config_(config),
       schema_(std::move(schema)),
       tracer_(config.trace_capacity),
       rng_(HashCombine(config.seed, 0x434C5553 /*"CLUS"*/)),
-      ring_(config.num_servers, config.vnodes_per_server, config.seed) {
+      ring_(config.num_servers, kVnodesPerServer, config.seed) {
   network_ =
       std::make_unique<sim::Network>(&sim_, rng_.Fork(), config_.network);
   network_->set_tracer(&tracer_);
@@ -48,17 +55,6 @@ void Cluster::set_view_hook(ViewMaintenanceHook* hook) {
 
 void Cluster::Start() {
   for (const auto& server : servers_) server->Start();
-  if (config_.metrics_sample_interval > 0) {
-    // First sample establishes the baseline; each subsequent tick records
-    // the per-interval registry delta into the time series.
-    metrics_.time_series.Sample(sim_.Now(), metrics_.registry);
-    sim_.After(config_.metrics_sample_interval, [this] { MetricsSampleTick(); });
-  }
-}
-
-void Cluster::MetricsSampleTick() {
-  metrics_.time_series.Sample(sim_.Now(), metrics_.registry);
-  sim_.After(config_.metrics_sample_interval, [this] { MetricsSampleTick(); });
 }
 
 std::unique_ptr<Client> Cluster::NewClient() {
@@ -144,7 +140,8 @@ bool Cluster::DecommissionServer(ServerId id) {
 
 std::unique_ptr<Client> Cluster::NewClient(ServerId coordinator) {
   MVSTORE_CHECK_LT(coordinator, servers_.size());
-  return std::unique_ptr<Client>(new Client(this, coordinator, ++next_client_));
+  ++next_client_;
+  return std::unique_ptr<Client>(new Client(this, coordinator));
 }
 
 void Cluster::BootstrapLoadRow(const std::string& table, const Key& key,

@@ -140,8 +140,6 @@ class Cluster {
   Rng ForkRng() { return rng_.Fork(); }
 
  private:
-  void MetricsSampleTick();
-
   ClusterConfig config_;
   Schema schema_;
   Metrics metrics_;

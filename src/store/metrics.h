@@ -25,9 +25,6 @@ struct Metrics {
 
   /// Owns every instrument below (plus any registered by extensions).
   MetricsRegistry registry;
-  /// Per-interval deltas, sampled by the Cluster when
-  /// `metrics_sample_interval` > 0.
-  MetricsTimeSeries time_series;
 
   // Client-visible operations.
   Counter& client_gets;

@@ -74,7 +74,7 @@ class QuorumOp : public std::enable_shared_from_this<QuorumOp<Response>> {
     /// Optional per-target service override, evaluated ON THE TARGET when
     /// the request is dequeued there (not at send time): lets the demand
     /// depend on replica-local state the coordinator cannot see — a read
-    /// answered from the target's row cache costs `read_cached_local`
+    /// answered from the target's row cache costs `kReadCachedLocal`
     /// instead of `read_local`. Unset = the flat `service` above.
     std::function<SimTime(Server&)> service_at;
     /// Runs on each target under its service queue; the returned value

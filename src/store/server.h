@@ -157,8 +157,11 @@ class Server {
   /// Re-coordinates every hint queued FOR `departed` to the hinted keys'
   /// current replicas (the departed server will never ack them): a W=1
   /// CoordinateWrite each, which hints any current replica that stays
-  /// silent.
-  void RerouteHintsFor(ServerId departed);
+  /// silent. `on_answer` runs once per re-sent write, when it is acked or
+  /// has failed.
+  void RerouteHintsFor(ServerId departed,
+                       const std::function<void(Status)>& on_answer =
+                           [](Status) {});
 
   /// Moves the unanswered slots of in-flight quorum ops off `departed` and
   /// onto a current replica of the op's key, so acked writes are never
@@ -269,7 +272,7 @@ class Server {
   /// ring member, merge, re-filter on the merged image. Each server probes
   /// its local index fragment when the schema defines an index on `column`
   /// (`perf.index_scan_local`), and otherwise match-scans its whole local
-  /// fragment of the table (`perf.base_scan_local`, deliberately expensive).
+  /// fragment of the table (2.4 ms, deliberately expensive).
   /// Serves HandleClientIndexGet and the bounded-read router's fallback.
   void CoordinateMatchScan(
       const std::string& table, const ColumnName& column, const Value& value,
@@ -309,13 +312,17 @@ class Server {
                                                 const ColumnName& column,
                                                 const Value& value);
 
+  /// Fixed receive overhead charged once per delivered peer message
+  /// (deserialization, dispatch).
+  static constexpr SimTime kMessageProcess = Micros(8);
+
   /// Sends `handler` to run on peer `to` under its service queue; the
   /// returned value travels back and `on_reply` runs here. Either leg may be
   /// dropped by the network. `remote_service` is the handler's demand, on
-  /// top of the fixed per-message receive overhead: a SimTime constant, or a
-  /// `SimTime(Server&)` callable resolved ON THE PEER when the message is
-  /// delivered, so the demand can depend on replica-local state the sender
-  /// cannot know (is the row cached there?). `payloads` is the logical
+  /// top of `kMessageProcess`: a SimTime constant, or a `SimTime(Server&)`
+  /// callable resolved ON THE PEER when the message is delivered, so the
+  /// demand can depend on replica-local state the sender cannot know (is
+  /// the row cached there?). `payloads` is the logical
   /// request count the message carries (> 1 for a scan's read-repair push).
   /// Both closures are move-only, so a request may own its payload
   /// vector outright (no shared_ptr indirection); callers that must re-send
@@ -327,8 +334,13 @@ class Server {
                 UniqueFn<void(Response)> on_reply,
                 std::uint64_t payloads = 1);
 
-  /// Service demand of a local point read of (table, key): the cached rate
-  /// when this server's row cache holds the key, the full rate otherwise.
+  /// Point read answered from the replica-local row cache: no memtable/run
+  /// merge, just the cache probe and a copy.
+  static constexpr SimTime kReadCachedLocal = Micros(8);
+
+  /// Service demand of a local point read of (table, key):
+  /// `kReadCachedLocal` when this server's row cache holds the key,
+  /// `perf.read_local` otherwise.
   SimTime ReadServiceFor(const std::string& table, const Key& key) const;
 
   /// Populates the row cache for a bootstrap-loaded key (loading applies
@@ -381,8 +393,8 @@ class Server {
   /// over the keys they both replicate; the peer answers with its mismatched
   /// buckets and the per-key row digests inside them, and only rows whose
   /// digests differ (or that one side lacks) ship, both ways, in messages of
-  /// at most `join_stream_batch` rows. Exposed for tests; also runs
-  /// periodically when `anti_entropy_interval` > 0.
+  /// at most 128 rows. Exposed for tests; also runs periodically when
+  /// `anti_entropy_interval` > 0.
   void RunAntiEntropyRound();
 
   // --- hinted handoff ---
@@ -453,8 +465,8 @@ class Server {
     std::vector<std::pair<Key, std::uint64_t>> keys;
   };
   /// One push message: rows the peer applies, and keys only the peer
-  /// holds. At most `join_stream_batch` entries, so the peer's answer
-  /// carries at most that many rows too.
+  /// holds. At most 128 entries, so the peer's answer carries at most that
+  /// many rows too.
   struct SyncChunk {
     std::vector<storage::KeyedRow> rows;
     std::vector<Key> pulls;
@@ -588,8 +600,8 @@ class Server {
   /// Advances the decommission phase machine once the current pass's
   /// stream tasks have settled.
   void ContinueDecommission();
-  /// Polls the hint queues; leaves when empty, force-reroutes at the drain
-  /// deadline.
+  /// Polls the hint queues; leaves when empty. At the drain deadline it
+  /// force-reroutes them and leaves once every reroute has answered.
   void DrainHintsThenLeave();
   void FinishLeave(bool forced);
 
@@ -675,7 +687,7 @@ void Server::CallPeer(ServerId to, Demand remote_service,
         // incarnation that crashes before servicing it dies with that
         // incarnation.
         peer->Enqueue(
-            peer->config_->perf.message_process + demand,
+            kMessageProcess + demand,
             [peer, self, handler = std::move(handler),
              on_reply = std::move(on_reply)]() mutable {
               Response response = handler(*peer);

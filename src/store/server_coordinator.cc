@@ -15,6 +15,11 @@ namespace mvstore::store {
 
 namespace {
 
+/// Service demand of a full local match-scan over a base table (the
+/// bounded-read router's last-resort fallback when no secondary index
+/// covers the view key).
+constexpr SimTime kBaseScanLocal = Micros(2400);
+
 /// LWW merge of every answered slot's row.
 storage::Row MergeRowResponses(
     const std::vector<std::optional<storage::Row>>& responses) {
@@ -125,7 +130,7 @@ void Server::CoordinateRead(
             /*single=*/read_quorum == 1 && !collect_all, std::nullopt, spec);
   spec.quorum = read_quorum;
   // Resolve the demand on each replica at delivery: a cached row costs
-  // read_cached_local there instead of the full merge.
+  // kReadCachedLocal there instead of the full merge.
   spec.service_at = [table, key](Server& s) {
     return s.ReadServiceFor(table, key);
   };
@@ -445,9 +450,9 @@ void Server::CoordinateMatchScan(
   spec.targets.assign(ring_->members().begin(), ring_->members().end());
   spec.quorum = static_cast<int>(spec.targets.size());
   // Without an index every server walks its whole local fragment of the
-  // table — the router's priced-in worst case.
-  spec.service = indexed ? config_->perf.index_scan_local
-                         : config_->perf.base_scan_local;
+  // table, visiting and filtering every row — the router's priced-in worst
+  // case, far dearer than an index probe.
+  spec.service = indexed ? config_->perf.index_scan_local : kBaseScanLocal;
   spec.request = [table, column, value, indexed](Server& server) {
     return indexed ? server.LocalIndexProbe(table, column, value)
                    : server.LocalMatchScan(table, column, value);

@@ -3,6 +3,7 @@
 #include "store/server.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "common/logging.h"
@@ -14,6 +15,11 @@ namespace {
 /// Base backoff before retrying a membership sync that fell silent; grows
 /// linearly with the attempt count, capped at 8x.
 constexpr SimTime kStreamRetryBackoff = Millis(50);
+
+/// How long a decommissioning server keeps waiting for its own hinted
+/// handoffs to drain before it force-reroutes them to the keys' current
+/// replicas and leaves anyway.
+constexpr SimTime kDrainTimeout = Seconds(30);
 
 }  // namespace
 
@@ -56,7 +62,7 @@ void Server::BeginDecommission(std::vector<Ring::RangeTransfer> plan) {
     member_trace_ = tracer_->StartTrace("member.drain", static_cast<int>(id_),
                                         sim_->Now());
   }
-  drain_deadline_ = sim_->Now() + config_->decommission_drain_timeout;
+  drain_deadline_ = sim_->Now() + kDrainTimeout;
   drain_forced_ = false;
   decommission_phase_ = 1;
   StreamPlan(decommission_plan_);
@@ -218,10 +224,22 @@ void Server::DrainHintsThenLeave() {
   if (sim_->Now() >= drain_deadline_) {
     // The deadline expired with hints still owed: the data must not leave
     // with this server, so re-send every queued write to the keys' current
-    // replicas and go.
+    // replicas, and go once each re-send has been acked or has failed.
+    // Going sooner would drop the re-sends in flight.
     CountForcedDrain();
-    for (const auto& [target, queue] : hints_) RerouteHintsFor(target);
-    FinishLeave(/*forced=*/true);
+    auto unanswered = std::make_shared<std::size_t>(hints_outstanding());
+    const std::uint64_t incarnation = this->incarnation();
+    const auto answered = [this, unanswered, incarnation](const Status&) {
+      if (--*unanswered > 0) return;
+      // In an event of its own: a failed re-send answers before it has
+      // hinted its silent replicas, and those hints must go with the leave.
+      sim_->After(0, [this, incarnation] {
+        if (incarnation == this->incarnation()) FinishLeave(/*forced=*/true);
+      });
+    };
+    for (const auto& [target, queue] : hints_) {
+      RerouteHintsFor(target, answered);
+    }
     return;
   }
   ReplayHints();

@@ -23,9 +23,17 @@ constexpr std::uint64_t kSyncDigestSalt = 0x9e3779b97f4a7c15ULL;
 /// exactly the rows that differ.
 constexpr int kSyncBuckets = 64;
 
+/// Entries (rows pushed plus keys pulled) per push message of a range sync:
+/// anti-entropy repair, join bootstrap and decommission handoff alike.
+constexpr std::size_t kSyncChunkEntries = 128;
+
 /// Hints kept per target server; beyond this the oldest is dropped
 /// (anti-entropy is the backstop).
 constexpr std::size_t kMaxHintsPerTarget = 4096;
+
+/// Service demand of one clock-driven compaction round (merge + tombstone
+/// GC), charged per run merged.
+constexpr SimTime kCompactionPerRun = Micros(250);
 
 }  // namespace
 
@@ -149,11 +157,10 @@ void Server::PushDifferingRows(const std::string& table, ServerId peer,
                                const SyncScope& scope,
                                const BucketKeyDigests& theirs,
                                SyncSettled on_settled) {
-  const std::size_t cap =
-      static_cast<std::size_t>(std::max(1, config_->join_stream_batch));
   std::vector<SyncChunk> chunks(1);
   auto next_entry = [&]() -> SyncChunk& {
-    if (chunks.back().rows.size() + chunks.back().pulls.size() == cap) {
+    if (chunks.back().rows.size() + chunks.back().pulls.size() ==
+        kSyncChunkEntries) {
       chunks.emplace_back();
     }
     return chunks.back();
@@ -363,7 +370,8 @@ void Server::ReplayHints() {
   }
 }
 
-void Server::RerouteHintsFor(ServerId departed) {
+void Server::RerouteHintsFor(ServerId departed,
+                             const std::function<void(Status)>& on_answer) {
   auto it = hints_.find(departed);
   if (it == hints_.end() || it->second.empty()) return;
   std::deque<Hint> moved;
@@ -375,7 +383,7 @@ void Server::RerouteHintsFor(ServerId departed) {
                     sim_->Now(), "departed=" + std::to_string(departed));
     }
     CoordinateWrite(hint.table, hint.key, hint.cells, /*write_quorum=*/1,
-                    [](Status) {});
+                    on_answer);
   }
 }
 
@@ -407,7 +415,7 @@ void Server::RunCompactionRound() {
     // Demand scales with the merge width; it contends with foreground work
     // on the same cores (the point of modelling compaction at all).
     const SimTime demand =
-        config_->perf.compaction_service *
+        kCompactionPerRun *
         static_cast<SimTime>(std::max<std::size_t>(1, eng->num_runs()));
     Enqueue(demand, [this, eng, demand] {
       // Both clocks are evaluated at execution time, not scheduling time:

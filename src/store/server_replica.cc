@@ -8,10 +8,8 @@ namespace mvstore::store {
 
 SimTime Server::ReadServiceFor(const std::string& table,
                                const Key& key) const {
-  if (row_cache_.Contains(table, key)) {
-    return config_->perf.read_cached_local;
-  }
-  return config_->perf.read_local;
+  return row_cache_.Contains(table, key) ? kReadCachedLocal
+                                         : config_->perf.read_local;
 }
 
 void Server::WarmRowCache(const std::string& table, const Key& key) {

@@ -109,7 +109,7 @@ SimTime MaintenanceEngine::SampleDispatchDelay() {
                                         perf.propagation_dispatch_sigma);
   return std::clamp(static_cast<SimTime>(sampled),
                     perf.propagation_dispatch_min,
-                    perf.propagation_dispatch_max);
+                    kDispatchDelayMax);
 }
 
 // ---------------------------------------------------------------------------

@@ -107,6 +107,11 @@ class MaintenanceEngine : public store::ViewMaintenanceHook {
   /// Linear backoff (capped) for retrying a failed attempt.
   SimTime RetryDelay(const PropagationTask& task) const;
 
+  /// Cap on the sampled propagation dispatch delay. Figure 7 levels off at
+  /// ~640 ms: "almost all update propagations completed in less time than
+  /// that".
+  static constexpr SimTime kDispatchDelayMax = Millis(700);
+
   SimTime SampleDispatchDelay();
 
   /// Whether attempts run on dedicated propagators (Section IV-F mode 2)

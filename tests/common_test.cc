@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -81,6 +82,30 @@ StatusOr<int> Doubled(bool ok) {
 TEST(StatusOrTest, AssignOrReturnMacro) {
   EXPECT_EQ(*Doubled(true), 10);
   EXPECT_TRUE(Doubled(false).status().IsAborted());
+}
+
+/// Counts its copies; moves are free.
+struct CopyCounter {
+  static int copies;
+  CopyCounter() = default;
+  CopyCounter(const CopyCounter&) { ++copies; }
+  CopyCounter(CopyCounter&&) = default;
+  CopyCounter& operator=(const CopyCounter&) {
+    ++copies;
+    return *this;
+  }
+  CopyCounter& operator=(CopyCounter&&) = default;
+};
+int CopyCounter::copies = 0;
+
+TEST(StatusOrTest, DereferencingAnRvalueMovesTheValueOut) {
+  StatusOr<CopyCounter> result = CopyCounter();
+  CopyCounter::copies = 0;
+  [[maybe_unused]] CopyCounter taken = *std::move(result);
+  EXPECT_EQ(CopyCounter::copies, 0);
+  StatusOr<CopyCounter> kept = CopyCounter();
+  [[maybe_unused]] CopyCounter copied = *kept;
+  EXPECT_EQ(CopyCounter::copies, 1);
 }
 
 TEST(RngTest, DeterministicFromSeed) {

@@ -454,7 +454,7 @@ TEST(AntiEntropyRegressionTest, XorCancellingRowSetIsCaughtByCountedDigest) {
 // --------------------------------------------------------------------------
 // Key-granular anti-entropy: inside a mismatched bucket only the rows whose
 // digests differ, or that one side lacks, cross the wire, in messages of at
-// most `join_stream_batch` rows.
+// most 128 rows.
 // --------------------------------------------------------------------------
 
 store::ClusterConfig ManualAntiEntropyConfig() {
@@ -580,12 +580,10 @@ TEST(AntiEntropyTest, TombstoneOnOneReplicaIsRepaired) {
 }
 
 TEST(AntiEntropyTest, MoreDivergentRowsThanTheBatchCapShipInCappedMessages) {
-  store::ClusterConfig config = ManualAntiEntropyConfig();
-  config.join_stream_batch = 16;
-  test::TestCluster t(config, PlainSchema());
+  test::TestCluster t(ManualAntiEntropyConfig(), PlainSchema());
   constexpr ServerId kInitiator = 0;
   constexpr ServerId kPeer = 3;
-  constexpr std::size_t kRows = 50;
+  constexpr std::size_t kRows = 300;
   const std::vector<Key> keys =
       KeysReplicatedOn(t.cluster.server(0), kInitiator, kPeer, "k", kRows);
   for (const Key& key : keys) {
@@ -600,8 +598,8 @@ TEST(AntiEntropyTest, MoreDivergentRowsThanTheBatchCapShipInCappedMessages) {
   const std::uint64_t sent = t.cluster.network().messages_sent() - sent_before;
 
   // Every (table, peer) exchange is a request and a reply; each chunk of at
-  // most 16 rows is one more request and reply.
-  const std::uint64_t chunks = (kRows + 15) / 16;
+  // most 128 rows is one more request and reply.
+  const std::uint64_t chunks = (kRows + 127) / 128;
   EXPECT_EQ(sent, 2 * m.anti_entropy_digest_exchanges.value() + 2 * chunks);
   EXPECT_EQ(m.anti_entropy_rows_pushed.value(), kRows);
   for (const Key& key : keys) {
@@ -684,9 +682,8 @@ TEST(TombstoneGcTest, PendingHintDefersPurgeAndDeleteSurvivesCrash) {
   store::ClusterConfig config = test::DefaultTestConfig();
   config.replication_factor = 2;
   config.rpc_timeout = Millis(50);
-  config.hint_replay_interval = Seconds(5);  // hints recorded, no tick fires
+  config.hint_replay_interval = Seconds(5);  // replays fail while it is down
   config.anti_entropy_interval = 0;          // manual rounds only
-  config.engine.tombstone_gc_grace = Millis(20);
   test::TestCluster t(config, PlainSchema());
 
   const Key key = "gc-key";
@@ -709,10 +706,10 @@ TEST(TombstoneGcTest, PendingHintDefersPurgeAndDeleteSurvivesCrash) {
   t.cluster.RunFor(Millis(100));  // past the rpc timeout: hint stored
   ASSERT_EQ(t.cluster.server(coord).pending_hints(lagging), 1u);
 
-  // The coordinator applied the tombstone locally at ~50 ms; 200 ms later it
-  // is past the 20 ms grace, so only the pending hint's timestamp floors the
-  // purge.
-  t.cluster.RunFor(Millis(100));
+  // The coordinator applied the tombstone locally at ~50 ms; it is now past
+  // the 600 s grace, so only the pending hint's timestamp floors the purge.
+  t.cluster.RunFor(storage::kTombstoneGcGrace + Millis(100));
+  ASSERT_EQ(t.cluster.server(coord).pending_hints(lagging), 1u);
   t.cluster.server(coord).RunCompactionRound();
   t.cluster.RunFor(Millis(50));
   EXPECT_GT(t.cluster.metrics().compactions_run, 0u);

@@ -31,7 +31,6 @@ class DownRuleTest : public ::testing::TestWithParam<PropagationMode> {
   static store::ClusterConfig Config() {
     store::ClusterConfig config = test::DefaultTestConfig();
     config.propagation_mode = GetParam();
-    config.vnodes_per_server = 1;  // few ranges: a decommission drains fast
     config.rpc_timeout = Millis(50);
     config.hint_replay_interval = Millis(10);
     // Failed attempts stay parked long enough to be caught parked.
@@ -128,11 +127,17 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(DownRuleTest, LeavingPropagatorOrphansWhatItHolds) {
   TestCluster t(Config());
   BuildBacklogAtPropagator(t);
+  // Cut off again, the propagator keeps failing the attempts it holds
+  // until its drain deadline forces the leave; the links heal after it.
+  t.cluster.network().PartitionLink(kPropagator, 2);
+  t.cluster.network().PartitionLink(kPropagator, 3);
   ASSERT_TRUE(t.cluster.DecommissionServer(kPropagator));
   while (t.cluster.server(kPropagator).membership() !=
          MembershipState::kLeft) {
     ASSERT_TRUE(t.cluster.simulation().Step());
   }
+  t.cluster.network().RestoreLink(kPropagator, 2);
+  t.cluster.network().RestoreLink(kPropagator, 3);
   // What it still held when it left: its own Puts' tasks, and in dedicated
   // mode the tasks queued or running at it.
   EXPECT_GT(t.cluster.metrics().propagations_orphaned, 0u);
@@ -165,8 +170,7 @@ INSTANTIATE_TEST_SUITE_P(
 // it. Once both are back, every family is recovered.
 TEST_P(DedicatedDownRuleTest, TaskMovesToANewPrimaryOverTheNetwork) {
   store::ClusterConfig config = Config();
-  config.max_servers = 5;        // a spare slot for the joiner
-  config.vnodes_per_server = 8;  // so the joiner takes some of the keys
+  config.max_servers = 5;  // a spare slot for the joiner
   TestCluster t(config);
   std::vector<Key> keys;
   BuildBacklogAtPropagator(t, &keys);

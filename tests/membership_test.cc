@@ -36,15 +36,14 @@ store::ClusterConfig ChurnConfig() {
   config.anti_entropy_interval = Millis(200);
   config.hint_replay_interval = Millis(100);
   config.rpc_timeout = Millis(50);
-  config.join_stream_batch = 16;  // several slices per range
-  config.decommission_drain_timeout = Seconds(5);
   return config;
 }
 
-/// Runs the simulation until `server` reaches `state` (or fails the test).
+/// Runs the simulation until `server` reaches `state` (or fails the test),
+/// for up to 40 s: past the 30 s drain deadline of a forced decommission.
 void AwaitMembership(store::Cluster& cluster, ServerId server,
                      MembershipState state) {
-  for (int i = 0; i < 200; ++i) {
+  for (int i = 0; i < 400; ++i) {
     if (cluster.server(server).membership() == state) return;
     cluster.RunFor(Millis(100));
   }
@@ -223,9 +222,7 @@ TEST(MembershipTest, DecommissionDrainsHintsBeforeLeaving) {
 }
 
 TEST(MembershipTest, ForcedDrainReroutesHintsAtDeadline) {
-  store::ClusterConfig config = ChurnConfig();
-  config.decommission_drain_timeout = Millis(400);
-  test::TestCluster t(config, test::TicketSchema(false, false));
+  test::TestCluster t(ChurnConfig(), test::TicketSchema(false, false));
   auto client = t.cluster.NewClient(/*coordinator=*/0);
 
   t.cluster.CrashServer(1);
@@ -251,9 +248,7 @@ TEST(MembershipTest, ForcedDrainReroutesHintsAtDeadline) {
   EXPECT_EQ(t.cluster.server(0).hints_outstanding(), 0u);
 
   // After the crashed server returns, anti-entropy spreads the writes from
-  // the replicas that acked them; nothing acked is lost. (The reroutes
-  // themselves die in flight: the leave takes the endpoint down in the
-  // same event that sends them.)
+  // the replicas that acked them; nothing acked is lost.
   t.cluster.RestartServer(1);
   t.cluster.RunFor(Seconds(1));
   auto reader = t.cluster.NewClient(t.cluster.PickServingServer(1));
@@ -332,12 +327,73 @@ TEST(MembershipTest, RerouteToAnUnreachableReplicaIsHintedAndLandsAfterHeal) {
   EXPECT_EQ(cell->value, "rerouted");
 }
 
+// A forced drain re-sends the hints it still holds to the keys' current
+// replicas and leaves only once every re-send has answered, so the leave
+// does not drop them in flight. The leaver coordinated a write to a key it
+// does not replicate (no range sync of its decommission carries the row):
+// one replica acked it, one stays crashed through the drain, which forces
+// it, and one was cut off from the leaver. With anti-entropy off and no hint
+// replay before the deadline, only the re-send reaches that replica.
+TEST(MembershipTest, ForcedDrainReroutesLandBeforeTheLeave) {
+  store::ClusterConfig config = ChurnConfig();
+  config.anti_entropy_interval = 0;
+  config.hint_replay_interval = Seconds(60);  // no tick before the deadline
+  test::TestCluster t(config, test::TicketSchema(false, false));
+  constexpr ServerId kLeaver = 0;
+  Key key;
+  for (int k = 0; key.empty(); ++k) {
+    const Key candidate = "d" + std::to_string(k);
+    const std::vector<ServerId> replicas =
+        t.cluster.ring().ReplicasFor(candidate, 3);
+    if (std::find(replicas.begin(), replicas.end(), kLeaver) ==
+        replicas.end()) {
+      key = candidate;
+    }
+  }
+  const std::vector<ServerId> replicas = t.cluster.ring().ReplicasFor(key, 3);
+  const ServerId crashed = replicas[0];
+  const ServerId missed = replicas[1];
+  // The crashed server gains some of the leaver's ranges, so the range
+  // syncs, and with them the hint drain, last until the deadline.
+  store::Ring ring = t.cluster.ring();
+  std::size_t to_crashed = 0;
+  for (const store::Ring::RangeTransfer& transfer :
+       ring.RemoveServer(kLeaver, config.replication_factor)) {
+    to_crashed += static_cast<std::size_t>(
+        std::count(transfer.peers.begin(), transfer.peers.end(), crashed));
+  }
+  ASSERT_GT(to_crashed, 0u);
+
+  ASSERT_TRUE(t.cluster.CrashServer(crashed));
+  t.cluster.network().PartitionLink(kLeaver, missed);
+  auto client = t.cluster.NewClient(kLeaver);
+  store::WriteOptions w1;
+  w1.quorum = 1;
+  ASSERT_TRUE(client
+                  ->PutSync("ticket", key,
+                            {{"status", std::string("rerouted")}}, w1)
+                  .ok());
+  t.cluster.RunFor(Millis(100));
+  ASSERT_EQ(t.cluster.server(kLeaver).pending_hints(missed), 1u);
+  t.cluster.network().RestoreLink(kLeaver, missed);
+  storage::Engine& missed_engine =
+      t.cluster.server(missed).EngineFor("ticket");
+  ASSERT_FALSE(missed_engine.GetCell(key, "status").has_value());
+
+  ASSERT_TRUE(t.cluster.DecommissionServer(kLeaver));
+  AwaitMembership(t.cluster, kLeaver, MembershipState::kLeft);
+  EXPECT_EQ(t.cluster.metrics().member_drains_forced, 1u);
+  auto cell = missed_engine.GetCell(key, "status");
+  ASSERT_TRUE(cell.has_value())
+      << "the rerouted write never reached " << missed;
+  EXPECT_EQ(cell->value, "rerouted");
+}
+
 // Every stream task bound for a dead new owner falls silent, and each one
 // past the drain deadline is abandoned; the decommission still counts as
 // forced once.
 TEST(MembershipTest, ExpiredDrainDeadlineCountsOneForcedDrain) {
   store::ClusterConfig config = ChurnConfig();
-  config.decommission_drain_timeout = Millis(400);
   test::TestCluster t(config, test::TicketSchema(false, false));
   for (int k = 0; k < 120; ++k) {
     t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
@@ -400,9 +456,7 @@ TEST(MembershipTest, InflightWriteRetargetsWhenReplicaLeaves) {
 }
 
 TEST(MembershipTest, CrashDuringJoinResumesStreamingAfterRestart) {
-  store::ClusterConfig config = ChurnConfig();
-  config.join_stream_batch = 4;  // many slices: the crash lands mid-stream
-  test::TestCluster t(config, test::TicketSchema(false, false));
+  test::TestCluster t(ChurnConfig(), test::TicketSchema(false, false));
   // Enough rows that the join, whose range syncs all run at once, is still
   // streaming when the crash lands.
   constexpr int kRows = 1000;
@@ -440,9 +494,7 @@ TEST(MembershipTest, CrashDuringJoinResumesStreamingAfterRestart) {
 // its rows since it last started, at most twice: a join that restreamed
 // every range from scratch after Restart would ship 2.2x its rows.
 TEST(MembershipTest, CrashedJoinerResumesByShippingOnlyWhatItLacks) {
-  store::ClusterConfig config = ChurnConfig();
-  config.join_stream_batch = 4;
-  test::TestCluster t(config, test::TicketSchema(false, false));
+  test::TestCluster t(ChurnConfig(), test::TicketSchema(false, false));
   constexpr int kRows = 150;
   for (int k = 0; k < kRows; ++k) {
     t.cluster.BootstrapLoadRow("ticket", "t" + std::to_string(k),
@@ -500,7 +552,6 @@ TEST(MembershipTest, CrashedJoinerResumesByShippingOnlyWhatItLacks) {
 TEST(MembershipTest, JoinerTakesPartInNoAntiEntropyUntilServing) {
   store::ClusterConfig config = ChurnConfig();
   config.anti_entropy_interval = Millis(1);  // many rounds during the join
-  config.join_stream_batch = 1;              // one row per sync chunk
   test::TestCluster t(config, test::TicketSchema(false, false));
   // Enough rows that the join, whose range syncs all run at once, spans
   // many rounds.
@@ -765,9 +816,10 @@ TEST(MembershipTest, ChurnScheduleConvergesUnderNemesis) {
   nemesis.HealAllAt(options.horizon);
   t.cluster.RunFor(options.horizon + Seconds(1));
 
-  // Let membership operations finish, then quiesce and compare.
+  // Let membership operations finish (a forced drain takes its 30 s
+  // deadline), then quiesce and compare.
   const store::Metrics& m = t.cluster.metrics();
-  for (int i = 0; i < 100 &&
+  for (int i = 0; i < 400 &&
                   (m.member_joins_completed < m.member_joins_started ||
                    m.member_leaves_completed < m.member_leaves_started);
        ++i) {

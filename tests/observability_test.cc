@@ -290,41 +290,15 @@ TEST(Metrics, StageHistogramsPopulate) {
   EXPECT_GT(m.put_latency.count(), 0u);
 }
 
-TEST(Metrics, TimeSeriesSamplesOnSimulatedClock) {
-  store::ClusterConfig config = test::DefaultTestConfig();
-  config.metrics_sample_interval = Millis(10);
-  TestCluster tc(config);
-  auto client = tc.cluster.NewClient(0);
-  ASSERT_TRUE(client
-                  ->PutSync("ticket", "t1",
-                            {{"assigned_to", "lee"}, {"status", "open"}},
-                            WriteOptions{})
-                  .ok());
-  tc.cluster.RunFor(Millis(100));
-  const auto& points = tc.cluster.metrics().time_series.points();
-  ASSERT_GE(points.size(), 5u);
-  // Some interval saw the put traffic.
-  bool saw_put = false;
-  for (const auto& point : points) {
-    auto it = point.delta.counters.find("client_puts");
-    if (it != point.delta.counters.end() && it->second > 0) saw_put = true;
-  }
-  EXPECT_TRUE(saw_put);
-  EXPECT_FALSE(tc.cluster.metrics().time_series.ToJson().empty());
-}
-
 // --- determinism: same seed, byte-identical exports ---
 
 struct RunArtifacts {
   std::string metrics_json;
-  std::string time_series_json;
   std::string trace_json;
 };
 
 RunArtifacts RunSeededWorkload() {
-  store::ClusterConfig config = test::DefaultTestConfig();
-  config.metrics_sample_interval = Millis(20);
-  TestCluster tc(config);
+  TestCluster tc(test::DefaultTestConfig());
   auto client = tc.cluster.NewClient(0);
   TraceId last_trace = 0;
   for (int i = 0; i < 10; ++i) {
@@ -344,7 +318,6 @@ RunArtifacts RunSeededWorkload() {
     MVSTORE_CHECK(got.ok());
   }
   return RunArtifacts{tc.cluster.metrics().ToJson(),
-                      tc.cluster.metrics().time_series.ToJson(),
                       tc.cluster.tracer().DumpJson(last_trace)};
 }
 
@@ -352,7 +325,6 @@ TEST(Determinism, SameSeedYieldsByteIdenticalExports) {
   RunArtifacts a = RunSeededWorkload();
   RunArtifacts b = RunSeededWorkload();
   EXPECT_EQ(a.metrics_json, b.metrics_json);
-  EXPECT_EQ(a.time_series_json, b.time_series_json);
   EXPECT_EQ(a.trace_json, b.trace_json);
   // Sanity: the export is substantive, not trivially empty.
   EXPECT_GT(a.metrics_json.size(), 100u);

@@ -26,6 +26,7 @@
 #include "storage/row.h"
 #include "store/client.h"
 #include "store/codec.h"
+#include "store/server.h"
 #include "tests/test_util.h"
 
 namespace mvstore {
@@ -388,7 +389,7 @@ TEST(ReadRoutingTest, ZeroCapacityRowCacheChargesTheFullReadAndCountsNoProbe) {
   // Every server owns a row cache. At capacity 0 it holds nothing: the
   // replica charges a Get the full read_local and no cache probe is
   // counted. The 64-row run is the control, its bootstrap-warmed row costs
-  // read_cached_local.
+  // kReadCachedLocal.
   for (const std::size_t capacity : {std::size_t{0}, std::size_t{64}}) {
     SCOPED_TRACE("row_cache_entries=" + std::to_string(capacity));
     store::ClusterConfig config = test::DefaultTestConfig();
@@ -416,11 +417,11 @@ TEST(ReadRoutingTest, ZeroCapacityRowCacheChargesTheFullReadAndCountsNoProbe) {
         }
       }
     }
-    const store::PerfModel& perf = f.t.cluster.config().perf;
-    const SimTime read_service =
-        capacity == 0 ? perf.read_local : perf.read_cached_local;
-    EXPECT_EQ(charged,
-              std::vector<SimTime>{perf.message_process + read_service});
+    const SimTime read_service = capacity == 0
+                                     ? f.t.cluster.config().perf.read_local
+                                     : store::Server::kReadCachedLocal;
+    EXPECT_EQ(charged, std::vector<SimTime>{store::Server::kMessageProcess +
+                                            read_service});
     const store::Metrics& m = f.t.cluster.metrics();
     EXPECT_EQ(m.row_cache_hits.value(), capacity == 0 ? 0u : 1u);
     EXPECT_EQ(m.row_cache_misses.value(), 0u);

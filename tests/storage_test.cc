@@ -392,17 +392,15 @@ TEST(EngineTest, SizeTieredCompactionLeavesLargeRunsAlone) {
 }
 
 TEST(EngineTest, CompactReportsGcStatsAndHonorsPurgeFloor) {
-  EngineOptions options;
-  options.tombstone_gc_grace = Millis(100);
   SimTime now = Millis(200);
-  Engine engine(options, [&now] { return now; });
+  Engine engine(EngineOptions(), [&now] { return now; });
   engine.Apply("k", "c", Cell::Tombstone(200));  // applied locally at 200 ms
   engine.Flush();
 
-  // Grace expired (cutoff 400 ms > 200 ms) but the purge floor — the oldest
-  // pending-hint timestamp — protects the delete: it is counted deferred,
-  // not purged.
-  now = Millis(500);
+  // Grace expired (the cutoff is past 200 ms) but the purge floor — the
+  // oldest pending-hint timestamp — protects the delete: it is counted
+  // deferred, not purged.
+  now = Millis(500) + kTombstoneGcGrace;
   GcStats deferred = engine.Compact(now, /*purge_floor=*/150);
   EXPECT_EQ(deferred.tombstones_purged, 0u);
   EXPECT_EQ(deferred.tombstones_deferred, 1u);
@@ -417,10 +415,8 @@ TEST(EngineTest, CompactReportsGcStatsAndHonorsPurgeFloor) {
 }
 
 TEST(EngineTest, TombstoneGcHonorsGracePeriod) {
-  EngineOptions options;
-  options.tombstone_gc_grace = Millis(100);
   SimTime now = Millis(10);
-  Engine engine(options, [&now] { return now; });
+  Engine engine(EngineOptions(), [&now] { return now; });
   engine.Apply("k", "c", Cell::Live("v", 10));
   now = Millis(20);
   engine.Apply("k", "c", Cell::Tombstone(20));  // applied locally at 20 ms
@@ -430,12 +426,12 @@ TEST(EngineTest, TombstoneGcHonorsGracePeriod) {
   engine.Flush();
 
   // Within grace: tombstone retained.
-  engine.Compact(/*now=*/Millis(50));
+  engine.Compact(/*now=*/Millis(20) + kTombstoneGcGrace - Millis(1));
   ASSERT_TRUE(engine.GetCell("k", "c").has_value());
   EXPECT_TRUE(engine.GetCell("k", "c")->tombstone);
 
   // Past grace: tombstone (and the empty row) disappear.
-  engine.Compact(/*now=*/Millis(500));
+  engine.Compact(/*now=*/Millis(20) + kTombstoneGcGrace + Millis(1));
   EXPECT_FALSE(engine.GetRow("k").has_value());
   EXPECT_TRUE(engine.GetRow("other").has_value());
 }
@@ -445,10 +441,8 @@ TEST(EngineTest, TombstoneGcHonorsGracePeriod) {
 // bootstrap row). Grace measured from the write timestamp purged it on the
 // first compaction; measured from the local apply time it survives.
 TEST(EngineTest, BackdatedTombstoneAppliedWithinGraceSurvivesCompact) {
-  EngineOptions options;
-  options.tombstone_gc_grace = Seconds(600);
   SimTime now = Seconds(1);
-  Engine engine(options, [&now] { return now; });
+  Engine engine(EngineOptions(), [&now] { return now; });
   engine.Apply("k", "__init", Cell::Live("1", Millis(1)));
   engine.Flush();
   now = Seconds(10);
@@ -461,8 +455,8 @@ TEST(EngineTest, BackdatedTombstoneAppliedWithinGraceSurvivesCompact) {
   ASSERT_TRUE(engine.GetCell("k", "__init").has_value());
   EXPECT_TRUE(engine.GetCell("k", "__init")->tombstone);
 
-  // Grace ends 600 s after the local apply.
-  now = Seconds(611);
+  // Grace ends kTombstoneGcGrace after the local apply.
+  now = Seconds(11) + kTombstoneGcGrace;
   GcStats purged = engine.Compact(now);
   EXPECT_EQ(purged.tombstones_purged, 1u);
   EXPECT_FALSE(engine.GetRow("k").has_value());
@@ -472,27 +466,25 @@ TEST(EngineTest, BackdatedTombstoneAppliedWithinGraceSurvivesCompact) {
 // already holds in a run) must not restart its grace period: compaction
 // folds both copies and keeps the earlier local deletion time.
 TEST(EngineTest, RelearnedTombstoneKeepsItsFirstLocalDeletionTime) {
-  EngineOptions options;
-  options.tombstone_gc_grace = Millis(100);
   SimTime now = Millis(10);
-  Engine engine(options, [&now] { return now; });
+  Engine engine(EngineOptions(), [&now] { return now; });
   engine.Apply("k", "c", Cell::Tombstone(5));  // first applied at 10 ms
   engine.Flush();
-  now = Millis(90);
+  now = kTombstoneGcGrace - Millis(10);
   Row resent;
   resent.Apply("c", Cell::Tombstone(5));
-  engine.ApplyRow("k", resent);  // the same delete, re-learned at 90 ms
-  EXPECT_EQ(engine.Compact(Millis(150)).tombstones_purged, 1u);
+  engine.ApplyRow("k", resent);  // the same delete, re-learned much later
+  // Past grace from the first apply, within it from the re-learning.
+  EXPECT_EQ(engine.Compact(kTombstoneGcGrace + Millis(50)).tombstones_purged,
+            1u);
   EXPECT_FALSE(engine.GetRow("k").has_value());
 }
 
 // The commit log keeps the stamped cells: a crash-and-replay restores the
 // original local deletion time rather than losing it.
 TEST(EngineTest, CommitLogReplayKeepsLocalDeletionTime) {
-  EngineOptions options;
-  options.tombstone_gc_grace = Millis(100);
   SimTime now = Millis(10);
-  Engine engine(options, [&now] { return now; });
+  Engine engine(EngineOptions(), [&now] { return now; });
   engine.Apply("k", "c", Cell::Tombstone(5));
   engine.LoseVolatileState();
   now = Millis(500);
@@ -504,16 +496,14 @@ TEST(EngineTest, CommitLogReplayKeepsLocalDeletionTime) {
 TEST(EngineTest, CompactionDoesNotResurrectDeletedData) {
   // The deletion shadows an older live cell sitting in an older run. GC of
   // the tombstone must not bring the old value back.
-  EngineOptions options;
-  options.tombstone_gc_grace = Millis(100);
   SimTime now = Millis(10);
-  Engine engine(options, [&now] { return now; });
+  Engine engine(EngineOptions(), [&now] { return now; });
   engine.Apply("k", "c", Cell::Live("old", 10));
   engine.Flush();
   now = Millis(20);
   engine.Apply("k", "c", Cell::Tombstone(20));  // applied locally at 20 ms
   // Grace expired; both cells merge first.
-  engine.Compact(/*now=*/Millis(500));
+  engine.Compact(/*now=*/Millis(20) + kTombstoneGcGrace + Millis(1));
   EXPECT_FALSE(engine.GetCell("k", "c").has_value());
 }
 
@@ -614,10 +604,8 @@ TEST(RowCacheTest, TablesNamespaceKeys) {
 
 TEST(EngineTest, RowCacheServesInvalidatesAndClearsOnPurge) {
   RowCache cache(16);
-  EngineOptions options;
-  options.tombstone_gc_grace = Millis(100);
   SimTime now = Millis(10);
-  Engine engine(options, [&now] { return now; });
+  Engine engine(EngineOptions(), [&now] { return now; });
   engine.set_row_cache(&cache, "t");
 
   engine.Apply("k", "c", Cell::Live("v1", 10));
@@ -643,7 +631,7 @@ TEST(EngineTest, RowCacheServesInvalidatesAndClearsOnPurge) {
   engine.Apply("k", "c", Cell::Tombstone(30));  // applied locally at 30 ms
   engine.GetRow("k");  // re-cache the tombstoned row
   EXPECT_TRUE(cache.Contains("t", "k"));
-  engine.Compact(/*now=*/Millis(500));
+  engine.Compact(/*now=*/Millis(30) + kTombstoneGcGrace + Millis(1));
   EXPECT_FALSE(cache.Contains("t", "k"));
   EXPECT_FALSE(engine.GetRow("k").has_value());
 
